@@ -23,9 +23,8 @@ from .benchmarks import (
 )
 from .chm import (
     ChmConfig,
-    ChmTrace,
     EvaluationAborted,
-    SegmentedTrace,
+    RunTrace,
     check_convergence,
     chm_run,
     probe_all,
@@ -71,6 +70,7 @@ from .harness import (
     replay_record,
     run_cell,
     run_experiment,
+    run_method,
     save_plan,
     selection_frequencies,
 )

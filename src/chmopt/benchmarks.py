@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core import SeededRng, Vector
+from .core import SeededRng, Vector, format_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -397,7 +397,4 @@ def format_catalogue(bucket: str | None = None) -> str:
         opt_txt = "(" + ", ".join(f"{v:.6g}" for v in s.optimum) + ")"
         rows.append((s.name, bounds_txt, opt_txt, f"{s.reference_value:.6g}",
                      s.bucket, f"({s.budgets[0]}, {s.budgets[1]})"))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return format_table(rows)

@@ -8,7 +8,8 @@ stops early once the best fitness converges.
 
 Also provides the segmented single-method driver used for like-for-like
 comparisons: one optimizer run in equally sized budget slices with the same
-convergence cadence as the hybrid loop.
+convergence cadence as the hybrid loop. Both drivers share one run loop and
+one trace type.
 """
 from __future__ import annotations
 
@@ -33,6 +34,10 @@ PROBE_STREAM = "probe"
 FIT_STREAM = "fit"
 SEGMENT_STREAM = "segment"
 
+# trace record kinds of the two phase types
+ITERATION_KIND = "chm_iteration"
+SEGMENT_KIND = "segment"
+
 RATIO_LOW = 0.2
 RATIO_HIGH = 0.5
 
@@ -47,6 +52,15 @@ class EvaluationAborted(RuntimeError):
         self.phase = phase
         self.method = method
         self.position = cause.position
+
+
+def fe_budget(k: int, maxfe_probing: int, maxfe_fit: int, iterations: int = 1,
+              population_size: int = 0) -> int:
+    """Evaluation cap of a hybrid run over ``k`` methods: the initial
+    population plus, per iteration, ``k`` probes and one fit. With the
+    defaults it is one iteration's share, the budget of one single-method
+    segment."""
+    return population_size + iterations * (k * maxfe_probing + maxfe_fit)
 
 
 @dataclass
@@ -87,8 +101,8 @@ class ChmConfig:
         return len(self.optimizers)
 
     def max_total_fe(self) -> int:
-        return self.population_size + self.iterations * (
-            self.k * self.maxfe_probing + self.maxfe_fit)
+        return fe_budget(self.k, self.maxfe_probing, self.maxfe_fit,
+                         self.iterations, self.population_size)
 
     def method_names(self) -> tuple[str, ...]:
         return tuple(opt.name for opt in self.optimizers)
@@ -104,41 +118,49 @@ class ProbeResult:
 
 
 @dataclass(frozen=True)
-class ChmIteration:
+class Iteration:
+    """One phase of a run: a probe + fit iteration or a single-method segment."""
+
+    kind: str  # ITERATION_KIND or SEGMENT_KIND
     index: int  # 1-based
-    probe_best_costs: tuple[float, ...]
-    probe_fe: tuple[int, ...]
-    selected: int
     selected_name: str
-    fit_best_cost: float
-    fit_fe: int
-    carryover: bool
     fe_used: int
-    best_cost: float  # best-so-far after this iteration
+    best_cost: float  # best-so-far after this phase
     best_fitness: float | None
+    # probe + fit details; None for a segment
+    probe_best_costs: tuple[float, ...] | None = None
+    probe_fe: tuple[int, ...] | None = None
+    selected: int | None = None
+    fit_best_cost: float | None = None
+    fit_fe: int | None = None
+    carryover: bool | None = None
 
 
 @dataclass
-class ChmTrace:
+class RunTrace:
+    """Trace of one run: the initial population, then one entry per phase."""
+
     method_names: tuple[str, ...]
     initial_best_cost: float
     initial_best_fitness: float | None
-    iterations: list[ChmIteration] = field(default_factory=list)
+    iterations: list[Iteration] = field(default_factory=list)
     total_fe: int = 0
     final_best: Individual | None = None
     converged: bool = False
 
     def selection_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self.method_names}
-        for it in self.iterations:
-            counts[it.selected_name] += 1
+        for name in self.selections():
+            counts[name] += 1
         return counts
 
     def selections(self) -> tuple[str, ...]:
-        return tuple(it.selected_name for it in self.iterations)
+        """Fit-phase winners; a single-method run selects nothing."""
+        return tuple(it.selected_name for it in self.iterations
+                     if it.kind == ITERATION_KIND)
 
     def best_fitness_history(self) -> list[float]:
-        """Best fitness at init and after each iteration (None entries excluded)."""
+        """Best fitness at init and after each phase (None entries excluded)."""
         history = []
         if self.initial_best_fitness is not None:
             history.append(self.initial_best_fitness)
@@ -147,7 +169,7 @@ class ChmTrace:
         return history
 
     def to_records(self) -> list[dict]:
-        """Line-oriented trace: one init record plus one record per iteration."""
+        """Line-oriented trace: one init record plus one record per phase."""
         records = [{
             "kind": "init",
             "iteration": 0,
@@ -156,19 +178,21 @@ class ChmTrace:
             "best_fitness": self.initial_best_fitness,
         }]
         for it in self.iterations:
-            records.append({
-                "kind": "chm_iteration",
+            record = {
+                "kind": it.kind,
                 "iteration": it.index,
-                "probe_best_costs": list(it.probe_best_costs),
-                "probe_fe": list(it.probe_fe),
                 "selected": it.selected_name,
-                "fit_best_cost": it.fit_best_cost,
-                "fit_fe": it.fit_fe,
-                "carryover": it.carryover,
                 "fe_used": it.fe_used,
                 "best_cost": it.best_cost,
                 "best_fitness": it.best_fitness,
-            })
+            }
+            if it.kind == ITERATION_KIND:
+                record.update(probe_best_costs=list(it.probe_best_costs),
+                              probe_fe=list(it.probe_fe),
+                              fit_best_cost=it.fit_best_cost,
+                              fit_fe=it.fit_fe,
+                              carryover=it.carryover)
+            records.append(record)
         return records
 
 
@@ -208,148 +232,19 @@ def _fitness_of(cost: float, reference_value: float | None) -> float | None:
     return abs(cost - reference_value)
 
 
-def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
-            seed: int | SeededRng, reference_value: float | None = None
-            ) -> tuple[Individual, ChmTrace]:
-    """Full orchestrated run. Returns the best individual ever observed and the
-    per-iteration trace.
+def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
+           population_size: int, phases: int, step, method_names: tuple[str, ...],
+           init_method: str, reference_value: float | None,
+           convergence_epsilon: float, convergence_patience: int
+           ) -> tuple[Individual, RunTrace]:
+    """Shared run loop: evaluate a random initial population, then up to
+    ``phases`` calls of ``step(population, index, rng, bounds)``, checking
+    convergence after each.
 
-    ``reference_value`` is the known optimum value of the objective, if any;
-    with it, convergence is checked on fitness (gap to the optimum), without
-    it, on raw best cost.
+    A step returns ``(carried, scored, fields)``: the population the next
+    phase starts from, the population the best-so-far is read from, and the
+    phase's ``Iteration`` fields other than index and best-so-far.
     """
-    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    init_obj = BudgetedObjective(objective_fn, config.population_size)
-    theta = random_population(config.population_size, bounds, rng.derive(INIT_STREAM))
-    try:
-        evaluate_population(theta, init_obj)
-    except NonFiniteValue as exc:
-        raise EvaluationAborted("initialization", "-", exc) from exc
-
-    best = theta.best().copy()
-    trace = ChmTrace(
-        method_names=config.method_names(),
-        initial_best_cost=best.cost,
-        initial_best_fitness=_fitness_of(best.cost, reference_value),
-    )
-    trace.total_fe = init_obj.used
-    convergence_metric = (trace.initial_best_fitness if reference_value is not None
-                          else best.cost)
-    history = [convergence_metric]
-
-    for iteration in range(1, config.iterations + 1):
-        probes = probe_all(theta, config.optimizers, objective_fn,
-                           config.maxfe_probing, bounds, rng, iteration)
-        selected = min(range(len(probes)), key=lambda j: probes[j].best_cost)
-        winner = probes[selected]
-        theta = winner.population
-        pre_fit_best = winner.best_cost
-
-        fit_obj = BudgetedObjective(objective_fn, config.maxfe_fit)
-        fit_stream = rng.derive(FIT_STREAM, iteration)
-        try:
-            fitted = config.optimizers[selected].run(theta, fit_obj, bounds, fit_stream)
-        except NonFiniteValue as exc:
-            raise EvaluationAborted("fit", winner.method, exc) from exc
-        fit_best = fitted.best_cost()
-
-        carryover = fit_best < pre_fit_best
-        if carryover:
-            theta = fitted
-
-        # elitism guarantees fit_best <= pre_fit_best <= previous bests, so the
-        # fitted population always holds the run-wide best when it improves
-        if fit_best < best.cost:
-            best = fitted.best().copy()
-
-        fe_used = sum(p.fe_used for p in probes) + fit_obj.used
-        trace.total_fe += fe_used
-        best_fitness = _fitness_of(best.cost, reference_value)
-        trace.iterations.append(ChmIteration(
-            index=iteration,
-            probe_best_costs=tuple(p.best_cost for p in probes),
-            probe_fe=tuple(p.fe_used for p in probes),
-            selected=selected,
-            selected_name=winner.method,
-            fit_best_cost=fit_best,
-            fit_fe=fit_obj.used,
-            carryover=carryover,
-            fe_used=fe_used,
-            best_cost=best.cost,
-            best_fitness=best_fitness,
-        ))
-        history.append(best_fitness if reference_value is not None else best.cost)
-        if check_convergence(history, config.convergence_epsilon,
-                             config.convergence_patience):
-            trace.converged = True
-            break
-
-    trace.final_best = best.copy()
-    return best, trace
-
-
-# ---------------------------------------------------------------------------
-# segmented single-method driver
-
-
-@dataclass(frozen=True)
-class Segment:
-    index: int  # 1-based
-    fe_used: int
-    best_cost: float
-    best_fitness: float | None
-
-
-@dataclass
-class SegmentedTrace:
-    method_names: tuple[str, ...]
-    initial_best_cost: float
-    initial_best_fitness: float | None
-    segments: list[Segment] = field(default_factory=list)
-    total_fe: int = 0
-    final_best: Individual | None = None
-    converged: bool = False
-
-    def selections(self) -> tuple[str, ...]:
-        return ()
-
-    def best_fitness_history(self) -> list[float]:
-        history = []
-        if self.initial_best_fitness is not None:
-            history.append(self.initial_best_fitness)
-        history.extend(s.best_fitness for s in self.segments
-                       if s.best_fitness is not None)
-        return history
-
-    def to_records(self) -> list[dict]:
-        records = [{
-            "kind": "init",
-            "iteration": 0,
-            "fe_used": self.total_fe - sum(s.fe_used for s in self.segments),
-            "best_cost": self.initial_best_cost,
-            "best_fitness": self.initial_best_fitness,
-        }]
-        for s in self.segments:
-            records.append({
-                "kind": "segment",
-                "iteration": s.index,
-                "selected": self.method_names[0],
-                "fe_used": s.fe_used,
-                "best_cost": s.best_cost,
-                "best_fitness": s.best_fitness,
-            })
-        return records
-
-
-def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
-                  seed: int | SeededRng, *, segments: int, segment_fe: int,
-                  population_size: int, reference_value: float | None = None,
-                  convergence_epsilon: float = 1e-8, convergence_patience: int = 1
-                  ) -> tuple[Individual, SegmentedTrace]:
-    """One optimizer run as ``segments`` consecutive budget slices with the
-    convergence check applied at each slice boundary. Gives single methods the
-    same total budget and the same stopping cadence as an orchestrated run."""
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     init_obj = BudgetedObjective(objective_fn, population_size)
@@ -357,29 +252,22 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
     try:
         evaluate_population(pop, init_obj)
     except NonFiniteValue as exc:
-        raise EvaluationAborted("initialization", optimizer.name, exc) from exc
+        raise EvaluationAborted("initialization", init_method, exc) from exc
 
     best = pop.best().copy()
-    trace = SegmentedTrace(
-        method_names=(optimizer.name,),
-        initial_best_cost=best.cost,
-        initial_best_fitness=_fitness_of(best.cost, reference_value),
-    )
-    trace.total_fe = init_obj.used
+    trace = RunTrace(method_names=method_names, initial_best_cost=best.cost,
+                     initial_best_fitness=_fitness_of(best.cost, reference_value),
+                     total_fe=init_obj.used)
     history = [trace.initial_best_fitness if reference_value is not None else best.cost]
 
-    for index in range(1, segments + 1):
-        obj = BudgetedObjective(objective_fn, segment_fe)
-        stream = rng.derive(SEGMENT_STREAM, index)
-        try:
-            pop = optimizer.run(pop, obj, bounds, stream)
-        except NonFiniteValue as exc:
-            raise EvaluationAborted(f"segment {index}", optimizer.name, exc) from exc
-        if pop.best_cost() < best.cost:
-            best = pop.best().copy()
-        trace.total_fe += obj.used
+    for index in range(1, phases + 1):
+        pop, scored, fields = step(pop, index, rng, bounds)
+        if scored.best_cost() < best.cost:
+            best = scored.best().copy()
+        trace.total_fe += fields["fe_used"]
         best_fitness = _fitness_of(best.cost, reference_value)
-        trace.segments.append(Segment(index, obj.used, best.cost, best_fitness))
+        trace.iterations.append(Iteration(index=index, best_cost=best.cost,
+                                          best_fitness=best_fitness, **fields))
         history.append(best_fitness if reference_value is not None else best.cost)
         if check_convergence(history, convergence_epsilon, convergence_patience):
             trace.converged = True
@@ -387,3 +275,74 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
 
     trace.final_best = best.copy()
     return best, trace
+
+
+def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
+            seed: int | SeededRng, reference_value: float | None = None
+            ) -> tuple[Individual, RunTrace]:
+    """Full orchestrated run. Returns the best individual ever observed and the
+    per-iteration trace.
+
+    ``reference_value`` is the known optimum value of the objective, if any;
+    with it, convergence is checked on fitness (gap to the optimum), without
+    it, on raw best cost.
+    """
+    def probe_and_fit(theta, iteration, rng, bounds):
+        probes = probe_all(theta, config.optimizers, objective_fn,
+                           config.maxfe_probing, bounds, rng, iteration)
+        selected = min(range(len(probes)), key=lambda j: probes[j].best_cost)
+        winner = probes[selected]
+        fit_obj = BudgetedObjective(objective_fn, config.maxfe_fit)
+        fit_stream = rng.derive(FIT_STREAM, iteration)
+        try:
+            fitted = config.optimizers[selected].run(winner.population, fit_obj,
+                                                     bounds, fit_stream)
+        except NonFiniteValue as exc:
+            raise EvaluationAborted("fit", winner.method, exc) from exc
+        fit_best = fitted.best_cost()
+        carryover = fit_best < winner.best_cost
+        # the best-so-far is read from the fitted population even when it is
+        # not carried over: elitism guarantees fit_best <= pre-fit best <=
+        # previous bests, so it holds the run-wide best whenever that improves
+        return (fitted if carryover else winner.population), fitted, dict(
+            kind=ITERATION_KIND,
+            selected_name=winner.method,
+            fe_used=sum(p.fe_used for p in probes) + fit_obj.used,
+            probe_best_costs=tuple(p.best_cost for p in probes),
+            probe_fe=tuple(p.fe_used for p in probes),
+            selected=selected,
+            fit_best_cost=fit_best,
+            fit_fe=fit_obj.used,
+            carryover=carryover,
+        )
+
+    return _drive(objective_fn, bounds, seed, population_size=config.population_size,
+                  phases=config.iterations, step=probe_and_fit,
+                  method_names=config.method_names(), init_method="-",
+                  reference_value=reference_value,
+                  convergence_epsilon=config.convergence_epsilon,
+                  convergence_patience=config.convergence_patience)
+
+
+def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
+                  seed: int | SeededRng, *, segments: int, segment_fe: int,
+                  population_size: int, reference_value: float | None = None,
+                  convergence_epsilon: float = 1e-8, convergence_patience: int = 1
+                  ) -> tuple[Individual, RunTrace]:
+    """One optimizer run as ``segments`` consecutive budget slices with the
+    convergence check applied at each slice boundary. Gives single methods the
+    same total budget and the same stopping cadence as an orchestrated run."""
+    def segment(pop, index, rng, bounds):
+        obj = BudgetedObjective(objective_fn, segment_fe)
+        try:
+            pop = optimizer.run(pop, obj, bounds, rng.derive(SEGMENT_STREAM, index))
+        except NonFiniteValue as exc:
+            raise EvaluationAborted(f"segment {index}", optimizer.name, exc) from exc
+        return pop, pop, dict(kind=SEGMENT_KIND, selected_name=optimizer.name,
+                              fe_used=obj.used)
+
+    return _drive(objective_fn, bounds, seed, population_size=population_size,
+                  phases=segments, step=segment, method_names=(optimizer.name,),
+                  init_method=optimizer.name, reference_value=reference_value,
+                  convergence_epsilon=convergence_epsilon,
+                  convergence_patience=convergence_patience)

@@ -63,12 +63,14 @@ def build_parser() -> _Parser:
     p_run.add_argument("--format", choices=("table", "records"), default="table")
 
     p_bench = sub.add_parser("bench", help="run a benchmark experiment plan")
-    p_bench.add_argument("--plan", help="JSON plan file; flags below override nothing if given")
+    p_bench.add_argument("--plan", help="JSON plan file; of the flags below only --workers, "
+                         "--out and --format apply with it")
     p_bench.add_argument("--functions", help="comma-separated names (default: all 28)")
     p_bench.add_argument("--methods", help=f"comma-separated from {', '.join(ALL_METHODS)}")
     p_bench.add_argument("--reps", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=1234)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=int, help="worker processes (default: 1, "
+                         "or the plan's value)")
     p_bench.add_argument("--name", default="default")
     p_bench.add_argument("--budgets", help="override probing,fit budgets, e.g. 300,600")
     p_bench.add_argument("--out", help="output root (default: results or $CHMOPT_RESULTS)")
@@ -174,10 +176,13 @@ def cmd_bench(args) -> int:
             kwargs["budget_override"] = _parse_budgets(args.budgets)
         try:
             plan = ExperimentPlan(name=args.name, repetitions=args.reps,
-                                  base_seed=args.seed, workers=args.workers,
-                                  **kwargs)
+                                  base_seed=args.seed, **kwargs)
         except (ValueError, benchmarks.UnknownBenchmark) as exc:
             raise UsageError(str(exc))
+    if args.workers is not None:
+        if args.workers < 1:
+            raise UsageError("--workers must be >= 1")
+        plan.workers = args.workers
     out_root = _out_root(args.out)
     result = run_experiment(plan, out_dir=out_root)
     if args.format == "records":

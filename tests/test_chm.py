@@ -326,7 +326,7 @@ class TestSegmentedDriver:
             reference_value=spec.reference_value, convergence_epsilon=1e-15,
             convergence_patience=3)
         assert trace.total_fe <= 6 + 3 * 50
-        assert 1 <= len(trace.segments) <= 3
+        assert 1 <= len(trace.iterations) <= 3
         history = trace.best_fitness_history()
         assert all(a >= b for a, b in zip(history, history[1:]))
 
@@ -335,7 +335,7 @@ class TestSegmentedDriver:
             make_optimizer("de"), lambda x: 0.0, BOUNDS, 6,
             segments=5, segment_fe=30, population_size=4, reference_value=0.0)
         assert trace.converged
-        assert len(trace.segments) == 1
+        assert len(trace.iterations) == 1
 
 
 def test_trace_records_round_trip_shape():
@@ -351,3 +351,27 @@ def test_trace_records_round_trip_shape():
     # records serialize to JSON lines
     for record in records:
         json.loads(json.dumps(record))
+
+
+def test_segmented_trace_records_shape():
+    spec = get_benchmark("matyas")
+    _, trace = run_segmented(
+        make_optimizer("de"), spec.formula, spec.bounds, 5,
+        segments=3, segment_fe=50, population_size=6,
+        reference_value=spec.reference_value, convergence_epsilon=1e-15,
+        convergence_patience=3)
+    records = trace.to_records()
+    assert records[0] == {"kind": "init", "iteration": 0, "fe_used": 6,
+                          "best_cost": trace.initial_best_cost,
+                          "best_fitness": trace.initial_best_fitness}
+    assert len(records) >= 2
+    for index, record in enumerate(records[1:], start=1):
+        assert set(record) == {"kind", "iteration", "selected", "fe_used",
+                               "best_cost", "best_fitness"}
+        assert record["kind"] == "segment"
+        assert record["selected"] == "de"
+        assert record["iteration"] == index
+        assert record["fe_used"] == 50
+        assert record["best_fitness"] == abs(record["best_cost"] - spec.reference_value)
+    assert sum(r["fe_used"] for r in records) == trace.total_fe
+    assert records[-1]["best_cost"] == trace.final_best.cost

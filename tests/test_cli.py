@@ -109,6 +109,31 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "fromfile" / "raw" / "runs.jsonl").exists()
 
+    def test_workers_flag_overrides_plan(self, tmp_path, capsys, monkeypatch):
+        import chmopt.cli
+
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "name": "fromfile", "functions": ["matyas"], "methods": ["de"],
+            "repetitions": 1, "budget_override": [10, 20], "population_size": 5,
+            "iterations": 1, "workers": 1,
+        }))
+        seen = []
+        real = chmopt.cli.run_experiment
+
+        def spy(plan, out_dir=None):
+            seen.append(plan.workers)
+            return real(plan, out_dir=out_dir)
+
+        monkeypatch.setattr(chmopt.cli, "run_experiment", spy)
+        args = ("bench", "--plan", str(plan_path), "--out", str(tmp_path))
+        assert run_cli(capsys, *args, "--workers", "4")[0] == 0
+        assert run_cli(capsys, *args)[0] == 0
+        assert seen == [4, 1]
+        code, _, err = run_cli(capsys, *args, "--workers", "0")
+        assert code == 1 and "--workers" in err
+        assert seen == [4, 1]
+
     def test_bad_plan_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "--plan", str(tmp_path / "nope.json"))
         assert code == 1
@@ -166,3 +191,19 @@ class TestFselect:
         code, _, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
                                "--method", "cma")
         assert code == 1
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.5,0.5,rare", "fewer than 2 members"),
+        ("0.5,inf,1", "column 'b'"),
+    ])
+    def test_bad_csv_exits_two_with_one_line(self, tmp_path, capsys, bad_row, message):
+        rows = ["a,b,y"] + [f"{i / 20},{(i * 7 % 20) / 20},{i % 2}" for i in range(20)]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows + [bad_row]) + "\n")
+        code, _, err = run_cli(capsys, "fselect", str(path), "--label", "y",
+                               "--method", "de", "--reps", "1", "--budgets", "5,10",
+                               "--trees", "3", "--depth", "3", "--population", "4",
+                               "--iterations", "1")
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1

@@ -55,6 +55,15 @@ class TestLoadCsv:
         assert ds.dropped_rows == 1
         assert ds.n_rows == 11
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_cell_names_column(self, tmp_path, cell):
+        rows = ["a,b,y"] + [f"{i},{i},{i % 2}" for i in range(12)]
+        rows[4] = f"3,{cell},1"
+        path = write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
+        for strict in (False, True):
+            with pytest.raises(DatasetError, match="column 'b'"):
+                load_csv(path, "y", strict=strict)
+
     def test_categorical_first_appearance_encoding(self, tmp_path):
         rows = ["color,size,y"]
         colors = ["red", "blue", "red", "green"] * 3
@@ -113,6 +122,11 @@ class TestSplit:
     def test_tiny_class_rejected(self):
         ds = self._dataset([0] * 9 + [1])
         with pytest.raises(ValueError, match="fewer than 2"):
+            split_dataset(ds, 0.3, 1)
+
+    def test_tiny_class_is_a_dataset_error(self):
+        ds = self._dataset([0] * 9 + [1])
+        with pytest.raises(DatasetError, match="class 1"):
             split_dataset(ds, 0.3, 1)
 
     def test_bad_fraction_rejected(self):

@@ -219,6 +219,26 @@ class TestExport:
         kinds = {p["kind"] for p in parsed}
         assert kinds == {"init", "chm_iteration"}
 
+    def test_single_method_trace_export(self, tmp_path):
+        plan = small_plan()
+        result = run_experiment(plan, out_dir=str(tmp_path))
+        lines = (tmp_path / "test" / "traces" / "matyas__de.jsonl").read_text().splitlines()
+        parsed = [json.loads(line) for line in lines]
+        records = {r.repetition: r for r in result.records if r.method == "de"}
+        assert {p["repetition"] for p in parsed} == set(records)
+        for p in parsed:
+            assert p["seed"] == records[p["repetition"]].seed
+            if p["kind"] == "init":
+                assert p["iteration"] == 0 and p["fe_used"] == 6
+                continue
+            assert p["kind"] == "segment"
+            assert set(p) == {"kind", "iteration", "selected", "fe_used", "best_cost",
+                              "best_fitness", "repetition", "seed"}
+            assert p["selected"] == "de"
+            assert p["fe_used"] == 5 * 30 + 60
+        segments = [p for p in parsed if p["kind"] == "segment"]
+        assert len(segments) == sum(r.phases for r in records.values())
+
     def test_unwritable_destination_error_names_path(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

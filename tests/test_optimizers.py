@@ -1,6 +1,10 @@
+import contextlib
 import math
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chmopt import (
     BudgetedObjective,
@@ -20,6 +24,7 @@ from chmopt import (
     sa_accept,
     tumble_direction,
 )
+from chmopt.harness import ExperimentPlan, run_cell
 from chmopt.optimizers import OPTIMIZER_NAMES, BfoParams, DeParams, SaParams
 
 from conftest import sphere
@@ -127,6 +132,20 @@ class TestBfoHelpers:
         assert obj.used == 6
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the enclosed block with TimeoutError after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _tracker(members):
     from chmopt.optimizers import _BestTracker
 
@@ -148,6 +167,53 @@ class TestGaBehaviour:
         out = opt.step(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(5))
         # without crossover or mutation every child is the tournament winner
         assert all(m.position == [1.0] for m in out)
+
+    @pytest.mark.parametrize("overrides, collapsed", [
+        (dict(mutation_rate=0.0), True),
+        (dict(mutation_rate=0.0, crossover_rate=0.0), False),
+        (dict(elitism=6), False),
+    ])
+    def test_run_without_new_points_terminates(self, overrides, collapsed):
+        bounds = [(-5.0, 5.0)] * 2
+        pop = evaluated_population(6, bounds, 4)
+        if collapsed:
+            pop = Population([pop.best().copy() for _ in range(6)])
+        obj = BudgetedObjective(sphere, 200)
+        with deadline(10):
+            out = make_optimizer("ga", **overrides).run(pop, obj, bounds, SeededRng(9))
+        assert out.best_cost() <= pop.best_cost()
+        assert obj.used <= 200
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 8), collapsed=st.booleans(),
+           tournament_size=st.integers(2, 9), elitism=st.integers(0, 9),
+           crossover_rate=st.sampled_from([0.0, 0.5, 1.0]),
+           mutation_rate=st.sampled_from([0.0, 0.3, None]),
+           budget=st.integers(0, 80), seed=st.integers(0, 2 ** 32))
+    def test_any_params_terminate_within_budget_and_elitist(
+            self, size, collapsed, tournament_size, elitism, crossover_rate,
+            mutation_rate, budget, seed):
+        bounds = [(-5.0, 5.0)] * 2
+        pop = evaluated_population(size, bounds, seed)
+        if collapsed:
+            pop = Population([pop.best().copy() for _ in range(size)])
+        opt = make_optimizer("ga", tournament_size=tournament_size, elitism=elitism,
+                             crossover_rate=crossover_rate, mutation_rate=mutation_rate)
+        obj = BudgetedObjective(sphere, budget)
+        with deadline(10):
+            out = opt.run(pop, obj, bounds, SeededRng(seed))
+        assert obj.used <= budget
+        assert len(out) == size
+        assert out.best_cost() <= pop.best_cost()
+
+    def test_plan_override_without_new_points_terminates(self):
+        plan = ExperimentPlan(functions=("matyas",), methods=("ga",), repetitions=1,
+                              budget_override=(30, 60), population_size=6, iterations=2,
+                              optimizer_overrides={"ga": {"mutation_rate": 0.0,
+                                                          "crossover_rate": 0.0}})
+        with deadline(10):
+            record, _ = run_cell(plan, "matyas", "ga", 0)
+        assert record.fe_used == 6
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
