@@ -19,7 +19,6 @@ from .benchmarks import (
     get_benchmark,
     list_benchmarks,
     local_minimality_check,
-    reference_minimum,
 )
 from .chm import (
     ChmConfig,

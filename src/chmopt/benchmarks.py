@@ -330,10 +330,6 @@ def eval_benchmark(spec: BenchmarkSpec, x: Vector) -> float:
     return spec.formula(x)
 
 
-def reference_minimum(spec: BenchmarkSpec) -> float:
-    return spec.reference_value
-
-
 def with_optimum(spec: BenchmarkSpec, optimum) -> BenchmarkSpec:
     """Copy of a spec with a different optimum (negative-control testing hook)."""
     return replace(spec, optimum=tuple(optimum), reference_value=spec.formula(tuple(optimum)))

@@ -110,7 +110,6 @@ class ChmConfig:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    index: int
     method: str
     population: Population
     best_cost: float
@@ -147,12 +146,6 @@ class RunTrace:
     total_fe: int = 0
     final_best: Individual | None = None
     converged: bool = False
-
-    def selection_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.method_names}
-        for name in self.selections():
-            counts[name] += 1
-        return counts
 
     def selections(self) -> tuple[str, ...]:
         """Fit-phase winners; a single-method run selects nothing."""
@@ -222,7 +215,7 @@ def probe_all(theta: Population, optimizers, objective_fn, maxfe_probing: int,
             evolved = opt.run(theta.copy(), obj, bounds, stream)
         except NonFiniteValue as exc:
             raise EvaluationAborted("probing", opt.name, exc) from exc
-        results.append(ProbeResult(j, opt.name, evolved, evolved.best_cost(), obj.used))
+        results.append(ProbeResult(opt.name, evolved, evolved.best_cost(), obj.used))
     return results
 
 
@@ -332,6 +325,9 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
     """One optimizer run as ``segments`` consecutive budget slices with the
     convergence check applied at each slice boundary. Gives single methods the
     same total budget and the same stopping cadence as an orchestrated run."""
+    if segments < 1:
+        raise ValueError("segments must be >= 1")
+
     def segment(pop, index, rng, bounds):
         obj = BudgetedObjective(objective_fn, segment_fe)
         try:

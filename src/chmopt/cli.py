@@ -196,8 +196,9 @@ def cmd_bench(args) -> int:
 
 def cmd_fselect(args) -> int:
     probing, fit = _parse_budgets(args.budgets)
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
+    for flag in ("reps", "population", "iterations", "trees", "depth"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be >= 1")
     method = args.method.strip().lower()
     if method != "all" and method not in ALL_METHODS:
         raise UsageError(f"unknown method {args.method!r}; "

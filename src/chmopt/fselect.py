@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,13 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
         raise DatasetError(f"{path}: need at least 10 usable rows, got {dataset.n_rows}")
     if dataset.n_features < 2:
         raise DatasetError(f"{path}: need at least 2 feature columns")
+    counts = Counter(columns[label_idx])
+    for value, count in counts.items():
+        if count < 3:
+            raise DatasetError(
+                f"{path}: label {value!r} has only {count} row(s); each class needs "
+                f"at least 3 rows, because the test and validation splits are "
+                f"both stratified")
     return dataset
 
 

@@ -47,8 +47,13 @@ class ExperimentPlan:
         self.validate()
 
     def validate(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        # the name is the export directory under the output root
+        if (self.name in ("", ".", "..")
+                or any(sep and sep in self.name for sep in (os.sep, os.altsep))):
+            raise ValueError(f"plan name {self.name!r} must be a plain directory name")
+        for attr in ("repetitions", "iterations", "population_size", "workers"):
+            if getattr(self, attr) < 1:
+                raise ValueError(f"{attr} must be >= 1")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
@@ -62,8 +67,6 @@ class ExperimentPlan:
             probing, fit = self.budget_override
             if probing < 1 or fit < 1:
                 raise ValueError("budget override values must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def budgets_for(self, function: str) -> tuple[int, int]:
         if self.budget_override is not None:

@@ -1,10 +1,14 @@
-"""The five population-based inner optimizers behind one uniform interface.
+"""The five population-based inner optimizers on one skeleton.
 
-Every optimizer takes a Population and a BudgetedObjective, runs generations
-until the budget is exhausted, and returns an evolved Population of the same
-size. Auxiliary state (velocities, temperatures, bacterial health) is rebuilt
-from the incoming population and the RNG on every call, so populations
-transfer between methods without hidden baggage.
+Every optimizer runs through ``InnerOptimizer.run``: it takes a Population
+and a BudgetedObjective, evolves until the budget is exhausted, and returns
+a Population of the same size. The base ``run`` owns the budget guard, the
+best-so-far tracking and the elitist finalize; a method only writes
+``_evolve(members, tracker, obj, bounds, rng)``, which evaluates through the
+tracker and leaves in ``members`` the population to return (PSO its personal
+bests, SA its chain bests). Auxiliary state (velocities, temperatures,
+bacterial health) is rebuilt from the incoming population and the RNG on
+every call, so populations transfer between methods without hidden baggage.
 
 Two guarantees hold for all five methods:
   * budget: the objective's counter never exceeds its cap;
@@ -58,6 +62,8 @@ class SaParams:
             raise ValueError(f"cooling must be in (0,1), got {self.cooling}")
         if self.t0 is not None and self.t0 <= 0:
             raise ValueError("t0 must be positive")
+        if self.t0_floor <= 0:
+            raise ValueError("t0_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,35 +213,35 @@ def _widths(bounds: Bounds) -> list[float]:
     return [hi - lo for lo, hi in bounds]
 
 
-def _check_ready(pop: Population):
-    for m in pop.members:
-        if m.cost is None:
-            raise ValueError("optimizers require an evaluated incoming population")
-
-
 class InnerOptimizer:
-    """Base class: budget guard, best tracking, elitist finalization."""
+    """Base class: budget guard, best tracking, elitist finalization.
+
+    A subclass sets ``name`` and ``params`` (its default parameter record)
+    and writes ``_evolve``."""
 
     name = "?"
+    params = None
+
+    def __init__(self, params=None):
+        if params is not None:
+            self.params = params
 
     def run(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
             rng: SeededRng) -> Population:
         if obj.remaining <= 0:
             return pop.copy()
-        _check_ready(pop)
+        if any(m.cost is None for m in pop.members):
+            raise ValueError("optimizers require an evaluated incoming population")
         members = [m.copy() for m in pop.members]
         tracker = _BestTracker(members)
         try:
             self._evolve(members, tracker, obj, bounds, rng)
         except BudgetExhausted:
             pass
-        return tracker.finalize(self._export(members))
+        return tracker.finalize(members)
 
     def _evolve(self, members, tracker, obj, bounds, rng):  # pragma: no cover
         raise NotImplementedError
-
-    def _export(self, members):
-        return members
 
     def __repr__(self):
         return f"{type(self).__name__}({self.params!r})"
@@ -245,43 +251,29 @@ class ParticleSwarm(InnerOptimizer):
     """Global-best PSO. Exports each particle's personal best."""
 
     name = "pso"
+    params = PsoParams()
 
-    def __init__(self, params: PsoParams | None = None):
-        self.params = params or PsoParams()
-
-    def run(self, pop, obj, bounds, rng):
-        if obj.remaining <= 0:
-            return pop.copy()
-        _check_ready(pop)
+    def _evolve(self, pbest, tracker, obj, bounds, rng):
         p = self.params
-        dim = pop.dimension
         v_max = [p.v_max_fraction * w for w in _widths(bounds)]
-        x = [list(m.position) for m in pop.members]
-        cost = [m.cost for m in pop.members]
-        velocity = [[0.0] * dim for _ in pop.members]
-        pbest = [m.copy() for m in pop.members]
-        gbest = min(pbest, key=lambda m: m.cost).copy()
-        tracker = _BestTracker(pop.members)
-        try:
-            while obj.remaining > 0:
-                for i in range(len(x)):
-                    r1 = rng.random()
-                    r2 = rng.random()
-                    velocity[i] = pso_velocity_update(
-                        velocity[i], x[i], pbest[i].position, gbest.position, p,
-                        r1, r2, v_max)
-                    moved = clamp_to_bounds(
-                        [xv + vv for xv, vv in zip(x[i], velocity[i])], bounds)
-                    c = tracker.evaluate(obj, moved)
-                    x[i] = moved
-                    cost[i] = c
-                    if c < pbest[i].cost:
-                        pbest[i] = Individual(moved, c)
-                        if c < gbest.cost:
-                            gbest = pbest[i]
-        except BudgetExhausted:
-            pass
-        return tracker.finalize([m.copy() for m in pbest])
+        x = [list(m.position) for m in pbest]
+        velocity = [[0.0] * len(x[0]) for _ in pbest]
+        gbest = min(pbest, key=lambda m: m.cost)
+        while obj.remaining > 0:
+            for i in range(len(x)):
+                r1 = rng.random()
+                r2 = rng.random()
+                velocity[i] = pso_velocity_update(
+                    velocity[i], x[i], pbest[i].position, gbest.position, p,
+                    r1, r2, v_max)
+                moved = clamp_to_bounds(
+                    [xv + vv for xv, vv in zip(x[i], velocity[i])], bounds)
+                c = tracker.evaluate(obj, moved)
+                x[i] = moved
+                if c < pbest[i].cost:
+                    pbest[i] = Individual(moved, c)
+                    if c < gbest.cost:
+                        gbest = pbest[i]
 
 
 class SimulatedAnnealing(InnerOptimizer):
@@ -292,60 +284,37 @@ class SimulatedAnnealing(InnerOptimizer):
     """
 
     name = "sa"
+    params = SaParams()
 
-    def __init__(self, params: SaParams | None = None):
-        self.params = params or SaParams()
-
-    def run(self, pop, obj, bounds, rng):
-        if obj.remaining <= 0:
-            return pop.copy()
-        _check_ready(pop)
+    def _evolve(self, chain_best, tracker, obj, bounds, rng):
         p = self.params
         sigma = [p.step_fraction * w for w in _widths(bounds)]
-        current = [m.copy() for m in pop.members]
-        chain_best = [m.copy() for m in pop.members]
+        current = list(chain_best)
         if p.t0 is not None:
             temperature = p.t0
         else:
-            costs = [m.cost for m in pop.members]
+            costs = [m.cost for m in chain_best]
             mean = sum(costs) / len(costs)
             spread = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
             temperature = max(spread, p.t0_floor)
-        tracker = _BestTracker(pop.members)
-        try:
-            while obj.remaining > 0:
-                for i, cur in enumerate(current):
-                    candidate = clamp_to_bounds(
-                        [v + rng.gauss(0.0, s) for v, s in zip(cur.position, sigma)],
-                        bounds)
-                    c = tracker.evaluate(obj, candidate)
-                    if sa_accept(c - cur.cost, temperature, rng.random()):
-                        current[i] = Individual(candidate, c)
-                    if c < chain_best[i].cost:
-                        chain_best[i] = Individual(candidate, c)
-                temperature = max(temperature * p.cooling, 1e-12)
-        except BudgetExhausted:
-            pass
-        return tracker.finalize([m.copy() for m in chain_best])
+        while obj.remaining > 0:
+            for i, cur in enumerate(current):
+                candidate = clamp_to_bounds(
+                    [v + rng.gauss(0.0, s) for v, s in zip(cur.position, sigma)],
+                    bounds)
+                c = tracker.evaluate(obj, candidate)
+                if sa_accept(c - cur.cost, temperature, rng.random()):
+                    current[i] = Individual(candidate, c)
+                if c < chain_best[i].cost:
+                    chain_best[i] = Individual(candidate, c)
+            temperature = max(temperature * p.cooling, 1e-12)
 
 
 class GeneticAlgorithm(InnerOptimizer):
     """Real-coded GA: tournament selection, blend crossover, Gaussian mutation."""
 
     name = "ga"
-
-    def __init__(self, params: GaParams | None = None):
-        self.params = params or GaParams()
-
-    def step(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
-             rng: SeededRng) -> Population:
-        """One generation. On budget exhaustion the partial generation is
-        merged elitistically into the population before the signal propagates."""
-        _check_ready(pop)
-        members = [m.copy() for m in pop.members]
-        tracker = _BestTracker(members)
-        self._generation(members, tracker, obj, bounds, rng)
-        return tracker.finalize(members)
+    params = GaParams()
 
     def _evolve(self, members, tracker, obj, bounds, rng):
         while obj.remaining > 0:
@@ -426,9 +395,7 @@ class DifferentialEvolution(InnerOptimizer):
     """DE rand/1/bin with greedy one-to-one replacement."""
 
     name = "de"
-
-    def __init__(self, params: DeParams | None = None):
-        self.params = params or DeParams()
+    params = DeParams()
 
     def _evolve(self, members, tracker, obj, bounds, rng):
         p = self.params
@@ -471,22 +438,7 @@ class BacterialForaging(InnerOptimizer):
     budgets used here the full protocol cannot complete a single pass."""
 
     name = "bfo"
-
-    def __init__(self, params: BfoParams | None = None):
-        self.params = params or BfoParams()
-
-    def step(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
-             rng: SeededRng) -> Population:
-        """One full cycle (all chemotaxis/reproduction/dispersal passes)."""
-        _check_ready(pop)
-        members = [m.copy() for m in pop.members]
-        tracker = _BestTracker(members)
-        try:
-            self._cycle(members, tracker, obj, bounds, rng)
-        except BudgetExhausted:
-            tracker.finalize(members)
-            raise
-        return tracker.finalize(members)
+    params = BfoParams()
 
     def _evolve(self, members, tracker, obj, bounds, rng):
         while obj.remaining > 0:
@@ -545,22 +497,14 @@ OPTIMIZER_CLASSES = {
 
 OPTIMIZER_NAMES = tuple(OPTIMIZER_CLASSES)
 
-PARAM_CLASSES = {
-    "pso": PsoParams,
-    "sa": SaParams,
-    "ga": GaParams,
-    "de": DeParams,
-    "bfo": BfoParams,
-}
-
 
 def make_optimizer(kind: str, **overrides) -> InnerOptimizer:
     """Build an optimizer by name; keyword overrides replace parameter defaults."""
     key = kind.strip().lower()
     if key not in OPTIMIZER_CLASSES:
         raise ValueError(f"unknown optimizer {kind!r}; valid kinds: {', '.join(OPTIMIZER_NAMES)}")
-    params = PARAM_CLASSES[key](**overrides)
-    return OPTIMIZER_CLASSES[key](params)
+    cls = OPTIMIZER_CLASSES[key]
+    return cls(type(cls.params)(**overrides))
 
 
 def default_portfolio(overrides: dict[str, dict] | None = None) -> tuple[InnerOptimizer, ...]:

@@ -15,7 +15,6 @@ from chmopt import (
     get_benchmark,
     list_benchmarks,
     local_minimality_check,
-    reference_minimum,
 )
 from chmopt.benchmarks import (
     HIGHLY_MULTIMODAL,
@@ -73,7 +72,7 @@ class TestKnownValues:
         assert eval_benchmark(get_benchmark("goldstein_price"), (0.0, -1.0)) == 3.0
 
     def test_ackley02_reference(self):
-        assert reference_minimum(get_benchmark("ackley02")) == -200.0
+        assert get_benchmark("ackley02").reference_value == -200.0
 
     def test_keane_reference_is_zero(self):
         spec = get_benchmark("keane")
@@ -81,16 +80,16 @@ class TestKnownValues:
         assert eval_benchmark(spec, spec.optimum) == 0.0
 
     def test_brent_reference(self):
-        assert reference_minimum(get_benchmark("brent")) == math.exp(-200.0)
+        assert get_benchmark("brent").reference_value == math.exp(-200.0)
 
     def test_price02_reference(self):
-        assert reference_minimum(get_benchmark("price02")) == pytest.approx(0.9)
+        assert get_benchmark("price02").reference_value == pytest.approx(0.9)
 
     def test_ursem04_reference(self):
-        assert reference_minimum(get_benchmark("ursem04")) == -1.5
+        assert get_benchmark("ursem04").reference_value == -1.5
 
     def test_hosaki_reference(self):
-        assert reference_minimum(get_benchmark("hosaki")) == pytest.approx(
+        assert get_benchmark("hosaki").reference_value == pytest.approx(
             -2.345811576101292, abs=1e-12)
 
 

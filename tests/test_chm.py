@@ -337,6 +337,11 @@ class TestSegmentedDriver:
         assert trace.converged
         assert len(trace.iterations) == 1
 
+    def test_zero_segments_rejected(self):
+        with pytest.raises(ValueError, match="segments"):
+            run_segmented(make_optimizer("de"), sphere, BOUNDS, 6,
+                          segments=0, segment_fe=30, population_size=4)
+
 
 def test_trace_records_round_trip_shape():
     config = quiet_config(iterations=2, population_size=5,

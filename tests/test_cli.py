@@ -134,6 +134,34 @@ class TestBench:
         assert code == 1 and "--workers" in err
         assert seen == [4, 1]
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 0), ("population_size", 0), ("name", "../../escape"),
+        ("name", ".."), ("name", ""),
+    ])
+    def test_invalid_plan_file_exits_one(self, tmp_path, capsys, field, value):
+        plan = {"name": "fromfile", "functions": ["matyas"], "methods": ["de"],
+                "repetitions": 1, "budget_override": [10, 20], "population_size": 5,
+                "iterations": 1}
+        plan[field] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out_root = tmp_path / "a" / "b" / "r"
+        code, _, err = run_cli(capsys, "bench", "--plan", str(plan_path),
+                               "--out", str(out_root))
+        assert code == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+    @pytest.mark.parametrize("name", ["../../escape", "..", ".", "", "a/b"])
+    def test_name_outside_out_exits_one(self, tmp_path, capsys, name):
+        out_root = tmp_path / "a" / "b" / "r"
+        code, _, err = run_cli(capsys, "bench", "--functions", "matyas", "--methods", "de",
+                               "--reps", "1", "--budgets", "10,20", "--name", name,
+                               "--out", str(out_root))
+        assert code == 1
+        assert "plain directory name" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_plan_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "--plan", str(tmp_path / "nope.json"))
         assert code == 1
@@ -193,7 +221,8 @@ class TestFselect:
         assert code == 1
 
     @pytest.mark.parametrize("bad_row, message", [
-        ("0.5,0.5,rare", "fewer than 2 members"),
+        ("0.5,0.5,rare", "label 'rare' has only 1 row"),
+        ("0.5,0.5,rare\n0.25,0.75,rare", "label 'rare' has only 2 row"),
         ("0.5,inf,1", "column 'b'"),
     ])
     def test_bad_csv_exits_two_with_one_line(self, tmp_path, capsys, bad_row, message):
@@ -207,3 +236,15 @@ class TestFselect:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["chm", "de"])
+    @pytest.mark.parametrize("flag", ["--trees", "--depth", "--population", "--iterations"])
+    def test_zero_run_parameter_exits_one(self, synth_csv, capsys, flag, method):
+        args = {"--trees": "5", "--depth": "4", "--population": "5", "--iterations": "1"}
+        args[flag] = "0"
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--method", method, "--reps", "1", "--budgets", "5,10",
+                                 *[v for pair in args.items() for v in pair])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must be >= 1\n"

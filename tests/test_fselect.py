@@ -72,6 +72,13 @@ class TestLoadCsv:
         ds = load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
         assert list(ds.features[:4, 0]) == [0.0, 1.0, 0.0, 2.0]
 
+    def test_class_needs_three_rows(self, tmp_path):
+        rows = ["a,b,y"] + [f"{i},{i},{'big' if i > 2 else 'small'}" for i in range(12)]
+        assert load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y").n_rows == 12
+        rows[1] = "0,0,big"
+        with pytest.raises(DatasetError, match="label 'small' has only 2 row"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
+
     def test_all_rows_dropped(self, tmp_path):
         rows = ["a,b,y"] + [",1,0"] * 5
         with pytest.raises(DatasetError, match="all 5 rows"):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import signal
 
@@ -157,14 +158,14 @@ class TestGaBehaviour:
         bounds = [(-5.0, 5.0)] * 2
         pop = evaluated_population(6, bounds, 1)
         opt = make_optimizer("ga", mutation_rate=0.0, crossover_rate=0.0, elitism=6)
-        out = opt.step(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(2))
+        out = opt.run(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(2))
         assert sorted(tuple(m.position) for m in out) == sorted(tuple(m.position) for m in pop)
 
     def test_two_member_tournament_prefers_better(self):
         bounds = [(-5.0, 5.0)]
         pop = Population([Individual([2.0], cost=4.0), Individual([1.0], cost=1.0)])
         opt = make_optimizer("ga", mutation_rate=0.0, crossover_rate=0.0, elitism=0)
-        out = opt.step(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(5))
+        out = opt.run(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(5))
         # without crossover or mutation every child is the tournament winner
         assert all(m.position == [1.0] for m in out)
 
@@ -316,6 +317,61 @@ class TestRunContracts:
         assert [(tuple(m.position), m.cost) for m in pop] == snapshot
 
 
+def _open_unit(**kw):
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, **kw)
+
+
+# every field drawn inside the range its params record accepts
+PARAM_STRATEGIES = {
+    "pso": st.fixed_dictionaries(dict(
+        inertia=_open_unit(), cognitive=st.floats(0.0, 4.0, exclude_min=True),
+        social=st.floats(0.0, 4.0, exclude_min=True),
+        v_max_fraction=st.floats(0.0, 1.0))),
+    "sa": st.fixed_dictionaries(dict(
+        cooling=_open_unit(), step_fraction=st.floats(0.0, 0.5),
+        t0=st.none() | st.floats(0.0, 100.0, exclude_min=True),
+        t0_floor=st.floats(0.0, 1.0, exclude_min=True))),
+    "de": st.fixed_dictionaries(dict(
+        weight=st.floats(0.0, 2.0, exclude_min=True),
+        crossover_rate=st.floats(0.0, 1.0))),
+    "bfo": st.fixed_dictionaries(dict(
+        chemotaxis_steps=st.integers(1, 4), swim_length=st.integers(1, 4),
+        reproduction_steps=st.integers(1, 3),
+        elimination_dispersal_steps=st.integers(1, 2),
+        dispersal_probability=st.floats(0.0, 1.0), step_fraction=st.floats(0.0, 0.2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAM_STRATEGIES))
+@settings(max_examples=75, deadline=None)
+@given(data=st.data(), size=st.integers(1, 8), collapsed=st.booleans(),
+       budget=st.integers(0, 80), seed=st.integers(0, 2 ** 32))
+def test_any_params_keep_run_contracts(kind, data, size, collapsed, budget, seed):
+    bounds = [(-5.0, 5.0)] * 2
+    pop = evaluated_population(size, bounds, seed)
+    if collapsed:
+        pop = Population([pop.best().copy() for _ in range(size)])
+    snapshot = [(tuple(m.position), m.cost) for m in pop]
+    opt = make_optimizer(kind, **data.draw(PARAM_STRATEGIES[kind]))
+    obj = BudgetedObjective(sphere, budget)
+    with deadline(10):
+        out = opt.run(pop, obj, bounds, SeededRng(seed))
+    assert obj.used <= budget
+    assert len(out) == size
+    assert out.best_cost() <= pop.best_cost()
+    for m in out:
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(m.position, bounds))
+        assert m.cost == sphere(m.position)
+    assert [(tuple(m.position), m.cost) for m in pop] == snapshot
+
+
+def test_sa_rejects_zero_temperature_floor():
+    # a zero floor on a collapsed population gives temperature 0 and a
+    # division by zero in the Metropolis rule
+    with pytest.raises(ValueError):
+        SaParams(t0_floor=0.0)
+
+
 def test_de_regression_anchor_on_matyas():
     # frozen-seed anchor: DE, population 20, cap 600 on matyas
     spec = get_benchmark("matyas")
@@ -336,3 +392,23 @@ def test_population_transfer_round_trip():
     transferred = Population([m.copy() for m in pop.members])
     assert [m.position for m in transferred] == [m.position for m in pop]
     assert [m.cost for m in transferred] == [m.cost for m in pop]
+
+
+def test_all_optimizers_bit_exact_pin():
+    # frozen-seed anchor for every method: positions, costs and evaluations
+    # used over a grid that includes a single member, a zero budget and a
+    # budget smaller than the population
+    digest = hashlib.sha256()
+    for name in ("matyas", "rastrigin", "rosenbrock", "ackley02", "eggcrate", "bird"):
+        spec = get_benchmark(name)
+        for kind in OPTIMIZER_NAMES:
+            for seed in range(3):
+                for size, cap in ((1, 7), (3, 40), (8, 0), (8, 5), (12, 150)):
+                    pop = random_population(size, spec.bounds, SeededRng(seed))
+                    evaluate_population(pop, BudgetedObjective(spec.formula, size))
+                    obj = BudgetedObjective(spec.formula, cap)
+                    out = make_optimizer(kind).run(pop, obj, spec.bounds,
+                                                   SeededRng(seed + 100))
+                    digest.update(repr(([(m.position, m.cost) for m in out],
+                                        obj.used)).encode())
+    assert digest.hexdigest() == "f8ff4b4a9e958ce534cbf8f5e3d84237b9f017849773b1c5ea1e6d4cfef39f92"
