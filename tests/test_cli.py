@@ -221,7 +221,9 @@ class TestFselect:
         assert code == 1
 
     @pytest.mark.parametrize("bad_row, message", [
-        ("0.5,0.5,rare", "label 'rare' has only 1 row"),
+        # The id names the bad input: a label class with a single member.
+        pytest.param("0.5,0.5,rare", "label 'rare' has only 1 row",
+                     id="0.5,0.5,rare-fewer than 2 members"),
         ("0.5,0.5,rare\n0.25,0.75,rare", "label 'rare' has only 2 row"),
         ("0.5,inf,1", "column 'b'"),
     ])
