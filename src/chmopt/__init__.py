@@ -10,8 +10,6 @@ without loss.
 from .benchmarks import (
     BENCHMARK_NAMES,
     BUCKET_BUDGETS,
-    BUCKETS,
-    BenchmarkSpec,
     UnknownBenchmark,
     catalogue_records,
     eval_benchmark,
@@ -23,7 +21,6 @@ from .benchmarks import (
 from .chm import (
     ChmConfig,
     EvaluationAborted,
-    RunTrace,
     check_convergence,
     chm_run,
     probe_all,
@@ -45,8 +42,6 @@ from .core import (
 )
 from .forest import ForestParams, RandomForest
 from .fselect import (
-    Dataset,
-    FsReport,
     decode_mask,
     fs_cost,
     load_csv,
@@ -56,13 +51,8 @@ from .fselect import (
     split_dataset,
 )
 from .harness import (
-    ALL_METHODS,
-    CHM_METHOD,
     ExperimentPlan,
-    ExperimentResult,
-    LeaderBoard,
     RunRecord,
-    RunStats,
     aggregate_records,
     export_results,
     load_plan,
@@ -74,22 +64,11 @@ from .harness import (
     selection_frequencies,
 )
 from .optimizers import (
-    OPTIMIZER_NAMES,
-    BacterialForaging,
-    BfoParams,
-    DeParams,
-    DifferentialEvolution,
     GaParams,
-    GeneticAlgorithm,
-    InnerOptimizer,
-    ParticleSwarm,
     PsoParams,
-    SaParams,
-    SimulatedAnnealing,
     bfo_reproduce,
     blend_crossover,
     de_mutate,
-    default_portfolio,
     make_optimizer,
     pso_velocity_update,
     sa_accept,

@@ -18,7 +18,6 @@ from .fselect import (
     ForestParams,
     load_csv,
     run_feature_selection,
-    run_feature_selection_all,
 )
 from .harness import (
     ALL_METHODS,
@@ -208,10 +207,8 @@ def cmd_fselect(args) -> int:
                   population_size=args.population, iterations=args.iterations,
                   maxfe_probing=probing, maxfe_fit=fit,
                   forest_params=ForestParams(n_trees=args.trees, max_depth=args.depth))
-    if method == "all":
-        report = run_feature_selection_all(dataset, **kwargs)
-    else:
-        report = run_feature_selection(dataset, method, **kwargs)
+    report = run_feature_selection(
+        dataset, ALL_METHODS if method == "all" else (method,), **kwargs)
     if args.format == "records":
         for record in report.to_records():
             print(json.dumps(record, sort_keys=True))

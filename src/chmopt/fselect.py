@@ -20,7 +20,7 @@ import numpy as np
 from .chm import chm_run, run_segmented  # noqa: F401
 from .core import SeededRng, format_table, mix_seed, population_std
 from .forest import ForestParams, RandomForest
-from .harness import ALL_METHODS, CHM_METHOD, run_method
+from .harness import ALL_METHODS, run_method
 
 BASELINE_METHOD = "none"
 
@@ -285,7 +285,7 @@ class FsReport:
         return format_table(rows)
 
 
-def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
+def run_feature_selection(dataset: Dataset, methods, *,
                           repetitions: int = 10, seed: int = 1234,
                           population_size: int = 10, iterations: int = 4,
                           maxfe_probing: int = 25, maxfe_fit: int = 50,
@@ -293,18 +293,28 @@ def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
                           report_forest_params: ForestParams | None = None,
                           test_fraction: float = 0.30,
                           validation_fraction: float = 0.30) -> FsReport:
-    """Search feature masks with one method, report held-out test errors.
+    """Search feature masks with each of ``methods``, report held-out test errors.
 
-    The test split is fixed for the whole experiment (the baseline row is a
-    single all-features evaluation on it); repetitions vary the inner
-    validation split and all optimizer/forest randomness.
+    The test split is fixed for the whole call, and the baseline row (method
+    ``none``) is one all-features evaluation on it. Each repetition draws its
+    inner validation split and all optimizer/forest randomness from its own
+    seed. All methods of a repetition search that one split through one mask
+    cache, and each distinct mask they find gets one test error, so a mask is
+    fitted once per repetition and the baseline once per call. No seed depends
+    on the method, so a method's results do not depend on which methods run
+    beside it. Rows follow ``methods``, then ``none``.
     ``forest_params`` sets the search-time classifier; ``report_forest_params``
     (default: same) sets the classifier for the reported test errors, so the
     search can use a cheaper forest than the final evaluation.
     """
-    method = method.strip().lower()
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}; valid: {', '.join(ALL_METHODS)}")
+    methods = tuple(m.strip().lower() for m in methods)
+    if not methods:
+        raise ValueError("methods must be non-empty")
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}; valid: {', '.join(ALL_METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat: {', '.join(methods)}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     params = forest_params or ForestParams()
@@ -314,42 +324,44 @@ def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
 
     train_all, test = split_dataset(dataset, test_fraction,
                                     seed=mix_seed(seed, "test-split"))
-
-    def test_error(mask, eval_seed) -> float:
-        return fs_cost(mask, train_all, test, report_params, eval_seed)
-
-    details = []
+    report = FsReport(label_name=dataset.label_name, n_features=d,
+                      runs={method: [] for method in methods})
     for rep in range(repetitions):
         rep_seed = mix_seed(seed, "rep", rep)
         fit_train, validation = split_dataset(
             train_all, validation_fraction, seed=mix_seed(rep_seed, "val-split"))
         objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
-        best, _ = run_method(method, objective, bounds, rep_seed, iterations=iterations,
-                             population_size=population_size,
-                             maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
-        mask = decode_mask(best.position)
-        details.append({
-            "repetition": rep,
-            "mask": mask,
-            "selected": [dataset.feature_names[i] for i, keep in enumerate(mask) if keep],
-            "n_features": sum(mask),
-            "search_cost": best.cost,
-            "test_error": test_error(mask, mix_seed(rep_seed, "final")),
-        })
+        test_errors = {}
+        for method in methods:
+            best, _ = run_method(method, objective, bounds, rep_seed, iterations=iterations,
+                                 population_size=population_size,
+                                 maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
+            mask = decode_mask(best.position)
+            if mask not in test_errors:
+                test_errors[mask] = fs_cost(mask, train_all, test, report_params,
+                                            mix_seed(rep_seed, "final"))
+            report.runs[method].append({
+                "repetition": rep,
+                "mask": mask,
+                "selected": [dataset.feature_names[i] for i, keep in enumerate(mask) if keep],
+                "n_features": sum(mask),
+                "search_cost": best.cost,
+                "test_error": test_errors[mask],
+            })
 
-    errors = [r["test_error"] for r in details]
-    feature_counts = [r["n_features"] for r in details]
-    report = FsReport(label_name=dataset.label_name, n_features=d)
-    report.rows.append(FsRow(
-        method=method,
-        avg_cost=sum(errors) / len(errors),
-        std_cost=population_std(errors),
-        avg_features=sum(feature_counts) / len(feature_counts),
-        median_features=float(statistics.median(feature_counts)),
-        std_features=population_std(feature_counts),
-    ))
-    report.runs[method] = details
-    baseline_error = test_error((True,) * d, mix_seed(seed, "baseline"))
+    for method, details in report.runs.items():
+        errors = [r["test_error"] for r in details]
+        feature_counts = [r["n_features"] for r in details]
+        report.rows.append(FsRow(
+            method=method,
+            avg_cost=sum(errors) / len(errors),
+            std_cost=population_std(errors),
+            avg_features=sum(feature_counts) / len(feature_counts),
+            median_features=float(statistics.median(feature_counts)),
+            std_features=population_std(feature_counts),
+        ))
+    baseline_error = fs_cost((True,) * d, train_all, test, report_params,
+                             mix_seed(seed, "baseline"))
     report.rows.append(FsRow(
         method=BASELINE_METHOD,
         avg_cost=baseline_error,
@@ -363,21 +375,8 @@ def run_feature_selection(dataset: Dataset, method: str = CHM_METHOD, *,
 
 def run_feature_selection_all(dataset: Dataset, methods=ALL_METHODS,
                               **kwargs) -> FsReport:
-    """One report row per method plus the no-selection baseline."""
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("methods must be non-empty")
-    combined = None
-    for method in methods:
-        report = run_feature_selection(dataset, method, **kwargs)
-        if combined is None:
-            combined = FsReport(label_name=report.label_name,
-                                n_features=report.n_features)
-        combined.rows.append(report.row(method))
-        combined.runs[method] = report.runs[method]
-        baseline = report.row(BASELINE_METHOD)
-    combined.rows.append(baseline)
-    return combined
+    """``run_feature_selection`` over every method by default."""
+    return run_feature_selection(dataset, methods, **kwargs)
 
 
 def make_synthetic_dataset(n_rows: int = 300, n_noise: int = 9,

@@ -67,6 +67,19 @@ class ExperimentPlan:
             probing, fit = self.budget_override
             if probing < 1 or fit < 1:
                 raise ValueError("budget override values must be >= 1")
+        if not isinstance(self.optimizer_overrides, dict):
+            raise ValueError("optimizer_overrides must map method names to parameters")
+        for name, params in self.optimizer_overrides.items():
+            if name not in OPTIMIZER_NAMES:
+                raise ValueError(f"optimizer_overrides: unknown method {name!r}; "
+                                 f"valid: {', '.join(OPTIMIZER_NAMES)}")
+            if not isinstance(params, dict):
+                raise ValueError(f"optimizer_overrides[{name!r}] must map parameter "
+                                 f"names to values")
+            try:
+                make_optimizer(name, **params)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"optimizer_overrides[{name!r}]: {exc}") from exc
 
     def budgets_for(self, function: str) -> tuple[int, int]:
         if self.budget_override is not None:
@@ -438,6 +451,18 @@ def _write_matrix_csv(path: str, plan, stats, attribute: str):
             fh.write(f + "," + ",".join(cells) + "\n")
 
 
+def _summary_rows(result: ExperimentResult) -> list[tuple[str, ...]]:
+    """Per method: lowest-fitness count, lowest-distance count, suite average
+    and suite sum of fitness, as table cells."""
+    board = result.leaderboard.as_dict()
+    return [(m,
+             str(board["lowest_fitness_counts"].get(m, 0)),
+             str(board["lowest_distance_counts"].get(m, 0)),
+             format_table_value(board["suite_avg_fitness"].get(m, math.nan)),
+             format_table_value(board["suite_sum_fitness"].get(m, math.nan)))
+            for m in result.plan.methods]
+
+
 def export_results(result: ExperimentResult, out_dir: str):
     """Write tables (3-decimal views), raw replayable records (full precision)
     and per-run traces under ``out_dir``."""
@@ -465,17 +490,10 @@ def export_results(result: ExperimentResult, out_dir: str):
                                             for m in OPTIMIZER_NAMES) + "\n")
 
     with open(os.path.join(tables, "summary.csv"), "w") as fh:
-        board = result.leaderboard.as_dict()
         fh.write("method,lowest_fitness_count,lowest_distance_count,"
                  "suite_avg_fitness,suite_sum_fitness\n")
-        for m in plan.methods:
-            fh.write(",".join([
-                m,
-                str(board["lowest_fitness_counts"].get(m, 0)),
-                str(board["lowest_distance_counts"].get(m, 0)),
-                format_table_value(board["suite_avg_fitness"].get(m, math.nan)),
-                format_table_value(board["suite_sum_fitness"].get(m, math.nan)),
-            ]) + "\n")
+        for row in _summary_rows(result):
+            fh.write(",".join(row) + "\n")
 
     with open(os.path.join(root, "raw", "runs.jsonl"), "w") as fh:
         for r in result.records:
@@ -501,16 +519,5 @@ def load_records(path: str) -> list[RunRecord]:
 
 def format_leaderboard(result: ExperimentResult) -> str:
     """Human-readable suite summary."""
-    board = result.leaderboard.as_dict()
-    methods = list(result.plan.methods)
     header = ("method", "lowest fitness", "lowest distance", "avg fitness", "sum fitness")
-    rows = [header]
-    for m in methods:
-        rows.append((
-            m,
-            str(board["lowest_fitness_counts"].get(m, 0)),
-            str(board["lowest_distance_counts"].get(m, 0)),
-            format_table_value(board["suite_avg_fitness"].get(m, math.nan)),
-            format_table_value(board["suite_sum_fitness"].get(m, math.nan)),
-        ))
-    return format_table(rows)
+    return format_table([header] + _summary_rows(result))

@@ -109,6 +109,24 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "fromfile" / "raw" / "runs.jsonl").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"pso": {"inertia": 2.0}}, {"pso": {"bogus": 1}}, {"psoo": {"inertia": 0.5}}])
+    def test_bad_plan_overrides_exit_one(self, tmp_path, capsys, overrides):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "name": "fromfile", "functions": ["matyas"], "methods": ["chm", "pso"],
+            "repetitions": 1, "budget_override": [10, 20], "population_size": 5,
+            "iterations": 1, "optimizer_overrides": overrides,
+        }))
+        out_root = tmp_path / "out"
+        code, out, err = run_cli(capsys, "bench", "--plan", str(plan_path),
+                                 "--out", str(out_root))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "optimizer_overrides" in err
+        assert not out_root.exists()
+
     def test_workers_flag_overrides_plan(self, tmp_path, capsys, monkeypatch):
         import chmopt.cli
 

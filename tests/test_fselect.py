@@ -1,3 +1,5 @@
+import hashlib
+import json
 import statistics
 
 import numpy as np
@@ -12,9 +14,11 @@ from chmopt import (
     make_synthetic_dataset,
     mix_seed,
     run_feature_selection,
+    run_feature_selection_all,
     split_dataset,
 )
 from chmopt.fselect import DatasetError, Dataset, write_dataset_csv
+from chmopt.harness import ALL_METHODS
 
 FAST_FOREST = ForestParams(n_trees=8, max_depth=5)
 
@@ -208,7 +212,7 @@ class TestRunFeatureSelection:
     def test_single_repetition_report_shape(self):
         ds = make_synthetic_dataset(n_rows=80, n_noise=4, seed=20)
         report = run_feature_selection(
-            ds, "de", repetitions=1, seed=3, population_size=6, iterations=2,
+            ds, ("de",), repetitions=1, seed=3, population_size=6, iterations=2,
             maxfe_probing=8, maxfe_fit=16, forest_params=FAST_FOREST)
         row = report.row("de")
         assert row.std_cost == 0.0
@@ -220,7 +224,7 @@ class TestRunFeatureSelection:
     def test_finds_informative_feature_cheaply(self):
         ds = make_synthetic_dataset(n_rows=150, n_noise=5, seed=21)
         report = run_feature_selection(
-            ds, "chm", repetitions=2, seed=4, population_size=6, iterations=2,
+            ds, ("chm",), repetitions=2, seed=4, population_size=6, iterations=2,
             maxfe_probing=10, maxfe_fit=20, forest_params=FAST_FOREST)
         runs = report.runs["chm"]
         assert all(r["mask"][0] for r in runs)  # signal feature kept
@@ -229,13 +233,73 @@ class TestRunFeatureSelection:
     def test_unknown_method_rejected(self):
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError):
-            run_feature_selection(ds, "cma")
+            run_feature_selection(ds, ("cma",))
+
+    @pytest.mark.parametrize("methods", [(), ("de", "de"), "de"])
+    def test_empty_repeated_or_string_methods_rejected(self, methods):
+        ds = make_synthetic_dataset(n_rows=60, seed=22)
+        with pytest.raises(ValueError):
+            run_feature_selection(ds, methods)
+
+    def test_zero_repetitions_rejected(self):
+        ds = make_synthetic_dataset(n_rows=60, seed=22)
+        with pytest.raises(ValueError, match="repetitions"):
+            run_feature_selection(ds, ("de",), repetitions=0)
 
     def test_table_format_contains_columns(self):
         ds = make_synthetic_dataset(n_rows=60, n_noise=3, seed=23)
         report = run_feature_selection(
-            ds, "pso", repetitions=1, seed=5, population_size=5, iterations=1,
+            ds, ("pso",), repetitions=1, seed=5, population_size=5, iterations=1,
             maxfe_probing=6, maxfe_fit=12, forest_params=FAST_FOREST)
         table = report.format_table()
         assert "meta_name" in table and "avg_cost" in table
         assert "none" in table
+
+
+PIN_KWARGS = dict(repetitions=2, seed=11, population_size=4, iterations=2,
+                  maxfe_probing=4, maxfe_fit=10, forest_params=ForestParams(3, 3),
+                  report_forest_params=ForestParams(5, 4))
+PIN_DIGEST = "93941d85f605f2ee2fda82beebe578698dfea8e9ea14a06761be338faf8d6900"
+
+
+def _pin_dataset():
+    return make_synthetic_dataset(60, 3, seed=7)
+
+
+def test_feature_selection_output_pin():
+    """Every detail of every (method, repetition) search and the report rows,
+    hashed; the constant was recorded before the methods shared their splits,
+    mask caches and baseline."""
+    report = run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
+    payload = {"runs": {m: [dict(d, mask=list(d["mask"])) for d in details]
+                        for m, details in report.runs.items()},
+               "records": report.to_records()}
+    text = json.dumps(payload, sort_keys=True)
+    assert list(report.runs) == list(ALL_METHODS)
+    assert hashlib.sha256(text.encode()).hexdigest() == PIN_DIGEST
+
+
+def test_feature_selection_results_do_not_depend_on_method_set():
+    reports = [run_feature_selection_all(_pin_dataset(), methods=methods, **PIN_KWARGS)
+               for methods in (("de",), ("de", "chm"), ALL_METHODS)]
+    first = reports[0]
+    for other in reports[1:]:
+        assert other.runs["de"] == first.runs["de"]
+        assert other.row("de") == first.row("de")
+        assert other.row("none") == first.row("none")
+
+
+def test_each_mask_fitted_once_per_repetition_and_baseline_once(monkeypatch):
+    import chmopt.fselect as fselect
+
+    calls = []
+    real = fselect.fs_cost
+
+    def counting(mask, train, validation, params, seed):
+        calls.append((tuple(mask), len(validation.labels), params, seed))
+        return real(mask, train, validation, params, seed)
+
+    monkeypatch.setattr(fselect, "fs_cost", counting)
+    run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
+    assert len(calls) == len(set(calls))
+    assert sum(1 for c in calls if c[3] == mix_seed(PIN_KWARGS["seed"], "baseline")) == 1

@@ -294,10 +294,20 @@ class TestOptimizerOverrides:
         assert len(result.records) == 6
 
     def test_unknown_override_key_fails_fast(self):
-        plan = small_plan(methods=("de",),
-                          optimizer_overrides={"de": {"no_such_param": 1}})
-        with pytest.raises(TypeError):
-            run_experiment(plan)
+        with pytest.raises(ValueError, match="'de'.*no_such_param"):
+            small_plan(methods=("de",), optimizer_overrides={"de": {"no_such_param": 1}})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pso": {"inertia": 2.0}}, "'pso'.*inertia"),
+        ({"pso": {"bogus": 1}}, "'pso'.*bogus"),
+        ({"psoo": {"inertia": 0.5}}, "unknown method 'psoo'"),
+        ({"chm": {}}, "unknown method 'chm'"),
+        ({"pso": 0.5}, "'pso'.*must map"),
+        (["pso"], "must map"),
+    ])
+    def test_bad_overrides_rejected_by_plan(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_plan(optimizer_overrides=overrides)
 
 
 class TestErrorPolicy:
