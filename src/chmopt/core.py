@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import random
 from typing import Callable, Sequence
 
@@ -47,6 +48,11 @@ class SeededRng(random.Random):
 
     def derive(self, *labels) -> "SeededRng":
         return SeededRng(mix_seed(self.seed_value, *labels))
+
+
+def is_integer(value) -> bool:
+    """An integral number that is not a bool (``True`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def mix_seed(base_seed: int, *labels) -> int:

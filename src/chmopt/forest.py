@@ -3,6 +3,14 @@
 Small and deterministic on purpose: trees are grown with a seeded generator
 each, so the same (data, seed) pair always yields the same predictions. Scope
 is what the feature-selection cost function needs, nothing more.
+
+The trees of one fit grow together. A tree draws one candidate permutation
+per node it tries to split, in pre-order, so each tree grows depth-first; but
+trees are independent, so every step takes the next pre-order node of each
+tree that still has one and scores all of their candidate columns in one
+batched numpy pass. A fitted forest is a set of flat pre-order node arrays
+(feature, threshold, left, right, prediction), and ``predict`` walks every
+tree for every row at once, one level per step.
 """
 from __future__ import annotations
 
@@ -11,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import mix_seed
+from .core import is_integer, mix_seed
+
+_GROUP_ROWS = 4096  # root rows of the trees grown together; bounds one step's temporaries
+_DRAWS = 32  # candidate permutations drawn from a tree's generator at a time
 
 
 @dataclass(frozen=True)
@@ -23,156 +34,296 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+        for name, low in (("n_trees", 1), ("max_depth", 1), ("min_samples_split", 2)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be True or False, got {self.bootstrap!r}")
         if self.feature_rule not in ("sqrt", "all"):
             raise ValueError(f"unknown feature_rule {self.feature_rule!r}")
 
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "prediction")
-
-    def __init__(self):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.prediction = None
-
-
-def _gini_best_split(column, y, n_classes):
-    """Best threshold of one feature column by weighted Gini of the two sides.
-
-    Scans midpoints between consecutive distinct sorted values using prefix
-    class counts, so the whole column costs one sort plus O(n * classes).
-    """
-    order = np.argsort(column, kind="stable")
-    values = column[order]
-    labels = y[order]
-    n = len(values)
-    one_hot = np.zeros((n, n_classes))
-    one_hot[np.arange(n), labels] = 1.0
-    left_counts = np.cumsum(one_hot, axis=0)  # counts for splits after row i
-    total = left_counts[-1]
-
-    # candidate boundaries: positions where the value actually changes
-    change = np.nonzero(values[1:] > values[:-1])[0]
-    if len(change) == 0:
-        return None, None
-    n_left = (change + 1).astype(float)
-    n_right = n - n_left
-    lc = left_counts[change]
-    rc = total - lc
-    gini_left = 1.0 - ((lc / n_left[:, None]) ** 2).sum(axis=1)
-    gini_right = 1.0 - ((rc / n_right[:, None]) ** 2).sum(axis=1)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    best = int(np.argmin(weighted))
-    threshold = 0.5 * (values[change[best]] + values[change[best] + 1])
-    return float(weighted[best]), float(threshold)
-
-
-def _majority(y, n_classes) -> int:
-    counts = np.bincount(y, minlength=n_classes)
-    return int(np.argmax(counts))  # ties resolve to the lowest class index
-
-
-class DecisionTree:
-    """CART classifier with random feature subsets per split."""
-
-    def __init__(self, params: ForestParams, n_classes: int, seed: int):
-        self.params = params
-        self.n_classes = n_classes
-        self.rng = np.random.default_rng(seed)
-        self.root = None
-
-    def fit(self, X, y):
-        self.root = self._build(X, y, depth=0)
-        return self
-
-    def _n_candidates(self, n_features: int) -> int:
-        if self.params.feature_rule == "all":
+    def n_candidates(self, n_features: int) -> int:
+        if self.feature_rule == "all":
             return n_features
         return max(1, int(math.sqrt(n_features) + 0.5))
 
-    def _build(self, X, y, depth):
-        node = _Node()
-        node.prediction = _majority(y, self.n_classes)
-        if (depth >= self.params.max_depth
-                or len(y) < self.params.min_samples_split
-                or len(np.unique(y)) == 1):
-            return node
 
-        n_features = X.shape[1]
-        k = self._n_candidates(n_features)
-        candidates = self.rng.permutation(n_features)[:k]
-        best_gini, best_feature, best_threshold = None, None, None
-        for f in candidates:
-            gini, threshold = _gini_best_split(X[:, f], y, self.n_classes)
-            if gini is None:
-                continue
-            if best_gini is None or gini < best_gini:
-                best_gini, best_feature, best_threshold = gini, int(f), threshold
-        if best_feature is None:
-            return node
+def _bits(n: int) -> int:
+    return int(n - 1).bit_length()
 
-        mask = X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
 
-    def predict(self, X):
-        out = np.empty(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            node = self.root
-            while node.feature is not None:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+def _split_keys(segment, rank, label, n_ranks, n_classes):
+    """Sort keys for `_best_splits`: segment, then value rank, then label, packed in bits."""
+    return (segment << _bits(n_ranks) | rank) << _bits(n_classes) | label
+
+
+def _class_sum(terms):
+    """Sum a class-major (classes, rows) array over classes, exactly as numpy sums
+    each row of its row-major copy. numpy adds fewer than 8 terms left to right,
+    which summing the class rows in order reproduces cheaply; from 8 terms on it
+    adds pairwise, so those rows are summed by numpy itself."""
+    if len(terms) < 8:
+        return terms.sum(axis=0)
+    return np.ascontiguousarray(terms.T).sum(axis=1)
+
+
+def _side_counts(key, n_ranks, n_classes):
+    """Class counts on both sides of every boundary between two values of a segment.
+
+    Sorts ``key`` in place and leaves in it the (segment, rank) part of each
+    sorted row. Returns the last row of the left side of each boundary, its
+    segment's index among the segments present, and the left and right class
+    counts as (classes, boundaries) arrays.
+    """
+    key.sort()
+    cum = np.zeros((n_classes, len(key) + 1), dtype=np.int32)  # class counts before each row
+    np.cumsum((key & ((1 << _bits(n_classes)) - 1)) == np.arange(n_classes)[:, None],
+              axis=1, dtype=np.int32, out=cum[:, 1:])
+    key >>= _bits(n_classes)
+    seg = key >> _bits(n_ranks)
+    new_seg = seg[1:] != seg[:-1]
+    # a boundary follows the last row of a value group when its segment goes on
+    bound = ((key[1:] != key[:-1]) & ~new_seg).nonzero()[0]
+    edges = np.concatenate(([True], new_seg, [True])).nonzero()[0]
+    owner = edges.searchsorted(bound, side="right") - 1
+    cut = cum.take(bound + 1, axis=1)
+    return (bound, owner, cut - cum.take(edges[owner], axis=1),
+            cum.take(edges[owner + 1], axis=1) - cut)
+
+
+def _best_splits(key, n_segments, n_ranks, n_classes, values):
+    """Best threshold of each segment by weighted Gini of the two sides.
+
+    A segment is one candidate column of one node; each of its rows is a key
+    from `_split_keys`, whose rank indexes ``values``. Sorting the keys (in
+    place) groups the rows by segment and value. Prefix class counts at each
+    boundary between two values of a segment give the two sides' impurities,
+    and the first minimum over a segment's boundaries is its split. Returns
+    (weighted Gini, threshold) per segment, (inf, nan) for a segment with one
+    value.
+    """
+    gini = np.full(n_segments, np.inf)
+    threshold = np.full(n_segments, np.nan)
+    bound, owner, lc, rc = _side_counts(key, n_ranks, n_classes)
+    if len(bound) == 0:
+        return gini, threshold
+    n_left = lc.sum(axis=0, dtype=float)
+    n_right = rc.sum(axis=0, dtype=float)
+    weighted = n_left * (1.0 - _class_sum((lc / n_left) ** 2))
+    weighted += n_right * (1.0 - _class_sum((rc / n_right) ** 2))
+    weighted /= n_left + n_right
+
+    # the first minimum of each segment's run of boundaries
+    first = np.concatenate(([True], owner[1:] != owner[:-1]))
+    run = first.nonzero()[0]
+    low = np.minimum.reduceat(weighted, run)
+    hit = (weighted == low[first.cumsum() - 1]).nonzero()[0]
+    best = bound[hit[hit.searchsorted(run)]]
+    seg = key[best] >> _bits(n_ranks)
+    rank_mask = (1 << _bits(n_ranks)) - 1
+    gini[seg] = low
+    threshold[seg] = 0.5 * (values[key[best] & rank_mask] + values[key[best + 1] & rank_mask])
+    return gini, threshold
+
+
+def _validated(X, y):
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(y)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"features must be a 2-D array with at least one column, "
+                         f"got shape {X.shape}")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array, got shape {labels.shape}")
+    if len(X) != len(labels):
+        raise ValueError("features and labels disagree in length")
+    if len(X) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite (no NaN or infinity)")
+    whole = labels.dtype.kind in "iub" or (
+        labels.dtype.kind == "f" and np.isfinite(labels).all()
+        and (labels == np.floor(labels)).all())
+    if not whole:
+        raise ValueError("labels must be integer class indices")
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative class indices")
+    return X, labels.astype(np.int64)
 
 
 class RandomForest:
-    """Bootstrap ensemble of CART trees with majority voting."""
+    """Bootstrap ensemble of CART trees with majority voting.
+
+    After ``fit`` the trees are flat pre-order node arrays: tree ``t`` holds
+    nodes ``roots[t]`` up to ``roots[t + 1]`` (or the end). A leaf has
+    ``feature`` -1 and is its own left and right child; an internal node sends
+    a row left when ``row[feature] <= threshold``.
+    """
 
     def __init__(self, params: ForestParams | None = None, seed: int = 0):
         self.params = params or ForestParams()
         self.seed = int(seed)
-        self.trees: list[DecisionTree] = []
-        self.n_classes = 0
+        self.n_classes = self.n_features = self.depth = 0
+        # flat pre-order nodes of every tree, set by fit
+        self.roots = self.feature = self.threshold = self.left = self.right = self.prediction = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) != len(y):
-            raise ValueError("features and labels disagree in length")
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = _validated(X, y)
         self.n_classes = int(y.max()) + 1
-        self.trees = []
-        for t in range(self.params.n_trees):
-            tree_seed = mix_seed(self.seed, "tree", t)
-            rng = np.random.default_rng(mix_seed(self.seed, "bootstrap", t))
-            if self.params.bootstrap:
-                idx = rng.integers(0, len(X), size=len(X))
-                Xt, yt = X[idx], y[idx]
-            else:
-                Xt, yt = X, y
-            self.trees.append(DecisionTree(self.params, self.n_classes, tree_seed).fit(Xt, yt))
+        self.n_features = X.shape[1]
+        (self.roots, self.feature, self.threshold, self.left, self.right,
+         self.prediction, self.depth) = _Grower(self, X, y).grow()
         return self
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)
-        votes = np.zeros((len(X), self.n_classes), dtype=np.int64)
-        for tree in self.trees:
-            pred = tree.predict(X)
-            votes[np.arange(len(X)), pred] += 1
-        return np.argmax(votes, axis=1)  # ties resolve to the lowest class index
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"features must be a 2-D array with {self.n_features} "
+                             f"column(s), got shape {X.shape}")
+        values = X.ravel()
+        row_start = np.arange(len(X)) * self.n_features
+        node = np.repeat(self.roots[:, None], len(X), axis=1)  # (trees, rows)
+        for _ in range(self.depth):
+            # a leaf reads an arbitrary value (its feature is -1) and stays put
+            go_left = values.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
+            node = np.where(go_left, self.left.take(node), self.right.take(node))
+        votes = np.bincount((np.arange(len(X)) * self.n_classes
+                             + self.prediction.take(node)).ravel(),
+                            minlength=len(X) * self.n_classes)
+        # ties resolve to the lowest class index
+        return votes.reshape(len(X), self.n_classes).argmax(axis=1)
 
     def accuracy(self, X, y) -> float:
         y = np.asarray(y, dtype=np.int64)
         return float(np.mean(self.predict(X) == y))
+
+
+class _Grower:
+    """The trees of one fit, grown together one pre-order node per tree per step.
+
+    At most ``_GROUP_ROWS // rows`` trees grow at a time; when one finishes,
+    the next starts. A tree's nodes are handled at consecutive steps from the
+    step it starts, so its ``s``-th step handles its ``s``-th node in
+    pre-order: a split node's left child is the next node of its tree, and
+    the right child's stack entry carries its parent's node id.
+    """
+
+    def __init__(self, forest, X, y):
+        self.params, self.n_classes, self.X, self.y = forest.params, forest.n_classes, X, y
+        # each column's values as dense ranks into one table of sorted distinct values
+        self.ranks = np.empty(X.shape, dtype=np.int64)
+        values = []
+        for j in range(X.shape[1]):
+            uniq, inverse = np.unique(X[:, j], return_inverse=True)
+            self.ranks[:, j] = inverse + sum(len(v) for v in values)
+            values.append(uniq)
+        self.values = np.concatenate(values)
+        self.n_ranks = len(self.values)
+        self.k = self.params.n_candidates(X.shape[1])
+        trees = range(self.params.n_trees)
+        self.tile = np.tile(np.arange(X.shape[1]), (_DRAWS, 1))
+        self.rngs = [np.random.default_rng(mix_seed(forest.seed, "tree", t)) for t in trees]
+        self.perms = np.stack([rng.permuted(self.tile, axis=1) for rng in self.rngs])
+        self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
+        self.stacks = []  # pending (rows, depth, parent id if a right child else -1)
+        for t in trees:
+            if self.params.bootstrap:
+                rng = np.random.default_rng(mix_seed(forest.seed, "bootstrap", t))
+                rows = rng.integers(0, len(X), size=len(X))
+            else:
+                rows = np.arange(len(X))
+            self.stacks.append([(rows, 0, -1)])
+        self.first_step = np.zeros(len(self.stacks), dtype=np.int64)
+
+    def candidates(self, trees):
+        """Next candidate features (first ``k`` of a fresh permutation) of each tree."""
+        cand = self.perms[trees, self.drawn[trees], :self.k]
+        self.drawn[trees] += 1
+        for t in trees[self.drawn[trees] == _DRAWS]:
+            self.perms[t] = self.rngs[t].permuted(self.tile, axis=1)
+            self.drawn[t] = 0
+        return cand
+
+    def grow(self):
+        width = max(1, _GROUP_ROWS // len(self.X))
+        waiting = list(range(len(self.stacks)))[::-1]
+        active, steps = [], []
+        while active or waiting:
+            while waiting and len(active) < width:
+                active.append(waiting.pop())
+                self.first_step[active[-1]] = len(steps)
+            entries = [self.stacks[t].pop() for t in active]
+            trees = np.array(active)
+            node_id = len(steps) - self.first_step[trees]
+            depth = np.array([e[1] for e in entries])
+            parent = np.array([e[2] for e in entries])
+            steps.append((trees, node_id, depth, parent)
+                         + self.step(trees, node_id, depth, entries))
+            active = [t for t in active if self.stacks[t]]
+        return self.assemble(steps)
+
+    def step(self, trees, node_id, depth, entries):
+        """Handle the next node of each tree: (feature, threshold, prediction) per node."""
+        params, C, k = self.params, self.n_classes, self.k
+        sizes = np.array([len(e[0]) for e in entries])
+        rows = np.concatenate([e[0] for e in entries])
+        node = np.arange(len(trees)).repeat(sizes)
+        counts = np.bincount(node * C + self.y.take(rows),
+                             minlength=len(trees) * C).reshape(-1, C)
+        prediction = counts.argmax(axis=1)  # ties resolve to the lowest class index
+        feature = np.full(len(trees), -1, dtype=np.int64)
+        threshold = np.full(len(trees), np.nan)
+        # a node tries to split when below the depth limit, large enough and impure
+        tries = ((depth < params.max_depth) & (sizes >= params.min_samples_split)
+                 & (counts.max(axis=1) < sizes)).nonzero()[0]
+        if len(tries):
+            cand = self.candidates(trees[tries])
+            split_rows = np.concatenate([entries[a][0] for a in tries.tolist()])
+            owner = np.arange(len(tries)).repeat(sizes[tries])
+            key = _split_keys(owner[:, None] * k + np.arange(k),
+                              self.ranks[split_rows[:, None], cand[owner]],
+                              self.y.take(split_rows)[:, None], self.n_ranks, C)
+            gini, thr = _best_splits(key.ravel(), len(tries) * k, self.n_ranks, C, self.values)
+            gini, thr = gini.reshape(-1, k), thr.reshape(-1, k)
+            pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
+            at = np.arange(len(tries))
+            ok = np.isfinite(gini[at, pick])
+            feature[tries[ok]] = cand[at, pick][ok]
+            threshold[tries[ok]] = thr[at, pick][ok]
+            if ok.any():
+                self.partition(trees, node_id, depth, rows, node, feature, threshold)
+        return feature, threshold, prediction
+
+    def partition(self, trees, node_id, depth, rows, node, feature, threshold):
+        """Push the two children of every split node; the left one is handled next.
+
+        ``rows`` holds each node's rows in one run, so compressing it by side
+        keeps every node's left (right) rows in one run too. Rows of a node
+        that does not split are sent right and never read.
+        """
+        go_left = self.X[rows, feature[node]] <= threshold[node]
+        sides = []
+        for mask in (go_left, ~go_left):
+            ends = np.bincount(node[mask], minlength=len(trees)).cumsum().tolist()
+            sides.append((rows[mask], [0] + ends))
+        (left, left_at), (right, right_at) = sides
+        for a in (feature >= 0).nonzero()[0].tolist():
+            stack = self.stacks[trees[a]]
+            stack.append((right[right_at[a]:right_at[a + 1]], depth[a] + 1, node_id[a]))
+            stack.append((left[left_at[a]:left_at[a + 1]], depth[a] + 1, -1))
+
+    def assemble(self, steps):
+        """(roots, feature, threshold, left, right, prediction, depth) of the forest."""
+        tree, node_id, depth, parent, feature, threshold, prediction = (
+            np.concatenate(column) for column in zip(*steps))
+        roots = np.concatenate(([0], np.bincount(tree).cumsum()[:-1]))
+        at = roots[tree] + node_id
+        order = at.argsort()
+        feature, threshold, prediction = feature[order], threshold[order], prediction[order]
+        nodes = np.arange(len(at))
+        right = nodes.copy()
+        is_right = parent >= 0
+        right[roots[tree[is_right]] + parent[is_right]] = at[is_right]
+        # a split node's left child comes next in pre-order; a leaf is its own child
+        return (roots, feature, threshold, nodes + (feature >= 0), right, prediction,
+                int(depth.max()))

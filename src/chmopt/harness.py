@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
-from .core import euclidean_distance, format_table, mix_seed, population_std
+from .core import euclidean_distance, format_table, is_integer, mix_seed, population_std
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
 CHM_METHOD = "chm"
@@ -43,17 +44,29 @@ class ExperimentPlan:
 
     def __post_init__(self):
         self.functions = tuple(self.functions)
-        self.methods = tuple(m.strip().lower() for m in self.methods)
+        self.methods = tuple(m.strip().lower() if isinstance(m, str) else m
+                             for m in self.methods)
         self.validate()
 
     def validate(self):
         # the name is the export directory under the output root
-        if (self.name in ("", ".", "..")
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(sep and sep in self.name for sep in (os.sep, os.altsep))):
             raise ValueError(f"plan name {self.name!r} must be a plain directory name")
-        for attr in ("repetitions", "iterations", "population_size", "workers"):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"{attr} must be >= 1")
+        for attr in ("repetitions", "iterations", "population_size", "workers",
+                     "convergence_patience"):
+            value = getattr(self, attr)
+            if not is_integer(value) or value < 1:
+                raise ValueError(f"{attr} must be an integer >= 1, got {value!r}")
+        if not is_integer(self.base_seed):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        for attr in ("skip_on_error", "distance_to_nearest"):
+            if not isinstance(getattr(self, attr), bool):
+                raise ValueError(f"{attr} must be true or false, got {getattr(self, attr)!r}")
+        epsilon = self.convergence_epsilon
+        if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+                or not math.isfinite(epsilon)):
+            raise ValueError(f"convergence_epsilon must be a finite number, got {epsilon!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
@@ -62,11 +75,15 @@ class ExperimentPlan:
         if not self.functions:
             raise ValueError("functions must be non-empty")
         for f in self.functions:
+            if not isinstance(f, str):
+                raise ValueError(f"function names must be strings, got {f!r}")
             get_benchmark(f)  # raises on unknown names
-        if self.budget_override is not None:
-            probing, fit = self.budget_override
-            if probing < 1 or fit < 1:
-                raise ValueError("budget override values must be >= 1")
+        if self.budget_override is not None and (
+                not isinstance(self.budget_override, (tuple, list))
+                or len(self.budget_override) != 2
+                or not all(is_integer(v) and v >= 1 for v in self.budget_override)):
+            raise ValueError(f"budget_override must be two integers >= 1 (probing, fit), "
+                             f"got {self.budget_override!r}")
         if not isinstance(self.optimizer_overrides, dict):
             raise ValueError("optimizer_overrides must map method names to parameters")
         for name, params in self.optimizer_overrides.items():

@@ -155,6 +155,10 @@ class TestBench:
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("population_size", 0), ("name", "../../escape"),
         ("name", ".."), ("name", ""),
+        ("repetitions", 2.5), ("iterations", 2.5), ("population_size", True),
+        ("convergence_epsilon", "x"), ("convergence_epsilon", None),
+        ("budget_override", [2.5, 3]), ("budget_override", [10]), ("base_seed", "7"),
+        ("base_seed", 7.0), ("methods", [1]), ("functions", [1]), ("name", 5),
     ])
     def test_invalid_plan_file_exits_one(self, tmp_path, capsys, field, value):
         plan = {"name": "fromfile", "functions": ["matyas"], "methods": ["de"],

@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from forest_reference import ReferenceForest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chmopt import ForestParams, RandomForest
-from chmopt.forest import DecisionTree, _gini_best_split
+from chmopt import forest as forest_module
+from chmopt.forest import _best_splits, _class_sum, _split_keys
 
 
 def separable_data(n=80, seed=0):
@@ -12,47 +18,89 @@ def separable_data(n=80, seed=0):
     return x, y
 
 
+def best_split(column, y, n_classes):
+    """(weighted Gini, threshold) of one column as one segment, (None, None) if constant."""
+    values, rank = np.unique(column, return_inverse=True)
+    key = _split_keys(np.zeros(len(y), dtype=np.int64), rank, np.asarray(y),
+                      len(values), n_classes)
+    gini, threshold = _best_splits(key, 1, len(values), n_classes, values)
+    if np.isinf(gini[0]):
+        return None, None
+    return float(gini[0]), float(threshold[0])
+
+
+def preorder(forest):
+    """(feature, threshold, prediction) of every node of every tree, leaves with feature -1."""
+    ends = np.append(forest.roots[1:], len(forest.feature))
+    return [[(int(forest.feature[i]),
+              float(forest.threshold[i]) if forest.feature[i] >= 0 else None,
+              int(forest.prediction[i])) for i in range(start, end)]
+            for start, end in zip(forest.roots, ends)]
+
+
+def node_depths(forest):
+    """Depth of every node, read from the flat arrays (a parent precedes its children)."""
+    depth = np.zeros(len(forest.feature), dtype=np.int64)
+    for i in range(len(forest.feature)):
+        if forest.feature[i] >= 0:
+            depth[forest.left[i]] = depth[forest.right[i]] = depth[i] + 1
+    return depth
+
+
 class TestGiniSplit:
     def test_perfect_split_found(self):
         column = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9])
         y = np.array([0, 0, 0, 1, 1, 1])
-        gini, threshold = _gini_best_split(column, y, 2)
+        gini, threshold = best_split(column, y, 2)
         assert gini == 0.0
         assert 0.3 < threshold < 0.7
 
     def test_constant_column_has_no_split(self):
         column = np.ones(5)
         y = np.array([0, 1, 0, 1, 0])
-        gini, threshold = _gini_best_split(column, y, 2)
+        gini, threshold = best_split(column, y, 2)
         assert gini is None and threshold is None
 
     def test_weighted_impurity_hand_example(self):
         # split at 0.5 -> left [0,0] pure, right [1,0] gini 0.5; weighted 0.25
         column = np.array([0.0, 0.1, 0.9, 1.0])
         y = np.array([0, 0, 1, 0])
-        gini, threshold = _gini_best_split(column, y, 2)
+        gini, threshold = best_split(column, y, 2)
         assert gini == pytest.approx(0.25)
         assert 0.1 < threshold < 0.9
+
+    def test_segments_are_scored_independently(self):
+        # the same two columns as above, as segments 0 and 1 of one call
+        columns = [np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9]), np.array([0.0, 0.1, 0.9, 1.0])]
+        labels = [np.array([0, 0, 0, 1, 1, 1]), np.array([0, 0, 1, 0])]
+        values, rank = np.unique(np.concatenate(columns), return_inverse=True)
+        segment = np.repeat([0, 1], [6, 4])
+        key = _split_keys(segment, rank, np.concatenate(labels), len(values), 2)
+        gini, threshold = _best_splits(key, 3, len(values), 2, values)
+        assert gini[0] == 0.0 and 0.3 < threshold[0] < 0.7
+        assert gini[1] == pytest.approx(0.25) and 0.1 < threshold[1] < 0.9
+        assert np.isinf(gini[2]) and np.isnan(threshold[2])  # a segment with no rows
+
+    @pytest.mark.parametrize("n_classes", range(1, 13))
+    def test_class_sum_matches_numpy_row_sum(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        terms = rng.random((200, n_classes)) ** 2
+        assert np.array_equal(_class_sum(np.ascontiguousarray(terms.T)), terms.sum(axis=1))
 
 
 class TestDecisionTree:
     def test_fits_separable_data_exactly(self):
         x, y = separable_data()
-        tree = DecisionTree(ForestParams(max_depth=4, feature_rule="all"),
-                            n_classes=2, seed=1).fit(x, y)
+        tree = RandomForest(ForestParams(n_trees=1, max_depth=4, feature_rule="all",
+                                         bootstrap=False), seed=1).fit(x, y)
         assert np.array_equal(tree.predict(x), y)
 
     def test_depth_limit_respected(self):
         x, y = separable_data(seed=3)
-        tree = DecisionTree(ForestParams(max_depth=1, feature_rule="all"),
-                            n_classes=2, seed=1).fit(x, y)
-
-        def depth(node):
-            if node.feature is None:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tree.root) <= 1
+        tree = RandomForest(ForestParams(n_trees=1, max_depth=1, feature_rule="all"),
+                            seed=1).fit(x, y)
+        assert node_depths(tree).max() <= 1
+        assert tree.depth <= 1
 
 
 class TestRandomForest:
@@ -97,8 +145,167 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             ForestParams(feature_rule="log3")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 2.5), ("max_depth", 2.5), ("max_depth", True), ("min_samples_split", 2.5),
+        ("min_samples_split", 1), ("bootstrap", "no"), ("bootstrap", 1)])
+    def test_params_types_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ForestParams(**{field: value})
+
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), "integer class indices"),
+        (np.zeros((3, 2)), np.array([0.0, np.inf, 1.0]), "integer class indices"),
+        (np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]), "integer class indices"),
+        (np.zeros((3, 2)), np.array(["a", "b", "a"]), "integer class indices"),
+        (np.zeros((3, 2)), np.array([0, -1, 1]), "non-negative"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 0.0]]), np.array([0, 1, 0]), "finite"),
+        (np.array([[0.0, 1.0], [np.inf, 2.0], [1.0, 0.0]]), np.array([0, 1, 0]), "finite"),
+        (np.zeros(3), np.array([0, 1, 0]), "2-D"),
+        (np.zeros((3, 2, 2)), np.array([0, 1, 0]), "2-D"),
+        (np.zeros((3, 0)), np.array([0, 1, 0]), "at least one column"),
+        (np.zeros((3, 2)), np.array([[0], [1], [0]]), "1-D"),
+        (np.zeros((0, 2)), np.zeros(0, dtype=int), "empty"),
+    ])
+    def test_bad_input_rejected(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            RandomForest(ForestParams(n_trees=2)).fit(features, labels)
+
+    def test_whole_float_and_bool_labels_accepted(self):
+        x, y = separable_data(seed=12)
+        as_int = RandomForest(ForestParams(n_trees=3), seed=2).fit(x, y).predict(x)
+        as_float = RandomForest(ForestParams(n_trees=3), seed=2).fit(x, y.astype(float))
+        as_bool = RandomForest(ForestParams(n_trees=3), seed=2).fit(x, y.astype(bool))
+        assert np.array_equal(as_float.predict(x), as_int)
+        assert np.array_equal(as_bool.predict(x), as_int)
+
+    def test_predict_checks_width(self):
+        x, y = separable_data(seed=13)
+        forest = RandomForest(ForestParams(n_trees=2), seed=1).fit(x, y)
+        with pytest.raises(ValueError, match="3 column"):
+            forest.predict(x[:, :2])
+
     def test_no_bootstrap_pure_fit(self):
         x, y = separable_data(seed=11)
         forest = RandomForest(ForestParams(n_trees=3, bootstrap=False,
                                            feature_rule="all"), seed=5).fit(x, y)
         assert forest.accuracy(x, y) == 1.0
+
+
+def pin_data(seed, n_rows, n_features, n_classes, grid):
+    """Rows, labels and fresh rows; ``grid`` > 0 draws values from a grid, so values tie."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        if grid:
+            return rng.integers(0, grid, size=(n, n_features)) / grid
+        return rng.normal(size=(n, n_features))
+
+    X = draw(n_rows)
+    score = X @ np.linspace(1.0, 0.2, n_features) + 0.3 * rng.normal(size=n_rows)
+    y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+    fresh = draw(n_rows // 2)
+    if grid:  # rows on the midpoints between grid values meet thresholds exactly
+        fresh = np.vstack([fresh, (rng.integers(0, grid - 1, size=(8, n_features)) + 0.5) / grid])
+    return X, y.astype(np.int64), fresh
+
+
+PIN_CASES = [
+    # (data seed, rows, features, classes, grid, params, forest seed, feature mask)
+    (1, 60, 5, 2, 0, ForestParams(n_trees=6, max_depth=6), 3, (1, 1, 1, 1, 1)),
+    (1, 60, 5, 2, 0, ForestParams(n_trees=6, max_depth=6), 4, (1, 0, 1, 0, 1)),
+    (2, 90, 6, 3, 5, ForestParams(n_trees=8, max_depth=12), 11, (1, 1, 1, 1, 1, 1)),
+    (2, 90, 6, 3, 5, ForestParams(n_trees=8, max_depth=12), 12, (0, 1, 1, 0, 0, 1)),
+    (3, 120, 9, 9, 4, ForestParams(n_trees=5, max_depth=12), 7, (1,) * 9),
+    (3, 120, 9, 9, 0, ForestParams(n_trees=5, max_depth=8), 8, (1, 1, 0, 1, 1, 0, 1, 1, 0)),
+    (4, 50, 4, 2, 3, ForestParams(n_trees=4, max_depth=5, feature_rule="all"), 5, (1, 1, 1, 1)),
+    (5, 70, 5, 3, 0, ForestParams(n_trees=3, max_depth=7, bootstrap=False), 9, (1, 1, 1, 1, 1)),
+    (6, 80, 7, 2, 6, ForestParams(n_trees=7, max_depth=9, min_samples_split=5), 2, (1,) * 7),
+    (7, 40, 3, 3, 2, ForestParams(n_trees=5, max_depth=4, min_samples_split=3,
+                                  feature_rule="all", bootstrap=False), 1, (1, 0, 1)),
+]
+
+# sha256 over the PIN_CASES forests, recorded with the one-node-at-a-time
+# recursive trees that preceded the batched kernel (ReferenceForest's code)
+FOREST_PIN = "bd3d64bbc019d400ff4f9430a40701c9b3ba22fb13276e0aaef36eaec45a4abc"
+
+
+def pin_digest(make_forest, nodes):
+    digest = hashlib.sha256()
+    for data_seed, n_rows, n_features, n_classes, grid, params, seed, mask in PIN_CASES:
+        X, y, fresh = pin_data(data_seed, n_rows, n_features, n_classes, grid)
+        columns = [i for i, keep in enumerate(mask) if keep]
+        forest = make_forest(params, seed).fit(X[:, columns], y)
+        digest.update(repr(nodes(forest)).encode())
+        digest.update(forest.predict(X[:, columns]).astype(np.int64).tobytes())
+        digest.update(forest.predict(fresh[:, columns]).astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+class TestBitIdentical:
+    def test_forest_golden_pin(self):
+        assert pin_digest(lambda p, s: RandomForest(p, seed=s), preorder) == FOREST_PIN
+
+    def test_reference_matches_golden_pin(self):
+        assert pin_digest(lambda p, s: ReferenceForest(p, seed=s),
+                          ReferenceForest.preorder) == FOREST_PIN
+
+    @pytest.mark.parametrize("group_rows, draws", [(1, 1), (360, 2), (240, 7)])
+    def test_group_size_and_draw_chunk_do_not_matter(self, monkeypatch, group_rows, draws):
+        X, y, fresh = pin_data(3, 120, 9, 9, 4)
+        params = ForestParams(n_trees=7, max_depth=12)
+        expected = RandomForest(params, seed=4).fit(X, y)
+        monkeypatch.setattr(forest_module, "_GROUP_ROWS", group_rows)  # 1, 3 or 2 trees at a time
+        monkeypatch.setattr(forest_module, "_DRAWS", draws)
+        forest = RandomForest(params, seed=4).fit(X, y)
+        for name in ("roots", "feature", "threshold", "left", "right", "prediction"):
+            assert np.array_equal(getattr(forest, name), getattr(expected, name),
+                                  equal_nan=True), name
+        assert np.array_equal(forest.predict(fresh), expected.predict(fresh))
+
+    def test_flat_arrays_are_consistent(self):
+        X, y, _ = pin_data(2, 90, 6, 3, 5)
+        forest = RandomForest(ForestParams(n_trees=8, max_depth=12), seed=11).fit(X, y)
+        nodes = np.arange(len(forest.feature))
+        leaf = forest.feature < 0
+        assert np.array_equal(forest.left[leaf], nodes[leaf])
+        assert np.array_equal(forest.right[leaf], nodes[leaf])
+        assert np.array_equal(forest.left[~leaf], nodes[~leaf] + 1)  # pre-order
+        assert (forest.right[~leaf] > forest.left[~leaf]).all()
+        assert len(forest.roots) == 8
+        tree = np.searchsorted(forest.roots, nodes, side="right") - 1
+        assert np.array_equal(tree[forest.right], tree)  # children stay in their tree
+        assert node_depths(forest).max() == forest.depth <= 12
+
+
+@st.composite
+def forest_case(draw):
+    n_rows = draw(st.integers(2, 50))
+    n_features = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 11))
+    if draw(st.booleans()):  # few distinct values: many ties
+        cell = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+    else:
+        cell = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    params = ForestParams(n_trees=draw(st.integers(1, 5)), max_depth=draw(st.integers(1, 8)),
+                          min_samples_split=draw(st.integers(2, 6)),
+                          feature_rule=draw(st.sampled_from(["sqrt", "all"])),
+                          bootstrap=draw(st.booleans()))
+    return X, y, params, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=10_000)
+@given(forest_case())
+def test_kernel_matches_reference_forest(case):
+    X, y, params, seed = case
+    forest = RandomForest(params, seed=seed).fit(X, y)
+    reference = ReferenceForest(params, seed=seed).fit(X, y)
+    assert preorder(forest) == reference.preorder()
+    # rows on the thresholds themselves test the `<=` side of every split
+    on_thresholds = np.array([np.resize(forest.threshold[forest.feature >= 0], X.shape[1])
+                              if (forest.feature >= 0).any() else X[0]])
+    for rows in (X, X[::-1] * 0.5, on_thresholds):
+        assert np.array_equal(forest.predict(rows), reference.predict(rows))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from chmopt import (
@@ -46,6 +47,31 @@ class TestPlanValidation:
     def test_unknown_function_rejected(self):
         with pytest.raises(Exception):
             small_plan(functions=("nosuchfn",))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("repetitions", 2.5, "repetitions must be an integer"),
+        ("iterations", 2.5, "iterations must be an integer"),
+        ("population_size", True, "population_size must be an integer"),
+        ("workers", "2", "workers must be an integer"),
+        ("convergence_patience", 1.5, "convergence_patience must be an integer"),
+        ("base_seed", "7", "base_seed must be an integer"),
+        ("base_seed", False, "base_seed must be an integer"),
+        ("convergence_epsilon", "x", "convergence_epsilon must be a finite number"),
+        ("convergence_epsilon", float("nan"), "convergence_epsilon must be a finite number"),
+        ("convergence_epsilon", True, "convergence_epsilon must be a finite number"),
+        ("budget_override", (2.5, 3), "budget_override must be two integers"),
+        ("budget_override", (10, 20, 30), "budget_override must be two integers"),
+        ("budget_override", (0, 20), "budget_override must be two integers"),
+        ("skip_on_error", "no", "skip_on_error must be true or false"),
+        ("distance_to_nearest", 1, "distance_to_nearest must be true or false"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            small_plan(**{field: value})
+
+    def test_integral_numbers_accepted(self):
+        plan = small_plan(repetitions=np.int64(2), base_seed=-3, convergence_epsilon=0)
+        assert plan.repetitions == 2 and plan.base_seed == -3
 
     def test_round_trip_file(self, tmp_path):
         plan = small_plan()
