@@ -181,14 +181,14 @@ class RandomForest:
             raise ValueError(f"features must be a 2-D array with {self.n_features} "
                              f"column(s), got shape {X.shape}")
         values = X.ravel()
-        row_start = np.arange(len(X)) * self.n_features
+        rows = np.arange(len(X))
+        row_start = rows * self.n_features
         node = np.repeat(self.roots[:, None], len(X), axis=1)  # (trees, rows)
         for _ in range(self.depth):
             # a leaf reads an arbitrary value (its feature is -1) and stays put
             go_left = values.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
             node = np.where(go_left, self.left.take(node), self.right.take(node))
-        votes = np.bincount((np.arange(len(X)) * self.n_classes
-                             + self.prediction.take(node)).ravel(),
+        votes = np.bincount((rows * self.n_classes + self.prediction.take(node)).ravel(),
                             minlength=len(X) * self.n_classes)
         # ties resolve to the lowest class index
         return votes.reshape(len(X), self.n_classes).argmax(axis=1)
@@ -233,7 +233,6 @@ class _Grower:
             else:
                 rows = np.arange(len(X))
             self.stacks.append([(rows, 0, -1)])
-        self.first_step = np.zeros(len(self.stacks), dtype=np.int64)
 
     def candidates(self, trees):
         """Next candidate features (first ``k`` of a fresh permutation) of each tree."""
@@ -247,14 +246,15 @@ class _Grower:
     def grow(self):
         width = max(1, _GROUP_ROWS // len(self.X))
         waiting = list(range(len(self.stacks)))[::-1]
+        first_step = np.zeros(len(self.stacks), dtype=np.int64)
         active, steps = [], []
         while active or waiting:
             while waiting and len(active) < width:
                 active.append(waiting.pop())
-                self.first_step[active[-1]] = len(steps)
+                first_step[active[-1]] = len(steps)
             entries = [self.stacks[t].pop() for t in active]
             trees = np.array(active)
-            node_id = len(steps) - self.first_step[trees]
+            node_id = len(steps) - first_step[trees]
             depth = np.array([e[1] for e in entries])
             parent = np.array([e[2] for e in entries])
             steps.append((trees, node_id, depth, parent)
