@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import is_integer, mix_seed
 
-_GROUP_ROWS = 4096  # root rows of the trees grown together; bounds one step's temporaries
+_PASS_COUNTS = 16384  # (row, candidate, class) prefix counts one scoring pass aims to hold
 _DRAWS = 32  # candidate permutations drawn from a tree's generator at a time
 
 
@@ -58,16 +58,6 @@ def _split_keys(segment, rank, label, n_ranks, n_classes):
     return (segment << _bits(n_ranks) | rank) << _bits(n_classes) | label
 
 
-def _class_sum(terms):
-    """Sum a class-major (classes, rows) array over classes, exactly as numpy sums
-    each row of its row-major copy. numpy adds fewer than 8 terms left to right,
-    which summing the class rows in order reproduces cheaply; from 8 terms on it
-    adds pairwise, so those rows are summed by numpy itself."""
-    if len(terms) < 8:
-        return terms.sum(axis=0)
-    return np.ascontiguousarray(terms.T).sum(axis=1)
-
-
 def _side_counts(key, n_ranks, n_classes):
     """Class counts on both sides of every boundary between two values of a segment.
 
@@ -92,6 +82,17 @@ def _side_counts(key, n_ranks, n_classes):
             cum.take(edges[owner + 1], axis=1) - cut)
 
 
+def _gini(counts, n_rows):
+    """Gini impurity of each side from its (classes, boundaries) counts and rows.
+
+    The squared class shares are laid out (boundaries, classes), as in a
+    per-column split search, so numpy sums each side's classes in that order.
+    """
+    shares = counts.T.astype(float, order="C")
+    shares /= n_rows[:, None]
+    return 1.0 - np.square(shares, out=shares).sum(axis=1)
+
+
 def _best_splits(key, n_segments, n_ranks, n_classes, values):
     """Best threshold of each segment by weighted Gini of the two sides.
 
@@ -110,8 +111,8 @@ def _best_splits(key, n_segments, n_ranks, n_classes, values):
         return gini, threshold
     n_left = lc.sum(axis=0, dtype=float)
     n_right = rc.sum(axis=0, dtype=float)
-    weighted = n_left * (1.0 - _class_sum((lc / n_left) ** 2))
-    weighted += n_right * (1.0 - _class_sum((rc / n_right) ** 2))
+    weighted = n_left * _gini(lc, n_left)
+    weighted += n_right * _gini(rc, n_right)
     weighted /= n_left + n_right
 
     # the first minimum of each segment's run of boundaries
@@ -201,22 +202,27 @@ class RandomForest:
 class _Grower:
     """The trees of one fit, grown together one pre-order node per tree per step.
 
-    At most ``_GROUP_ROWS // rows`` trees grow at a time; when one finishes,
-    the next starts. A tree's nodes are handled at consecutive steps from the
-    step it starts, so its ``s``-th step handles its ``s``-th node in
-    pre-order: a split node's left child is the next node of its tree, and
-    the right child's stack entry carries its parent's node id.
+    As many trees grow at a time as keep the (row, candidate, class) triples
+    of their roots within ``_PASS_COUNTS``, at least one; when one finishes,
+    the next starts. A step whose nodes hold more triples scores their
+    candidates a few columns per pass, so a pass holds at most
+    max(``_PASS_COUNTS``, rows x classes) prefix counts. A tree's nodes are
+    handled at consecutive steps from the step it starts, so its ``s``-th
+    step handles its ``s``-th node in pre-order: a split node's left child is
+    the next node of its tree, and the right child's stack entry carries its
+    parent's node id.
     """
 
     def __init__(self, forest, X, y):
         self.params, self.n_classes, self.X, self.y = forest.params, forest.n_classes, X, y
         # each column's values as dense ranks into one table of sorted distinct values
         self.ranks = np.empty(X.shape, dtype=np.int64)
-        values = []
+        values, offset = [], 0
         for j in range(X.shape[1]):
             uniq, inverse = np.unique(X[:, j], return_inverse=True)
-            self.ranks[:, j] = inverse + sum(len(v) for v in values)
+            self.ranks[:, j] = inverse + offset
             values.append(uniq)
+            offset += len(uniq)
         self.values = np.concatenate(values)
         self.n_ranks = len(self.values)
         self.k = self.params.n_candidates(X.shape[1])
@@ -244,7 +250,7 @@ class _Grower:
         return cand
 
     def grow(self):
-        width = max(1, _GROUP_ROWS // len(self.X))
+        width = max(1, _PASS_COUNTS // (len(self.X) * self.k * self.n_classes))
         waiting = list(range(len(self.stacks)))[::-1]
         first_step = np.zeros(len(self.stacks), dtype=np.int64)
         active, steps = [], []
@@ -280,11 +286,16 @@ class _Grower:
             cand = self.candidates(trees[tries])
             split_rows = np.concatenate([entries[a][0] for a in tries.tolist()])
             owner = np.arange(len(tries)).repeat(sizes[tries])
-            key = _split_keys(owner[:, None] * k + np.arange(k),
-                              self.ranks[split_rows[:, None], cand[owner]],
-                              self.y.take(split_rows)[:, None], self.n_ranks, C)
-            gini, thr = _best_splits(key.ravel(), len(tries) * k, self.n_ranks, C, self.values)
-            gini, thr = gini.reshape(-1, k), thr.reshape(-1, k)
+            label = self.y.take(split_rows)[:, None]
+            gini, thr = np.empty((len(tries), k)), np.empty((len(tries), k))
+            width = max(1, _PASS_COUNTS // (len(split_rows) * C))  # candidates per pass
+            for j in range(0, k, width):
+                cols = cand[owner, j:j + width]
+                w = cols.shape[1]
+                key = _split_keys(owner[:, None] * w + np.arange(w),
+                                  self.ranks[split_rows[:, None], cols], label, self.n_ranks, C)
+                g, t = _best_splits(key.ravel(), len(tries) * w, self.n_ranks, C, self.values)
+                gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
             pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
             at = np.arange(len(tries))
             ok = np.isfinite(gini[at, pick])

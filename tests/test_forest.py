@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chmopt import ForestParams, RandomForest
 from chmopt import forest as forest_module
-from chmopt.forest import _best_splits, _class_sum, _split_keys
+from chmopt.forest import _best_splits, _split_keys
 
 
 def separable_data(n=80, seed=0):
@@ -80,12 +80,6 @@ class TestGiniSplit:
         assert gini[0] == 0.0 and 0.3 < threshold[0] < 0.7
         assert gini[1] == pytest.approx(0.25) and 0.1 < threshold[1] < 0.9
         assert np.isinf(gini[2]) and np.isnan(threshold[2])  # a segment with no rows
-
-    @pytest.mark.parametrize("n_classes", range(1, 13))
-    def test_class_sum_matches_numpy_row_sum(self, n_classes):
-        rng = np.random.default_rng(n_classes)
-        terms = rng.random((200, n_classes)) ** 2
-        assert np.array_equal(_class_sum(np.ascontiguousarray(terms.T)), terms.sum(axis=1))
 
 
 class TestDecisionTree:
@@ -249,12 +243,15 @@ class TestBitIdentical:
         assert pin_digest(lambda p, s: ReferenceForest(p, seed=s),
                           ReferenceForest.preorder) == FOREST_PIN
 
-    @pytest.mark.parametrize("group_rows, draws", [(1, 1), (360, 2), (240, 7)])
-    def test_group_size_and_draw_chunk_do_not_matter(self, monkeypatch, group_rows, draws):
+    @pytest.mark.parametrize("pass_counts, draws",
+                             [(1, 1), (3500, 2), (7000, 7), (30000, 3)])
+    def test_pass_size_and_draw_chunk_do_not_matter(self, monkeypatch, pass_counts, draws):
         X, y, fresh = pin_data(3, 120, 9, 9, 4)
-        params = ForestParams(n_trees=7, max_depth=12)
+        params = ForestParams(n_trees=7, max_depth=12, feature_rule="all")
         expected = RandomForest(params, seed=4).fit(X, y)
-        monkeypatch.setattr(forest_module, "_GROUP_ROWS", group_rows)  # 1, 3 or 2 trees at a time
+        # a root (120 rows, 9 classes) holds 9720 counts: one tree at a time scoring its
+        # 9 candidates 1, 3 or 6 per pass, or three trees at a time in one pass
+        monkeypatch.setattr(forest_module, "_PASS_COUNTS", pass_counts)
         monkeypatch.setattr(forest_module, "_DRAWS", draws)
         forest = RandomForest(params, seed=4).fit(X, y)
         for name in ("roots", "feature", "threshold", "left", "right", "prediction"):
