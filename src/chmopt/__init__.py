@@ -68,7 +68,6 @@ from .optimizers import (
     PsoParams,
     bfo_reproduce,
     blend_crossover,
-    de_mutate,
     make_optimizer,
     pso_velocity_update,
     sa_accept,

@@ -24,6 +24,7 @@ from .core import (
     Population,
     SeededRng,
     evaluate_population,
+    fitness,
     random_population,
 )
 from .optimizers import InnerOptimizer, default_portfolio
@@ -220,9 +221,7 @@ def probe_all(theta: Population, optimizers, objective_fn, maxfe_probing: int,
 
 
 def _fitness_of(cost: float, reference_value: float | None) -> float | None:
-    if reference_value is None:
-        return None
-    return abs(cost - reference_value)
+    return None if reference_value is None else fitness(cost, reference_value)
 
 
 def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,

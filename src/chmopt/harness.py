@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
-from .core import euclidean_distance, format_table, is_integer, mix_seed, population_std
+from .core import (euclidean_distance, fitness, format_table, is_integer, mix_seed,
+                   population_std)
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
 CHM_METHOD = "chm"
@@ -225,7 +226,7 @@ def run_cell(plan: ExperimentPlan, function: str, method: str, repetition: int):
         method=method,
         repetition=repetition,
         seed=seed,
-        best_fitness=abs(best.cost - spec.reference_value),
+        best_fitness=fitness(best.cost, spec.reference_value),
         best_cost=best.cost,
         best_position=tuple(best.position),
         distance=distance,

@@ -4,11 +4,15 @@ Every optimizer runs through ``InnerOptimizer.run``: it takes a Population
 and a BudgetedObjective, evolves until the budget is exhausted, and returns
 a Population of the same size. The base ``run`` owns the budget guard, the
 best-so-far tracking and the elitist finalize; a method only writes
-``_evolve(members, tracker, obj, bounds, rng)``, which evaluates through the
-tracker and leaves in ``members`` the population to return (PSO its personal
-bests, SA its chain bests). Auxiliary state (velocities, temperatures,
-bacterial health) is rebuilt from the incoming population and the RNG on
-every call, so populations transfer between methods without hidden baggage.
+``_evolve(members, tracker, obj, bounds, rng)``, which records every
+evaluation in the tracker and leaves in ``members`` the population to return
+(PSO its personal bests, SA its chain bests). The hot loops inline the
+tracker's update and the clamp to the box, and bind the RNG and objective
+methods they call to locals. Trajectories are pinned bit-exactly by the
+tests, so any rewrite must keep every RNG call and its order. Auxiliary
+state (velocities, temperatures, bacterial health) is rebuilt from the
+incoming population and the RNG on every call, so populations transfer
+between methods without hidden baggage.
 
 Two guarantees hold for all five methods:
   * budget: the objective's counter never exceeds its cap;
@@ -123,11 +127,6 @@ class BfoParams:
 # elemental update rules, exposed for direct testing
 
 
-def de_mutate(base, a, b, weight: float) -> list[float]:
-    """rand/1 donor vector: base + weight * (a - b), before crossover/clamping."""
-    return [bv + weight * (av - bv2) for bv, av, bv2 in zip(base, a, b)]
-
-
 def pso_velocity_update(v, x, pbest, gbest, params: PsoParams,
                         r1: float, r2: float, v_max=None) -> list[float]:
     """Inertia + cognitive + social pull, clipped per dimension to +-v_max."""
@@ -157,9 +156,15 @@ def blend_crossover(p1, p2, alpha: float, draws) -> list[float]:
 
 def tumble_direction(rng: SeededRng, dim: int) -> list[float]:
     """Uniform random unit vector."""
+    gauss = rng.gauss
     while True:
-        d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        norm = math.sqrt(sum(v * v for v in d))
+        d = []
+        squares = 0.0  # accumulated left to right: the pins fix this order
+        for _ in range(dim):
+            g = gauss(0.0, 1.0)
+            d.append(g)
+            squares += g * g
+        norm = math.sqrt(squares)
         if norm > 0.0:
             return [v / norm for v in d]
 
@@ -179,7 +184,10 @@ def bfo_reproduce(members: list[Individual]) -> list[Individual]:
 
 
 class _BestTracker:
-    """Tracks the best (position, cost) over every evaluation an optimizer makes."""
+    """Tracks the best (position, cost) over every evaluation an optimizer makes.
+
+    The ``_evolve`` hot loops inline ``evaluate``: an improvement stores a
+    copy of the position and its cost."""
 
     __slots__ = ("best_position", "best_cost")
 
@@ -232,6 +240,8 @@ class InnerOptimizer:
             return pop.copy()
         if any(m.cost is None for m in pop.members):
             raise ValueError("optimizers require an evaluated incoming population")
+        if len(bounds) != pop.dimension:  # the loops pair coordinates and bounds by zip
+            raise ValueError(f"dimension mismatch: {pop.dimension} vs {len(bounds)} bounds")
         members = [m.copy() for m in pop.members]
         tracker = _BestTracker(members)
         try:
@@ -255,20 +265,27 @@ class ParticleSwarm(InnerOptimizer):
 
     def _evolve(self, pbest, tracker, obj, bounds, rng):
         p = self.params
+        evaluate = obj.evaluate
+        random = rng.random
         v_max = [p.v_max_fraction * w for w in _widths(bounds)]
         x = [list(m.position) for m in pbest]
         velocity = [[0.0] * len(x[0]) for _ in pbest]
         gbest = min(pbest, key=lambda m: m.cost)
         while obj.remaining > 0:
             for i in range(len(x)):
-                r1 = rng.random()
-                r2 = rng.random()
+                r1 = random()
+                r2 = random()
                 velocity[i] = pso_velocity_update(
                     velocity[i], x[i], pbest[i].position, gbest.position, p,
                     r1, r2, v_max)
-                moved = clamp_to_bounds(
-                    [xv + vv for xv, vv in zip(x[i], velocity[i])], bounds)
-                c = tracker.evaluate(obj, moved)
+                moved = []
+                for xv, vv, (lo, hi) in zip(x[i], velocity[i], bounds):
+                    xv += vv
+                    moved.append(lo if xv < lo else hi if xv > hi else xv)
+                c = evaluate(moved)
+                if c < tracker.best_cost:
+                    tracker.best_cost = c
+                    tracker.best_position = list(moved)
                 x[i] = moved
                 if c < pbest[i].cost:
                     pbest[i] = Individual(moved, c)
@@ -288,6 +305,9 @@ class SimulatedAnnealing(InnerOptimizer):
 
     def _evolve(self, chain_best, tracker, obj, bounds, rng):
         p = self.params
+        evaluate = obj.evaluate
+        random = rng.random
+        gauss = rng.gauss
         sigma = [p.step_fraction * w for w in _widths(bounds)]
         current = list(chain_best)
         if p.t0 is not None:
@@ -299,15 +319,52 @@ class SimulatedAnnealing(InnerOptimizer):
             temperature = max(spread, p.t0_floor)
         while obj.remaining > 0:
             for i, cur in enumerate(current):
-                candidate = clamp_to_bounds(
-                    [v + rng.gauss(0.0, s) for v, s in zip(cur.position, sigma)],
-                    bounds)
-                c = tracker.evaluate(obj, candidate)
-                if sa_accept(c - cur.cost, temperature, rng.random()):
+                candidate = []
+                for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
+                    v += gauss(0.0, s)
+                    candidate.append(lo if v < lo else hi if v > hi else v)
+                c = evaluate(candidate)
+                if c < tracker.best_cost:
+                    tracker.best_cost = c
+                    tracker.best_position = list(candidate)
+                if sa_accept(c - cur.cost, temperature, random()):
                     current[i] = Individual(candidate, c)
                 if c < chain_best[i].cost:
                     chain_best[i] = Individual(candidate, c)
             temperature = max(temperature * p.cooling, 1e-12)
+
+
+def _lowest_of_sample(randbelow, n: int, k: int) -> int:
+    """``min(random.sample(range(n), k))``, drawn with exactly the ``randbelow``
+    calls ``random.sample`` makes."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        # rejection path: redraw any index already picked
+        selected = set()
+        for _ in range(k):
+            j = randbelow(n)
+            while j in selected:
+                j = randbelow(n)
+            selected.add(j)
+        return min(selected)
+    # pool path: draw i picks slot j of the n - i unpicked indices, and the
+    # index in the last unpicked slot moves into slot j
+    if k == 2:
+        # the default tournament: the second pick is j1, or n - 1 when j1 is
+        # the first pick's slot; either way the lower draw is the lowest pick
+        first = randbelow(n)
+        second = randbelow(n - 1)
+        return first if first < second else second
+    pool = list(range(n))
+    lowest = n
+    for i in range(k):
+        j = randbelow(n - i)
+        if pool[j] < lowest:
+            lowest = pool[j]
+        pool[j] = pool[n - i - 1]
+    return lowest
 
 
 class GeneticAlgorithm(InnerOptimizer):
@@ -317,9 +374,61 @@ class GeneticAlgorithm(InnerOptimizer):
     params = GaParams()
 
     def _evolve(self, members, tracker, obj, bounds, rng):
+        p = self.params
+        evaluate = obj.evaluate
+        random = rng.random
+        gauss = rng.gauss
+        randbelow = rng._randbelow
+        size = len(members)
+        dims = range(len(members[0].position))
+        mutation_rate = p.mutation_rate if p.mutation_rate is not None else 1.0 / len(dims)
+        sigma = [p.mutation_sigma_fraction * w for w in _widths(bounds)]
+        n_pick = min(p.tournament_size, size)
+        n_elite = min(p.elitism, size)
+        crossover_rate = p.crossover_rate
+        # rng.uniform(low, high) is low + (high - low) * random()
+        draw_low = -p.blend_alpha
+        draw_span = (1.0 + p.blend_alpha) - draw_low
         while obj.remaining > 0:
             used = obj.used
-            self._generation(members, tracker, obj, bounds, rng)
+            ranked = sorted(members, key=lambda m: m.cost)
+            next_gen = [ranked[i].copy() for i in range(n_elite)]
+            try:
+                while len(next_gen) < size:
+                    # ranked is sorted by cost: the lowest index wins a tournament
+                    parent1 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                    if random() < crossover_rate:
+                        parent2 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                        child = blend_crossover(parent1.position, parent2.position,
+                                                p.blend_alpha,
+                                                [draw_low + draw_span * random() for _ in dims])
+                    else:
+                        child = list(parent1.position)
+                    mutated = False
+                    for d, (lo, hi) in enumerate(bounds):
+                        v = child[d]
+                        if random() < mutation_rate:
+                            v += gauss(0.0, sigma[d])
+                            mutated = True
+                        child[d] = lo if v < lo else hi if v > hi else v
+                    if not mutated and child == parent1.position:
+                        # untouched clone: reuse the parent's cost, no budget spent
+                        next_gen.append(Individual(child, parent1.cost))
+                        continue
+                    c = evaluate(child)
+                    if c < tracker.best_cost:
+                        tracker.best_cost = c
+                        tracker.best_position = list(child)
+                    next_gen.append(Individual(child, c))
+            except BudgetExhausted:
+                # partial generation: fill remaining slots with the best parents
+                i = 0
+                while len(next_gen) < size:
+                    next_gen.append(ranked[i % size].copy())
+                    i += 1
+                members[:] = next_gen
+                raise
+            members[:] = next_gen
             if obj.used == used and self._stalled(members, bounds):
                 return
 
@@ -344,52 +453,6 @@ class GeneticAlgorithm(InnerOptimizer):
         pickable = ranked[:size - min(p.tournament_size, size) + 1]
         return all(m.position == pickable[0].position for m in pickable)
 
-    def _generation(self, members, tracker, obj, bounds, rng):
-        p = self.params
-        size = len(members)
-        dim = len(members[0].position)
-        mutation_rate = p.mutation_rate if p.mutation_rate is not None else 1.0 / dim
-        sigma = [p.mutation_sigma_fraction * w for w in _widths(bounds)]
-        ranked = sorted(members, key=lambda m: m.cost)
-        n_elite = min(p.elitism, size)
-        next_gen = [ranked[i].copy() for i in range(n_elite)]
-        try:
-            while len(next_gen) < size:
-                parent1 = self._tournament(ranked, rng)
-                if rng.random() < p.crossover_rate:
-                    parent2 = self._tournament(ranked, rng)
-                    draws = [rng.uniform(-p.blend_alpha, 1.0 + p.blend_alpha)
-                             for _ in range(dim)]
-                    child = blend_crossover(parent1.position, parent2.position,
-                                            p.blend_alpha, draws)
-                else:
-                    child = list(parent1.position)
-                mutated = False
-                for d in range(dim):
-                    if rng.random() < mutation_rate:
-                        child[d] += rng.gauss(0.0, sigma[d])
-                        mutated = True
-                child = clamp_to_bounds(child, bounds)
-                if not mutated and child == list(parent1.position) and parent1.cost is not None:
-                    # untouched clone: reuse the parent's cost, no budget spent
-                    next_gen.append(Individual(child, parent1.cost))
-                    continue
-                next_gen.append(Individual(child, tracker.evaluate(obj, child)))
-        except BudgetExhausted:
-            # partial generation: fill remaining slots with the best parents
-            i = 0
-            while len(next_gen) < size:
-                next_gen.append(ranked[i % size].copy())
-                i += 1
-            members[:] = next_gen
-            raise
-        members[:] = next_gen
-
-    def _tournament(self, ranked, rng):
-        size = min(self.params.tournament_size, len(ranked))
-        picks = rng.sample(range(len(ranked)), size)
-        return ranked[min(picks)]  # ranked is sorted by cost
-
 
 class DifferentialEvolution(InnerOptimizer):
     """DE rand/1/bin with greedy one-to-one replacement."""
@@ -399,37 +462,45 @@ class DifferentialEvolution(InnerOptimizer):
 
     def _evolve(self, members, tracker, obj, bounds, rng):
         p = self.params
+        evaluate = obj.evaluate
+        random = rng.random
+        randbelow = rng._randbelow  # randrange(n) for n >= 1
+        weight = p.weight
+        crossover_rate = p.crossover_rate
         size = len(members)
         dim = len(members[0].position)
         while obj.remaining > 0:
             for i in range(size):
-                r1, r2, r3 = self._pick_three(size, i, rng)
+                r1, r2, r3 = self._pick_three(size, i, rng, randbelow)
                 base = members[r1].position
                 va = members[r2].position
                 vb = members[r3].position
-                j_rand = rng.randrange(dim)
+                j_rand = randbelow(dim)
                 trial = list(members[i].position)
                 for d in range(dim):
-                    if d == j_rand or rng.random() < p.crossover_rate:
+                    if d == j_rand or random() < crossover_rate:
                         lo, hi = bounds[d]
-                        v = base[d] + p.weight * (va[d] - vb[d])
+                        v = base[d] + weight * (va[d] - vb[d])
                         trial[d] = lo if v < lo else hi if v > hi else v
-                c = tracker.evaluate(obj, trial)
+                c = evaluate(trial)
+                if c < tracker.best_cost:
+                    tracker.best_cost = c
+                    tracker.best_position = list(trial)
                 if c <= members[i].cost:
                     members[i] = Individual(trial, c)
 
     @staticmethod
-    def _pick_three(size, exclude, rng):
+    def _pick_three(size, exclude, rng, randbelow):
         if size < 4:
             # tiny populations: sample with the target only excluded where possible
             pool = [j for j in range(size) if j != exclude] or [exclude]
             return (rng.choice(pool), rng.choice(pool), rng.choice(pool))
         picks = []
         while len(picks) < 3:
-            j = rng.randrange(size)
+            j = randbelow(size)
             if j != exclude and j not in picks:
                 picks.append(j)
-        return tuple(picks)
+        return picks
 
 
 class BacterialForaging(InnerOptimizer):
@@ -441,40 +512,41 @@ class BacterialForaging(InnerOptimizer):
     params = BfoParams()
 
     def _evolve(self, members, tracker, obj, bounds, rng):
-        while obj.remaining > 0:
-            self._cycle(members, tracker, obj, bounds, rng)
-
-    def _cycle(self, members, tracker, obj, bounds, rng):
         p = self.params
-        dim = len(members[0].position)
         step = [p.step_fraction * w for w in _widths(bounds)]
-        for _ in range(p.elimination_dispersal_steps):
-            for _ in range(p.reproduction_steps):
-                for _ in range(p.chemotaxis_steps):
-                    for i in range(len(members)):
-                        members[i] = self._chemotax(members[i], tracker, obj,
-                                                    bounds, rng, step, dim)
-                members[:] = bfo_reproduce(members)
-            self._disperse(members, tracker, obj, bounds, rng)
+        while obj.remaining > 0:
+            for _ in range(p.elimination_dispersal_steps):
+                for _ in range(p.reproduction_steps):
+                    for _ in range(p.chemotaxis_steps):
+                        for i in range(len(members)):
+                            members[i] = self._chemotax(members[i], tracker, obj,
+                                                        bounds, rng, step)
+                    members[:] = bfo_reproduce(members)
+                self._disperse(members, tracker, obj, bounds, rng)
 
-    def _chemotax(self, bacterium, tracker, obj, bounds, rng, step, dim):
-        direction = tumble_direction(rng, dim)
+    def _chemotax(self, bacterium, tracker, obj, bounds, rng, step):
+        """One tumble, then up to ``swim_length`` swims along the same direction
+        while each move improves. The tumble is always kept; a swim only when
+        it improves."""
+        evaluate = obj.evaluate
+        delta = [s * d for s, d in zip(step, tumble_direction(rng, len(step)))]
         position = bacterium.position
         last_cost = bacterium.cost
-        moved = clamp_to_bounds(
-            [v + s * d for v, s, d in zip(position, step, direction)], bounds)
-        cost = tracker.evaluate(obj, moved)
-        bacterium = Individual(moved, cost)
-        swims = 0
-        while cost < last_cost and swims < self.params.swim_length:
-            last_cost = cost
-            moved = clamp_to_bounds(
-                [v + s * d for v, s, d in zip(bacterium.position, step, direction)],
-                bounds)
-            cost = tracker.evaluate(obj, moved)
-            if cost < last_cost:
+        for swim in range(self.params.swim_length + 1):
+            moved = []
+            for v, dv, (lo, hi) in zip(position, delta, bounds):
+                v += dv
+                moved.append(lo if v < lo else hi if v > hi else v)
+            cost = evaluate(moved)
+            if cost < tracker.best_cost:
+                tracker.best_cost = cost
+                tracker.best_position = list(moved)
+            if swim == 0 or cost < last_cost:
                 bacterium = Individual(moved, cost)
-            swims += 1
+            if cost >= last_cost:
+                break
+            last_cost = cost
+            position = moved
         return bacterium
 
     def _disperse(self, members, tracker, obj, bounds, rng) -> int:

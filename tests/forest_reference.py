@@ -47,7 +47,11 @@ def gini_best_split(column, y, n_classes):
     gini_right = 1.0 - ((rc / n_right[:, None]) ** 2).sum(axis=1)
     weighted = (n_left * gini_left + n_right * gini_right) / n
     best = int(np.argmin(weighted))
-    threshold = 0.5 * (values[change[best]] + values[change[best] + 1])
+    below, above = values[change[best]], values[change[best] + 1]
+    with np.errstate(over="ignore"):
+        threshold = 0.5 * (below + above)
+    if np.isinf(threshold):  # the sum passed the float maximum
+        threshold = 0.5 * below + 0.5 * above
     return float(weighted[best]), float(threshold)
 
 

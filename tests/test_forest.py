@@ -82,6 +82,23 @@ class TestGiniSplit:
         assert np.isinf(gini[2]) and np.isnan(threshold[2])  # a segment with no rows
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_threshold_of_values_past_half_the_float_maximum(self, sign):
+        # 1e308 + 1.5e308 overflows: the midpoint must still fall between them
+        column = sign * np.array([1.0e308, 1.0e308, 1.5e308, 1.5e308])
+        y = np.array([0, 0, 1, 1])
+        gini, threshold = best_split(column, y, 2)
+        assert gini == 0.0
+        assert np.isfinite(threshold) and column.min() < threshold < column.max()
+        params = ForestParams(n_trees=1, max_depth=1, bootstrap=False, feature_rule="all")
+        forest = RandomForest(params, seed=0).fit(column[:, None], y)
+        root = forest.roots[0]
+        assert np.isfinite(forest.threshold[root])
+        assert (column > forest.threshold[root]).sum() == 2  # the right leaf holds rows
+        assert forest.predict(column[:, None]).tolist() == y.tolist()
+        assert preorder(forest) == ReferenceForest(params, seed=0).fit(column[:, None], y).preorder()
+
+
 class TestDecisionTree:
     def test_fits_separable_data_exactly(self):
         x, y = separable_data()

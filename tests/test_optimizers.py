@@ -4,7 +4,7 @@ import math
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chmopt import (
@@ -16,7 +16,6 @@ from chmopt import (
     SeededRng,
     bfo_reproduce,
     blend_crossover,
-    de_mutate,
     evaluate_population,
     get_benchmark,
     make_optimizer,
@@ -26,7 +25,13 @@ from chmopt import (
     tumble_direction,
 )
 from chmopt.harness import ExperimentPlan, run_cell
-from chmopt.optimizers import OPTIMIZER_NAMES, BfoParams, DeParams, SaParams
+from chmopt.optimizers import (
+    OPTIMIZER_NAMES,
+    BfoParams,
+    DeParams,
+    SaParams,
+    _lowest_of_sample,
+)
 
 from conftest import sphere
 
@@ -35,17 +40,6 @@ def evaluated_population(size, bounds, seed, fn=sphere):
     pop = random_population(size, bounds, SeededRng(seed))
     evaluate_population(pop, BudgetedObjective(fn, size))
     return pop
-
-
-class TestDeMutate:
-    def test_scaled_difference(self):
-        assert de_mutate((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), 0.8) == [0.8, 0.8]
-
-    def test_equal_vectors_leave_base(self):
-        assert de_mutate((2.0, 3.0), (1.5, -1.0), (1.5, -1.0), 0.7) == [2.0, 3.0]
-
-    def test_zero_weight_leaves_base(self):
-        assert de_mutate((2.0, 3.0), (9.0, 9.0), (-9.0, 0.0), 0.0) == [2.0, 3.0]
 
 
 class TestPsoVelocityUpdate:
@@ -269,6 +263,13 @@ class TestRunContracts:
         make_optimizer(kind).run(pop, obj, self.bounds, SeededRng(3))
         assert obj.used == obj.cap
 
+    def test_bounds_of_another_dimension_rejected(self, kind):
+        pop = evaluated_population(5, self.bounds, 4)
+        for bounds in (self.bounds[:1], self.bounds * 2):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                make_optimizer(kind).run(pop, BudgetedObjective(sphere, 10), bounds,
+                                         SeededRng(5))
+
     def test_zero_budget_returns_population_unchanged(self, kind):
         pop = evaluated_population(5, self.bounds, 4)
         out = make_optimizer(kind).run(pop, BudgetedObjective(sphere, 0),
@@ -412,3 +413,49 @@ def test_all_optimizers_bit_exact_pin():
                     digest.update(repr(([(m.position, m.cost) for m in out],
                                         obj.used)).encode())
     assert digest.hexdigest() == "f8ff4b4a9e958ce534cbf8f5e3d84237b9f017849773b1c5ea1e6d4cfef39f92"
+
+
+def test_large_population_bit_exact_pin():
+    # frozen-seed anchor for the draw paths the pin above never reaches: GA
+    # tournaments over populations past 21 (random.sample's rejection path)
+    # and of more than 5 picks, and DE's three-member choice path. The digest
+    # was recorded while the tournament still called random.sample.
+    digest = hashlib.sha256()
+    for name in ("matyas", "rastrigin", "ackley02", "bird"):
+        spec = get_benchmark(name)
+        for seed in range(2):
+            cases = [("ga", dict(tournament_size=t), size, 6 * size)
+                     for size in (22, 40) for t in (2, 3, 7)]
+            cases += [("de", {}, 3, 60), ("de", {}, 30, 300)]
+            for kind, overrides, size, cap in cases:
+                pop = random_population(size, spec.bounds, SeededRng(seed))
+                evaluate_population(pop, BudgetedObjective(spec.formula, size))
+                obj = BudgetedObjective(spec.formula, cap)
+                out = make_optimizer(kind, **overrides).run(pop, obj, spec.bounds,
+                                                            SeededRng(seed + 100))
+                digest.update(repr(([(m.position, m.cost) for m in out],
+                                    obj.used)).encode())
+    assert digest.hexdigest() == "49b8a52742c9a6ef3a7626a347039fd217234ab747da9d12b3601757cb014d1d"
+
+
+@st.composite
+def sample_shapes(draw):
+    """(n, k): k of n indices, as many as a tournament over n members picks."""
+    n = draw(st.integers(1, 64))
+    return n, draw(st.integers(1, min(n, 10)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=sample_shapes(), seed=st.integers(0, 2 ** 64))
+@example(shape=(20, 2), seed=0)  # the default tournament, from the pool
+@example(shape=(21, 5), seed=1)  # the largest pool for up to 5 picks
+@example(shape=(22, 2), seed=2)  # the smallest rejection path
+@example(shape=(64, 10), seed=3)  # more than 5 picks: the pool again
+def test_tournament_draws_match_random_sample(shape, seed):
+    # the GA tournament must make the randbelow calls random.sample makes;
+    # a CPython release that changes sample fails here
+    n, k = shape
+    expected_rng, rng = SeededRng(seed), SeededRng(seed)
+    expected = min(expected_rng.sample(range(n), k))
+    assert _lowest_of_sample(rng._randbelow, n, k) == expected
+    assert rng.getstate() == expected_rng.getstate()
