@@ -7,7 +7,7 @@ hand-copied), a landscape bucket and the bucket's default evaluation budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import SeededRng, Vector, format_table
@@ -328,11 +328,6 @@ def eval_benchmark(spec: BenchmarkSpec, x: Vector) -> float:
         if not math.isfinite(v):
             raise ValueError(f"non-finite coordinate in {list(x)!r}")
     return spec.formula(x)
-
-
-def with_optimum(spec: BenchmarkSpec, optimum) -> BenchmarkSpec:
-    """Copy of a spec with a different optimum (negative-control testing hook)."""
-    return replace(spec, optimum=tuple(optimum), reference_value=spec.formula(tuple(optimum)))
 
 
 def local_minimality_check(spec: BenchmarkSpec, radius: float = 1e-3,

@@ -156,6 +156,35 @@ class BudgetedObjective:
 
     __call__ = evaluate
 
+    def evaluate_many(self, points) -> list[float]:
+        """Values of the longest prefix of ``points`` the budget allows, in order.
+
+        Counts as a loop of ``evaluate`` over that prefix would: on a
+        non-finite value, ``used`` stops at that point and NonFiniteValue names
+        it. An objective with an ``evaluate_many`` method gets the prefix in
+        one call; a plain callable is called point by point.
+        """
+        points = points[:self.cap - self.used]
+        batch = getattr(self.fn, "evaluate_many", None)
+        if batch is None:
+            fn = self.fn
+            values = []
+            for x in points:
+                self.used += 1
+                value = fn(x)
+                if not math.isfinite(value):
+                    raise NonFiniteValue(x, value)
+                values.append(value)
+            return values
+        start = self.used
+        self.used += len(points)
+        values = batch(points) if points else []
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                self.used = start + i + 1
+                raise NonFiniteValue(points[i], value)
+        return values
+
 
 def fitness(candidate_value: float, reference_value: float) -> float:
     """Absolute gap between a candidate's objective value and the known optimum value."""
@@ -208,8 +237,11 @@ def random_population(size: int, bounds: Bounds, rng: random.Random) -> Populati
 
 
 def evaluate_population(pop: Population, obj: BudgetedObjective) -> Population:
-    """Fill in costs for members that do not have one yet."""
-    for m in pop.members:
-        if m.cost is None:
-            m.cost = obj.evaluate(m.position)
+    """Fill in costs for members that do not have one yet, as one batch."""
+    pending = [m for m in pop.members if m.cost is None]
+    values = obj.evaluate_many([m.position for m in pending])
+    for m, value in zip(pending, values):
+        m.cost = value
+    if len(values) < len(pending):
+        raise BudgetExhausted(f"evaluation budget of {obj.cap} exhausted")
     return pop

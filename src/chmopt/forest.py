@@ -4,13 +4,14 @@ Small and deterministic on purpose: trees are grown with a seeded generator
 each, so the same (data, seed) pair always yields the same predictions. Scope
 is what the feature-selection cost function needs, nothing more.
 
-The trees of one fit grow together. A tree draws one candidate permutation
-per node it tries to split, in pre-order, so each tree grows depth-first; but
-trees are independent, so every step takes the next pre-order node of each
-tree that still has one and scores all of their candidate columns in one
-batched numpy pass. A fitted forest is a set of flat pre-order node arrays
-(feature, threshold, left, right, prediction), and ``predict`` walks every
-tree for every row at once, one level per step.
+The trees of one fit grow together, and ``fit_forests`` grows the trees of
+several forests (each on its own subset of the columns) together too. A tree
+draws one candidate permutation per node it tries to split, in pre-order, so
+each tree grows depth-first; but trees are independent, so every step takes
+the next pre-order node of each tree that still has one and scores all of
+their candidate columns in batched numpy passes. A fitted forest is a set of
+flat pre-order node arrays (feature, threshold, left, right, prediction), and
+``predict`` walks every tree for every row at once, one level per step.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import is_integer, mix_seed
 
-_PASS_COUNTS = 16384  # (row, candidate, class) prefix counts one scoring pass aims to hold
+_PASS_COUNTS = 65536  # (row, candidate, class) prefix counts one scoring pass aims to hold
 _DRAWS = 32  # candidate permutations drawn from a tree's generator at a time
 _HALF_MAX = 2.0 ** 1023  # two floats below this in magnitude have a finite sum
 
@@ -182,10 +183,7 @@ class RandomForest:
 
     def fit(self, X, y):
         X, y = _validated(X, y)
-        self.n_classes = int(y.max()) + 1
-        self.n_features = X.shape[1]
-        (self.roots, self.feature, self.threshold, self.left, self.right,
-         self.prediction, self.depth) = _Grower(self, X, y).grow()
+        _Grower([self], X, y, [np.arange(X.shape[1])]).grow()
         return self
 
     def predict(self, X):
@@ -211,58 +209,123 @@ class RandomForest:
         return float(np.mean(self.predict(X) == y))
 
 
-class _Grower:
-    """The trees of one fit, grown together one pre-order node per tree per step.
+def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[RandomForest]:
+    """One forest per (column subset, seed), all grown in one pass.
 
-    As many trees grow at a time as keep the (row, candidate, class) triples
-    of their roots within ``_PASS_COUNTS``, at least one; when one finishes,
-    the next starts. A step whose nodes hold more triples scores their
-    candidates a few columns per pass, so a pass holds at most
-    max(``_PASS_COUNTS``, rows x classes) prefix counts. A tree's nodes are
-    handled at consecutive steps from the step it starts, so its ``s``-th
-    step handles its ``s``-th node in pre-order: a split node's left child is
-    the next node of its tree, and the right child's stack entry carries its
-    parent's node id.
+    Forest ``i`` is node for node ``RandomForest(params, seeds[i]).fit(X[:,
+    column_subsets[i]], y)``: its features index its own subset.
+    """
+    X, y = _validated(X, y)
+    subsets = [np.asarray(s) for s in column_subsets]
+    if len(subsets) != len(seeds):
+        raise ValueError(f"{len(subsets)} column subsets for {len(seeds)} seeds")
+    for s in subsets:
+        if (s.ndim != 1 or len(s) == 0 or s.dtype.kind not in "iu" or s.min() < 0
+                or s.max() >= X.shape[1] or len(np.unique(s)) < len(s)):
+            raise ValueError(f"a column subset must list distinct column indices below "
+                             f"{X.shape[1]}, got {s.tolist()!r}")
+    forests = [RandomForest(params, seed) for seed in seeds]
+    if forests:
+        _Grower(forests, X, y, subsets).grow()
+    return forests
+
+
+def _passes(sizes, n_rows, k, n_classes):
+    """Scoring passes over nodes of ``sizes`` rows each, ``n_rows`` in all.
+
+    Consecutive nodes share a pass while their rows x ``k`` candidates x
+    classes stay within ``_PASS_COUNTS``; a node past that alone is scored a
+    few candidates per pass. Returns (first node, end node, first row, end
+    row, first candidate, candidates) per pass.
+    """
+    if n_rows * k * n_classes <= _PASS_COUNTS:
+        return [(0, len(sizes), 0, n_rows, 0, k)]
+    start = np.concatenate(([0], sizes.cumsum()))
+    passes, a = [], 0
+    while a < len(sizes):
+        b = max(a + 1, int(start.searchsorted(start[a] + _PASS_COUNTS // (k * n_classes),
+                                              side="right")) - 1)
+        w = max(1, _PASS_COUNTS // (int(start[b] - start[a]) * n_classes))
+        passes.extend((a, b, start[a], start[b], j, min(w, k - j)) for j in range(0, k, w))
+        a = b
+    return passes
+
+
+class _Grower:
+    """The trees of one or more forests, grown together one pre-order node per
+    tree per step.
+
+    Trees are admitted in order while their roots' (row, class) counts stay
+    within ``_PASS_COUNTS``, at least one; when one finishes, the next starts.
+    A step scores its nodes' candidates in passes (see ``_passes``), so a pass
+    holds at most max(``_PASS_COUNTS``, rows x classes) prefix counts. A
+    tree's nodes are handled at consecutive steps from the step it starts, so
+    its ``s``-th step handles its ``s``-th node in pre-order: a split node's
+    left child is the next node of its tree, and the right child's stack
+    entry carries its parent's node id. Each tree keeps its forest's column
+    map and candidate count and its own generators. Candidates are columns of
+    ``X`` until ``assemble`` maps them back to each forest's own; candidate
+    lists shorter than the longest are padded with -1, which no pass scores.
     """
 
-    def __init__(self, forest, X, y):
-        self.params, self.n_classes, self.X, self.y = forest.params, forest.n_classes, X, y
-        # each column's values as dense ranks into one table of sorted distinct values
-        self.ranks = np.empty(X.shape, dtype=np.int64)
+    def __init__(self, forests, X, y, subsets):
+        self.forests, self.subsets, self.X, self.y = forests, subsets, X, y
+        self.params = params = forests[0].params
+        self.n_classes = int(y.max()) + 1
+        # each used column's values as dense ranks into one table of sorted distinct values
+        self.ranks = np.zeros(X.shape, dtype=np.int64)
         values, offset = [], 0
-        for j in range(X.shape[1]):
+        for j in np.unique(np.concatenate(subsets)).tolist():
             uniq, inverse = np.unique(X[:, j], return_inverse=True)
             self.ranks[:, j] = inverse + offset
             values.append(uniq)
             offset += len(uniq)
         self.values = np.concatenate(values)
         self.n_ranks = len(self.values)
-        self.k = self.params.n_candidates(X.shape[1])
-        trees = range(self.params.n_trees)
-        self.tile = np.tile(np.arange(X.shape[1]), (_DRAWS, 1))
-        self.rngs = [np.random.default_rng(mix_seed(forest.seed, "tree", t)) for t in trees]
-        self.perms = np.stack([rng.permuted(self.tile, axis=1) for rng in self.rngs])
+        n_trees = params.n_trees
+        self.forest_k = [params.n_candidates(len(s)) for s in subsets]
+        self.k = max(self.forest_k)
+        self.padded = min(self.forest_k) < self.k
+        # each forest's own index of a column of X; index -1 gives -1
+        self.own_index = np.full((len(forests), X.shape[1] + 1), -1, dtype=np.int64)
+        for f, s in enumerate(subsets):
+            self.own_index[f, s] = np.arange(len(s))
+        self.tiles = [np.tile(np.arange(len(s)), (_DRAWS, 1)) for s in subsets]
+        self.forest = np.arange(len(forests)).repeat(n_trees)  # of each tree
+        self.rngs = [np.random.default_rng(mix_seed(forest.seed, "tree", t))
+                     for forest in forests for t in range(n_trees)]
+        self.perms = np.full((len(self.rngs), _DRAWS, self.k), -1, dtype=np.int64)
+        for t in range(len(self.rngs)):
+            self.refill(t)
         self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
         self.stacks = []  # pending (rows, depth, parent id if a right child else -1)
-        for t in trees:
-            if self.params.bootstrap:
-                rng = np.random.default_rng(mix_seed(forest.seed, "bootstrap", t))
-                rows = rng.integers(0, len(X), size=len(X))
-            else:
-                rows = np.arange(len(X))
-            self.stacks.append([(rows, 0, -1)])
+        for forest in forests:
+            for t in range(n_trees):
+                if params.bootstrap:
+                    rng = np.random.default_rng(mix_seed(forest.seed, "bootstrap", t))
+                    rows = rng.integers(0, len(X), size=len(X))
+                else:
+                    rows = np.arange(len(X))
+                self.stacks.append([(rows, 0, -1)])
+
+    def refill(self, t):
+        """A fresh batch of candidate permutations for tree ``t``: the first
+        ``k`` columns of each."""
+        f = self.forest[t]
+        k = self.forest_k[f]
+        self.perms[t, :, :k] = self.subsets[f][self.rngs[t].permuted(self.tiles[f], axis=1)[:, :k]]
 
     def candidates(self, trees):
         """Next candidate features (first ``k`` of a fresh permutation) of each tree."""
-        cand = self.perms[trees, self.drawn[trees], :self.k]
+        cand = self.perms[trees, self.drawn[trees]]
         self.drawn[trees] += 1
         for t in trees[self.drawn[trees] == _DRAWS]:
-            self.perms[t] = self.rngs[t].permuted(self.tile, axis=1)
+            self.refill(t)
             self.drawn[t] = 0
         return cand
 
     def grow(self):
-        width = max(1, _PASS_COUNTS // (len(self.X) * self.k * self.n_classes))
+        width = max(1, _PASS_COUNTS // (len(self.X) * self.n_classes))
         waiting = list(range(len(self.stacks)))[::-1]
         first_step = np.zeros(len(self.stacks), dtype=np.int64)
         active, steps = [], []
@@ -278,11 +341,11 @@ class _Grower:
             steps.append((trees, node_id, depth, parent)
                          + self.step(trees, node_id, depth, entries))
             active = [t for t in active if self.stacks[t]]
-        return self.assemble(steps)
+        self.assemble(steps)
 
     def step(self, trees, node_id, depth, entries):
         """Handle the next node of each tree: (feature, threshold, prediction) per node."""
-        params, C, k = self.params, self.n_classes, self.k
+        params, C = self.params, self.n_classes
         sizes = np.array([len(e[0]) for e in entries])
         rows = np.concatenate([e[0] for e in entries])
         node = np.arange(len(trees)).repeat(sizes)
@@ -299,15 +362,15 @@ class _Grower:
             split_rows = np.concatenate([entries[a][0] for a in tries.tolist()])
             owner = np.arange(len(tries)).repeat(sizes[tries])
             label = self.y.take(split_rows)[:, None]
-            gini, thr = np.empty((len(tries), k)), np.empty((len(tries), k))
-            width = max(1, _PASS_COUNTS // (len(split_rows) * C))  # candidates per pass
-            for j in range(0, k, width):
-                cols = cand[owner, j:j + width]
-                w = cols.shape[1]
-                key = _split_keys(owner[:, None] * w + np.arange(w),
-                                  self.ranks[split_rows[:, None], cols], label, self.n_ranks, C)
-                g, t = _best_splits(key.ravel(), len(tries) * w, self.n_ranks, C, self.values)
-                gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
+            gini, thr = np.empty(cand.shape), np.empty(cand.shape)
+            for a, b, lo, hi, j, w in _passes(sizes[tries], len(split_rows), self.k, C):
+                cols = cand[owner[lo:hi], j:j + w]
+                key = _split_keys(owner[lo:hi, None] * w + np.arange(-a * w, (1 - a) * w),
+                                  self.ranks[split_rows[lo:hi, None], cols], label[lo:hi],
+                                  self.n_ranks, C)
+                key = key[cols >= 0] if self.padded else key.ravel()
+                g, t = _best_splits(key, (b - a) * w, self.n_ranks, C, self.values)
+                gini[a:b, j:j + w], thr[a:b, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
             pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
             at = np.arange(len(tries))
             ok = np.isfinite(gini[at, pick])
@@ -336,17 +399,29 @@ class _Grower:
             stack.append((left[left_at[a]:left_at[a + 1]], depth[a] + 1, -1))
 
     def assemble(self, steps):
-        """(roots, feature, threshold, left, right, prediction, depth) of the forest."""
+        """Set each forest's flat node arrays from the nodes of all steps."""
         tree, node_id, depth, parent, feature, threshold, prediction = (
             np.concatenate(column) for column in zip(*steps))
         roots = np.concatenate(([0], np.bincount(tree).cumsum()[:-1]))
         at = roots[tree] + node_id
         order = at.argsort()
-        feature, threshold, prediction = feature[order], threshold[order], prediction[order]
+        feature, threshold = feature[order], threshold[order]
+        prediction, depth = prediction[order], depth[order]
         nodes = np.arange(len(at))
         right = nodes.copy()
         is_right = parent >= 0
         right[roots[tree[is_right]] + parent[is_right]] = at[is_right]
         # a split node's left child comes next in pre-order; a leaf is its own child
-        return (roots, feature, threshold, nodes + (feature >= 0), right, prediction,
-                int(depth.max()))
+        left = nodes + (feature >= 0)
+        feature = self.own_index[self.forest[tree[order]], feature]
+        n_trees = self.params.n_trees
+        ends = np.append(roots[::n_trees][1:], len(nodes))
+        for f, forest in enumerate(self.forests):
+            first, end = roots[f * n_trees], ends[f]
+            forest.n_classes = self.n_classes
+            forest.n_features = len(self.subsets[f])
+            forest.roots = roots[f * n_trees:(f + 1) * n_trees] - first
+            forest.left, forest.right = left[first:end] - first, right[first:end] - first
+            forest.feature, forest.threshold = feature[first:end], threshold[first:end]
+            forest.prediction = prediction[first:end]
+            forest.depth = int(depth[first:end].max())

@@ -19,7 +19,7 @@ import numpy as np
 # unused here, kept importable: span tracers patch these two module attributes
 from .chm import chm_run, run_segmented  # noqa: F401
 from .core import SeededRng, format_table, mix_seed, population_std
-from .forest import ForestParams, RandomForest
+from .forest import ForestParams, RandomForest, fit_forests
 from .harness import ALL_METHODS, run_method
 
 BASELINE_METHOD = "none"
@@ -202,7 +202,7 @@ def fs_cost(mask, train: Dataset, validation: Dataset,
     mask = tuple(bool(m) for m in mask)
     if not any(mask):
         return 1.0
-    columns = [i for i, keep in enumerate(mask) if keep]
+    columns = _columns(mask)
     X_train = train.features[:, columns]
     X_val = validation.features[:, columns]
     classes = np.unique(train.labels)
@@ -213,12 +213,18 @@ def fs_cost(mask, train: Dataset, validation: Dataset,
     return 1.0 - forest.accuracy(X_val, validation.labels)
 
 
+def _columns(mask) -> list[int]:
+    return [i for i, keep in enumerate(mask) if keep]
+
+
 class _CachedMaskObjective:
     """Search-time cost of a mask position, cached per decoded mask.
 
     The search space has 2^d distinct masks; repeated evaluations of the same
     mask return the cached error without retraining, while the optimizer's
     budget accounting (which wraps this callable) still counts every call.
+    A batch fits the forests of its new masks together, each exactly as
+    ``fs_cost`` would.
     """
 
     def __init__(self, train, validation, params, seed):
@@ -234,6 +240,22 @@ class _CachedMaskObjective:
             self.cache[mask] = fs_cost(mask, self.train, self.validation,
                                        self.params, mix_seed(self.seed, *mask))
         return self.cache[mask]
+
+    def evaluate_many(self, positions) -> list[float]:
+        masks = [decode_mask(p) for p in positions]
+        new = [m for m in dict.fromkeys(masks) if m not in self.cache]
+        grown = [m for m in new if any(m)] if len(np.unique(self.train.labels)) > 1 else []
+        forests = fit_forests(self.params, self.train.features, self.train.labels,
+                              [_columns(m) for m in grown],
+                              [mix_seed(self.seed, *m) for m in grown])
+        for mask, forest in zip(grown, forests):
+            self.cache[mask] = 1.0 - forest.accuracy(
+                self.validation.features[:, _columns(mask)], self.validation.labels)
+        for mask in new:
+            if mask not in self.cache:  # empty mask or one class: no forest to grow
+                self.cache[mask] = fs_cost(mask, self.train, self.validation,
+                                           self.params, mix_seed(self.seed, *mask))
+        return [self.cache[m] for m in masks]
 
 
 @dataclass(frozen=True)
@@ -397,10 +419,3 @@ def make_synthetic_dataset(n_rows: int = 300, n_noise: int = 9,
     return Dataset(features=features, labels=labels, feature_names=names,
                    label_name="label")
 
-
-def write_dataset_csv(dataset: Dataset, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [dataset.label_name])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

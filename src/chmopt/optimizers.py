@@ -8,7 +8,11 @@ best-so-far tracking and the elitist finalize; a method only writes
 evaluation in the tracker and leaves in ``members`` the population to return
 (PSO its personal bests, SA its chain bests). The hot loops inline the
 tracker's update and the clamp to the box, and bind the RNG and objective
-methods they call to locals. Trajectories are pinned bit-exactly by the
+methods they call to locals. Where a method draws a whole batch of points
+before it reads any of their costs (an SA sweep, a GA generation, BFO
+dispersal), it draws the batch first and evaluates it with one
+``evaluate_many``; PSO, DE and BFO chemotaxis read each cost before the next
+draw and evaluate point by point. Trajectories are pinned bit-exactly by the
 tests, so any rewrite must keep every RNG call and its order. Auxiliary
 state (velocities, temperatures, bacterial health) is rebuilt from the
 incoming population and the RNG on every call, so populations transfer
@@ -186,7 +190,7 @@ def bfo_reproduce(members: list[Individual]) -> list[Individual]:
 class _BestTracker:
     """Tracks the best (position, cost) over every evaluation an optimizer makes.
 
-    The ``_evolve`` hot loops inline ``evaluate``: an improvement stores a
+    The ``_evolve`` hot loops inline its update: an improvement stores a
     copy of the position and its cost."""
 
     __slots__ = ("best_position", "best_cost")
@@ -196,12 +200,20 @@ class _BestTracker:
         self.best_position = list(best.position)
         self.best_cost = best.cost
 
+    def evaluate_many(self, obj: BudgetedObjective, points) -> list[float]:
+        """``obj.evaluate_many(points)``, recording each value in order."""
+        values = obj.evaluate_many(points)
+        for x, value in zip(points, values):
+            if value < self.best_cost:
+                self.best_cost = value
+                self.best_position = list(x)
+        return values
+
     def evaluate(self, obj: BudgetedObjective, position) -> float:
-        value = obj.evaluate(position)
-        if value < self.best_cost:
-            self.best_cost = value
-            self.best_position = list(position)
-        return value
+        values = self.evaluate_many(obj, [position])
+        if not values:
+            raise BudgetExhausted(f"evaluation budget of {obj.cap} exhausted")
+        return values[0]
 
     def finalize(self, members) -> Population:
         # elitist guarantee: the best-so-far individual is never lost
@@ -236,6 +248,13 @@ class InnerOptimizer:
 
     def run(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
             rng: SeededRng) -> Population:
+        """Evolve a copy of ``pop`` until ``obj``'s budget is spent.
+
+        The returned population is fixed by the inputs and the state of
+        ``rng`` on entry. The state ``rng`` is left in is not: a batch drawn
+        in full may be evaluated only in part. Callers derive a fresh stream
+        for every run.
+        """
         if obj.remaining <= 0:
             return pop.copy()
         if any(m.cost is None for m in pop.members):
@@ -305,7 +324,7 @@ class SimulatedAnnealing(InnerOptimizer):
 
     def _evolve(self, chain_best, tracker, obj, bounds, rng):
         p = self.params
-        evaluate = obj.evaluate
+        evaluate_many = obj.evaluate_many
         random = rng.random
         gauss = rng.gauss
         sigma = [p.step_fraction * w for w in _widths(bounds)]
@@ -318,19 +337,28 @@ class SimulatedAnnealing(InnerOptimizer):
             spread = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
             temperature = max(spread, p.t0_floor)
         while obj.remaining > 0:
-            for i, cur in enumerate(current):
+            # a sweep's steps and accept draws do not depend on its costs:
+            # draw them all, in the order a chain-by-chain loop would
+            candidates, draws = [], []
+            for cur in current:
                 candidate = []
                 for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
                     v += gauss(0.0, s)
                     candidate.append(lo if v < lo else hi if v > hi else v)
-                c = evaluate(candidate)
+                candidates.append(candidate)
+                draws.append(random())
+            costs = evaluate_many(candidates)
+            for i, c in enumerate(costs):
+                candidate = candidates[i]
                 if c < tracker.best_cost:
                     tracker.best_cost = c
                     tracker.best_position = list(candidate)
-                if sa_accept(c - cur.cost, temperature, random()):
+                if sa_accept(c - current[i].cost, temperature, draws[i]):
                     current[i] = Individual(candidate, c)
                 if c < chain_best[i].cost:
                     chain_best[i] = Individual(candidate, c)
+            if len(costs) < len(candidates):
+                raise BudgetExhausted
             temperature = max(temperature * p.cooling, 1e-12)
 
 
@@ -375,7 +403,7 @@ class GeneticAlgorithm(InnerOptimizer):
 
     def _evolve(self, members, tracker, obj, bounds, rng):
         p = self.params
-        evaluate = obj.evaluate
+        evaluate_many = obj.evaluate_many
         random = rng.random
         gauss = rng.gauss
         randbelow = rng._randbelow
@@ -393,41 +421,50 @@ class GeneticAlgorithm(InnerOptimizer):
             used = obj.used
             ranked = sorted(members, key=lambda m: m.cost)
             next_gen = [ranked[i].copy() for i in range(n_elite)]
-            try:
-                while len(next_gen) < size:
-                    # ranked is sorted by cost: the lowest index wins a tournament
-                    parent1 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
-                    if random() < crossover_rate:
-                        parent2 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
-                        child = blend_crossover(parent1.position, parent2.position,
-                                                p.blend_alpha,
-                                                [draw_low + draw_span * random() for _ in dims])
-                    else:
-                        child = list(parent1.position)
-                    mutated = False
-                    for d, (lo, hi) in enumerate(bounds):
-                        v = child[d]
-                        if random() < mutation_rate:
-                            v += gauss(0.0, sigma[d])
-                            mutated = True
-                        child[d] = lo if v < lo else hi if v > hi else v
-                    if not mutated and child == parent1.position:
-                        # untouched clone: reuse the parent's cost, no budget spent
-                        next_gen.append(Individual(child, parent1.cost))
-                        continue
-                    c = evaluate(child)
+            # a generation's draws do not depend on its children's costs: draw
+            # every child first; an untouched clone keeps its parent's cost
+            children, points = [], []
+            for _ in range(size - n_elite):
+                # ranked is sorted by cost: the lowest index wins a tournament
+                parent1 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                if random() < crossover_rate:
+                    parent2 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                    child = blend_crossover(parent1.position, parent2.position,
+                                            p.blend_alpha,
+                                            [draw_low + draw_span * random() for _ in dims])
+                else:
+                    child = list(parent1.position)
+                mutated = False
+                for d, (lo, hi) in enumerate(bounds):
+                    v = child[d]
+                    if random() < mutation_rate:
+                        v += gauss(0.0, sigma[d])
+                        mutated = True
+                    child[d] = lo if v < lo else hi if v > hi else v
+                if not mutated and child == parent1.position:
+                    children.append((child, parent1.cost))  # no budget spent
+                else:
+                    children.append((child, None))
+                    points.append(child)
+            costs = evaluate_many(points)
+            paid = iter(costs)
+            for child, c in children:
+                if c is None:
+                    c = next(paid, None)
+                    if c is None:
+                        break  # the budget ran out before this child
                     if c < tracker.best_cost:
                         tracker.best_cost = c
                         tracker.best_position = list(child)
-                    next_gen.append(Individual(child, c))
-            except BudgetExhausted:
+                next_gen.append(Individual(child, c))
+            if len(costs) < len(points):
                 # partial generation: fill remaining slots with the best parents
                 i = 0
                 while len(next_gen) < size:
                     next_gen.append(ranked[i % size].copy())
                     i += 1
                 members[:] = next_gen
-                raise
+                raise BudgetExhausted
             members[:] = next_gen
             if obj.used == used and self._stalled(members, bounds):
                 return
@@ -550,13 +587,17 @@ class BacterialForaging(InnerOptimizer):
         return bacterium
 
     def _disperse(self, members, tracker, obj, bounds, rng) -> int:
-        dispersed = 0
-        for i in range(len(members)):
-            if rng.random() < self.params.dispersal_probability:
-                position = random_position(bounds, rng)
-                members[i] = Individual(position, tracker.evaluate(obj, position))
-                dispersed += 1
-        return dispersed
+        """Move each bacterium with the dispersal probability to a uniform
+        random point; all draws come first, then one batch evaluation."""
+        random = rng.random
+        p = self.params.dispersal_probability
+        moves = [(i, random_position(bounds, rng)) for i in range(len(members)) if random() < p]
+        costs = tracker.evaluate_many(obj, [x for _, x in moves])
+        for (i, x), c in zip(moves, costs):
+            members[i] = Individual(x, c)
+        if len(costs) < len(moves):
+            raise BudgetExhausted
+        return len(moves)
 
 
 OPTIMIZER_CLASSES = {

@@ -1,10 +1,15 @@
+import math
 import os
 import sys
+
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from chmopt import (  # noqa: E402
+    BudgetExhausted,
     BudgetedObjective,
+    NonFiniteValue,
     SeededRng,
     check_convergence,
     evaluate_population,
@@ -50,3 +55,42 @@ def run_segmented_mirror(optimizer, objective_fn, bounds, seed, *, iterations,
         if check_convergence(history, epsilon, patience):
             break
     return best, pop, best_costs
+
+
+class TableObjective:
+    """Value ``values[i]`` at the point ``[i]``; records every batch it gets."""
+
+    def __init__(self, values):
+        self.values = values
+        self.batches = []
+
+    def __call__(self, x):
+        return self.values[x[0]]
+
+    def evaluate_many(self, points):
+        self.batches.append([x[0] for x in points])
+        return [self.values[x[0]] for x in points]
+
+
+@st.composite
+def evaluation_batches(draw):
+    """(values, cap, spent): a batch of objective values, some non-finite, and
+    a budget of which ``spent`` evaluations are already used."""
+    value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf]))
+    values = draw(st.lists(value, max_size=8))
+    cap = draw(st.integers(0, 10))
+    return values, cap, draw(st.integers(0, cap))
+
+
+def sequential_evaluations(evaluate, points):
+    """What a loop of ``evaluate`` calls over ``points`` gives: the values up
+    to the first point the budget refuses, or the NonFiniteValue it raises."""
+    values = []
+    for x in points:
+        try:
+            values.append(evaluate(x))
+        except BudgetExhausted:
+            break
+        except NonFiniteValue as exc:
+            return values, (exc.position, repr(exc.value))
+    return values, None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from chmopt.benchmarks import (
     HIGHLY_MULTIMODAL,
     REGISTRY,
     SINGLE_BASIN,
-    with_optimum,
 )
 
 
@@ -132,7 +132,9 @@ def test_local_minimality_rosenbrock_tight_radius():
 
 
 def test_local_minimality_rejects_corrupted_optimum():
-    corrupted = with_optimum(get_benchmark("matyas"), (0.5, 0.0))
+    spec = get_benchmark("matyas")
+    corrupted = dataclasses.replace(spec, optimum=(0.5, 0.0),
+                                    reference_value=spec.formula((0.5, 0.0)))
     assert not local_minimality_check(corrupted, 0.1, 1000, SeededRng(1))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from chmopt import make_synthetic_dataset
 from chmopt.cli import main
-from chmopt.fselect import write_dataset_csv
+from dataset_csv import write_dataset_csv
 
 
 def run_cli(capsys, *argv):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from chmopt import (
     BudgetExhausted,
@@ -18,7 +19,7 @@ from chmopt import (
 )
 from chmopt.benchmarks import ackley02, matyas
 
-from conftest import sphere
+from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
 
 
 class TestFitness:
@@ -107,6 +108,33 @@ class TestBudgetedObjective:
             BudgetedObjective(sphere, -1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(evaluation_batches())
+@example(([1.0, 2.0, 3.0, 4.0], 2, 0))  # the cap is hit mid-batch
+@example(([1.0, math.nan, 3.0], 5, 1))  # a non-finite value mid-batch
+@example(([2.0, 1.0, math.inf], 6, 4))  # the cap falls before a non-finite value
+@example(([], 3, 0))  # an empty batch
+@example(([1.0, 2.0], 2, 2))  # no budget left
+def test_evaluate_many_matches_sequential_loop(case):
+    values, cap, spent = case
+    points = [[i] for i in range(len(values))]
+    for batched in (False, True):
+        table = TableObjective(values)
+        fn = table if batched else table.__call__
+        expected_obj, obj = BudgetedObjective(fn, cap), BudgetedObjective(fn, cap)
+        expected_obj.used = obj.used = spent
+        expected, failure = sequential_evaluations(expected_obj.evaluate, points)
+        try:
+            got = obj.evaluate_many(points)
+            assert failure is None and got == expected
+        except NonFiniteValue as exc:
+            assert (exc.position, repr(exc.value)) == failure
+        assert obj.used == expected_obj.used
+        if batched:  # one call with the affordable prefix, none when it is empty
+            prefix = list(range(min(len(values), cap - spent)))
+            assert table.batches == ([prefix] if prefix else [])
+
+
 class TestClamp:
     def test_upper(self):
         assert clamp_to_bounds((3.0,), [(-2.0, 2.0)]) == [2.0]
@@ -175,6 +203,12 @@ class TestPopulation:
         for m in pop:
             for v, (lo, hi) in zip(m.position, bounds):
                 assert lo <= v <= hi
+
+    def test_evaluate_population_fills_what_the_budget_allows(self):
+        pop = Population([Individual([float(i)]) for i in range(4)])
+        with pytest.raises(BudgetExhausted):
+            evaluate_population(pop, BudgetedObjective(sphere, 2))
+        assert [m.cost for m in pop] == [0.0, 1.0, None, None]
 
     def test_evaluate_population_fills_missing_only(self):
         pop = Population([Individual([1.0], cost=5.0), Individual([2.0])])

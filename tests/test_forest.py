@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chmopt import ForestParams, RandomForest
 from chmopt import forest as forest_module
-from chmopt.forest import _best_splits, _split_keys
+from chmopt.forest import _best_splits, _split_keys, fit_forests
 
 
 def separable_data(n=80, seed=0):
@@ -260,17 +260,29 @@ class TestBitIdentical:
         assert pin_digest(lambda p, s: ReferenceForest(p, seed=s),
                           ReferenceForest.preorder) == FOREST_PIN
 
-    @pytest.mark.parametrize("pass_counts, draws",
-                             [(1, 1), (3500, 2), (7000, 7), (30000, 3)])
-    def test_pass_size_and_draw_chunk_do_not_matter(self, monkeypatch, pass_counts, draws):
+    @pytest.mark.parametrize("pass_counts, draws, together",
+                             [(1, 1, 1), (2200, 3, 2), (3500, 2, 3), (7000, 7, 6),
+                              (30000, 3, 7)])
+    def test_pass_size_and_draw_chunk_do_not_matter(self, monkeypatch, pass_counts, draws,
+                                                    together):
         X, y, fresh = pin_data(3, 120, 9, 9, 4)
         params = ForestParams(n_trees=7, max_depth=12, feature_rule="all")
         expected = RandomForest(params, seed=4).fit(X, y)
-        # a root (120 rows, 9 classes) holds 9720 counts: one tree at a time scoring its
-        # 9 candidates 1, 3 or 6 per pass, or three trees at a time in one pass
+        # a root (120 rows, 9 classes) holds 1080 (row, class) counts and 9720
+        # (row, candidate, class) counts: ``together`` trees grow at a time, and
+        # below 9720 a root's 9 candidates are scored 1, 2, 3 or 6 per pass
         monkeypatch.setattr(forest_module, "_PASS_COUNTS", pass_counts)
         monkeypatch.setattr(forest_module, "_DRAWS", draws)
+        widths = []
+        step = forest_module._Grower.step
+
+        def recording_step(grower, trees, *args):
+            widths.append(len(trees))
+            return step(grower, trees, *args)
+
+        monkeypatch.setattr(forest_module._Grower, "step", recording_step)
         forest = RandomForest(params, seed=4).fit(X, y)
+        assert max(widths) == together
         for name in ("roots", "feature", "threshold", "left", "right", "prediction"):
             assert np.array_equal(getattr(forest, name), getattr(expected, name),
                                   equal_nan=True), name
@@ -323,3 +335,82 @@ def test_kernel_matches_reference_forest(case):
                               if (forest.feature >= 0).any() else X[0]])
     for rows in (X, X[::-1] * 0.5, on_thresholds):
         assert np.array_equal(forest.predict(rows), reference.predict(rows))
+
+
+def same_forest(got, expected):
+    for name in ("roots", "feature", "threshold", "left", "right", "prediction"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name), equal_nan=True), name
+    assert (got.depth, got.n_features, got.n_classes) == (
+        expected.depth, expected.n_features, expected.n_classes)
+
+
+@st.composite
+def multi_forest_case(draw):
+    n_rows = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 7))
+    n_classes = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # few distinct values: many ties
+        cell = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+    else:
+        cell = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    params = ForestParams(n_trees=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 7)),
+                          min_samples_split=draw(st.integers(2, 5)),
+                          feature_rule=draw(st.sampled_from(["sqrt", "all"])),
+                          bootstrap=draw(st.booleans()))
+    # subsets of every size, so forests of one batch draw different candidate counts
+    subset = st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features,
+                      unique=True)
+    subsets = draw(st.lists(subset, min_size=1, max_size=5))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(subsets), max_size=len(subsets)))
+    return X, y, params, subsets, seeds
+
+
+@settings(max_examples=150, deadline=10_000)
+@given(multi_forest_case(), st.sampled_from([1, 300, 65536]))
+def test_fit_forests_matches_separate_fits(case, pass_counts):
+    X, y, params, subsets, seeds = case
+    expected = [RandomForest(params, seed=seed).fit(X[:, subset], y)
+                for subset, seed in zip(subsets, seeds)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "_PASS_COUNTS", pass_counts)
+        forests = fit_forests(params, X, y, subsets, seeds)
+    assert len(forests) == len(subsets)
+    for forest, want, subset, seed in zip(forests, expected, subsets, seeds):
+        assert forest.seed == seed
+        same_forest(forest, want)
+        for rows in (X, X[::-1] * 0.5):
+            assert np.array_equal(forest.predict(rows[:, subset]), want.predict(rows[:, subset]))
+
+
+class TestFitForests:
+    def test_golden_pin_cases_in_one_batch(self):
+        # the pin cases that share a dataset and parameters, fitted together
+        for first, second in ((0, 1), (2, 3)):
+            data_seed, n_rows, n_features, n_classes, grid, params, _, _ = PIN_CASES[first]
+            X, y, _ = pin_data(data_seed, n_rows, n_features, n_classes, grid)
+            cases = (PIN_CASES[first], PIN_CASES[second])
+            subsets = [[i for i, keep in enumerate(c[7]) if keep] for c in cases]
+            forests = fit_forests(params, X, y, subsets, [c[6] for c in cases])
+            for forest, subset, case in zip(forests, subsets, cases):
+                same_forest(forest, RandomForest(params, seed=case[6]).fit(X[:, subset], y))
+
+    def test_no_subsets_no_forests(self):
+        X, y = separable_data()
+        assert fit_forests(ForestParams(n_trees=2), X, y, [], []) == []
+
+    @pytest.mark.parametrize("subsets, seeds, message", [
+        ([[0]], [1, 2], "1 column subsets for 2 seeds"),
+        ([[]], [1], "column subset"),
+        ([[0, 3]], [1], "column subset"),
+        ([[-1]], [1], "column subset"),
+        ([[0.5]], [1], "column subset"),
+        ([[[0, 1]]], [1], "column subset"),
+    ])
+    def test_bad_subsets_rejected(self, subsets, seeds, message):
+        X, y = separable_data()
+        with pytest.raises(ValueError, match=message):
+            fit_forests(ForestParams(n_trees=2), X, y, subsets, seeds)

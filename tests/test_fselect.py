@@ -17,7 +17,8 @@ from chmopt import (
     run_feature_selection_all,
     split_dataset,
 )
-from chmopt.fselect import DatasetError, Dataset, write_dataset_csv
+from chmopt.fselect import DatasetError, Dataset
+from dataset_csv import write_dataset_csv
 from chmopt.harness import ALL_METHODS
 
 FAST_FOREST = ForestParams(n_trees=8, max_depth=5)
@@ -289,17 +290,38 @@ def test_feature_selection_results_do_not_depend_on_method_set():
         assert other.row("none") == first.row("none")
 
 
+# forests the pin run grew before search fits were batched: 20 search
+# forests, 5 for the test errors of the masks found and the baseline
+PIN_FORESTS = 25
+
+
 def test_each_mask_fitted_once_per_repetition_and_baseline_once(monkeypatch):
+    """Every forest grown, one fit at a time or several in one pass, has its
+    own (mask, seed) key, and the run grows as many as before batching."""
+    import chmopt.forest as forest
     import chmopt.fselect as fselect
 
-    calls = []
-    real = fselect.fs_cost
+    keys, grown = [], []
+    real_cost, real_fit_forests, grower = fselect.fs_cost, fselect.fit_forests, forest._Grower
 
-    def counting(mask, train, validation, params, seed):
-        calls.append((tuple(mask), len(validation.labels), params, seed))
-        return real(mask, train, validation, params, seed)
+    def counting_cost(mask, train, validation, params, seed):
+        if any(mask):  # every pin training split holds both classes
+            keys.append((tuple(mask), seed))
+        return real_cost(mask, train, validation, params, seed)
 
-    monkeypatch.setattr(fselect, "fs_cost", counting)
+    def counting_fit_forests(params, X, y, column_subsets, seeds):
+        keys.extend((tuple(i in subset for i in range(X.shape[1])), seed)
+                    for subset, seed in zip(column_subsets, seeds))
+        return real_fit_forests(params, X, y, column_subsets, seeds)
+
+    class CountingGrower(grower):
+        def __init__(self, forests, *args):
+            grown.extend(forests)
+            super().__init__(forests, *args)
+
+    monkeypatch.setattr(fselect, "fs_cost", counting_cost)
+    monkeypatch.setattr(fselect, "fit_forests", counting_fit_forests)
+    monkeypatch.setattr(forest, "_Grower", CountingGrower)
     run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
-    assert len(calls) == len(set(calls))
-    assert sum(1 for c in calls if c[3] == mix_seed(PIN_KWARGS["seed"], "baseline")) == 1
+    assert len(keys) == len(set(keys)) == len(grown) == PIN_FORESTS
+    assert sum(1 for k in keys if k[1] == mix_seed(PIN_KWARGS["seed"], "baseline")) == 1

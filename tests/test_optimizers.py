@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chmopt import (
     BudgetedObjective,
+    NonFiniteValue,
     GaParams,
     Individual,
     Population,
@@ -33,7 +34,7 @@ from chmopt.optimizers import (
     _lowest_of_sample,
 )
 
-from conftest import sphere
+from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
 
 
 def evaluated_population(size, bounds, seed, fn=sphere):
@@ -145,6 +146,40 @@ def _tracker(members):
     from chmopt.optimizers import _BestTracker
 
     return _BestTracker(members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_batches(), st.floats(-1e6, 1e6))
+@example(([3.0, -1.0, -2.0, -5.0], 3, 0), 0.0)  # improvements, then the cap mid-batch
+@example(([-1.0, math.nan, -9.0], 5, 0), 0.0)  # a non-finite value after an improvement
+@example(([], 2, 0), 0.0)
+@example(([-4.0], 1, 1), 0.0)
+def test_tracker_evaluate_many_matches_sequential_loop(case, start_cost):
+    values, cap, spent = case
+    points = [[i] for i in range(len(values))]
+    expected_tracker = _tracker([Individual([-1], cost=start_cost)])
+    tracker = _tracker([Individual([-1], cost=start_cost)])
+    expected_obj = BudgetedObjective(TableObjective(values), cap)
+    obj = BudgetedObjective(TableObjective(values), cap)
+    expected_obj.used = obj.used = spent
+
+    def evaluate(x):  # the hot loops' inlined tracker update
+        value = expected_obj.evaluate(x)
+        if value < expected_tracker.best_cost:
+            expected_tracker.best_cost = value
+            expected_tracker.best_position = list(x)
+        return value
+
+    expected, failure = sequential_evaluations(evaluate, points)
+    try:
+        got = tracker.evaluate_many(obj, points)
+    except NonFiniteValue as exc:
+        assert (exc.position, repr(exc.value)) == failure
+    else:
+        assert failure is None and got == expected
+        assert (tracker.best_cost, tracker.best_position) == (
+            expected_tracker.best_cost, expected_tracker.best_position)
+    assert obj.used == expected_obj.used
 
 
 class TestGaBehaviour:
