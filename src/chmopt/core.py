@@ -167,15 +167,8 @@ class BudgetedObjective:
         points = points[:self.cap - self.used]
         batch = getattr(self.fn, "evaluate_many", None)
         if batch is None:
-            fn = self.fn
-            values = []
-            for x in points:
-                self.used += 1
-                value = fn(x)
-                if not math.isfinite(value):
-                    raise NonFiniteValue(x, value)
-                values.append(value)
-            return values
+            evaluate = self.evaluate
+            return [evaluate(x) for x in points]
         start = self.used
         self.used += len(points)
         values = batch(points) if points else []
