@@ -230,35 +230,15 @@ def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[Rando
     return forests
 
 
-def _passes(sizes, n_rows, k, n_classes):
-    """Scoring passes over nodes of ``sizes`` rows each, ``n_rows`` in all.
-
-    Consecutive nodes share a pass while their rows x ``k`` candidates x
-    classes stay within ``_PASS_COUNTS``; a node past that alone is scored a
-    few candidates per pass. Returns (first node, end node, first row, end
-    row, first candidate, candidates) per pass.
-    """
-    if n_rows * k * n_classes <= _PASS_COUNTS:
-        return [(0, len(sizes), 0, n_rows, 0, k)]
-    start = np.concatenate(([0], sizes.cumsum()))
-    passes, a = [], 0
-    while a < len(sizes):
-        b = max(a + 1, int(start.searchsorted(start[a] + _PASS_COUNTS // (k * n_classes),
-                                              side="right")) - 1)
-        w = max(1, _PASS_COUNTS // (int(start[b] - start[a]) * n_classes))
-        passes.extend((a, b, start[a], start[b], j, min(w, k - j)) for j in range(0, k, w))
-        a = b
-    return passes
-
-
 class _Grower:
     """The trees of one or more forests, grown together one pre-order node per
     tree per step.
 
     Trees are admitted in order while their roots' (row, class) counts stay
     within ``_PASS_COUNTS``, at least one; when one finishes, the next starts.
-    A step scores its nodes' candidates in passes (see ``_passes``), so a pass
-    holds at most max(``_PASS_COUNTS``, rows x classes) prefix counts. A
+    A node holds at most its root's rows, so a step holds at most
+    max(``_PASS_COUNTS``, rows x classes) (row, class) counts, and scoring
+    its candidates a few columns per pass keeps each pass within that. A
     tree's nodes are handled at consecutive steps from the step it starts, so
     its ``s``-th step handles its ``s``-th node in pre-order: a split node's
     left child is the next node of its tree, and the right child's stack
@@ -363,14 +343,15 @@ class _Grower:
             owner = np.arange(len(tries)).repeat(sizes[tries])
             label = self.y.take(split_rows)[:, None]
             gini, thr = np.empty(cand.shape), np.empty(cand.shape)
-            for a, b, lo, hi, j, w in _passes(sizes[tries], len(split_rows), self.k, C):
-                cols = cand[owner[lo:hi], j:j + w]
-                key = _split_keys(owner[lo:hi, None] * w + np.arange(-a * w, (1 - a) * w),
-                                  self.ranks[split_rows[lo:hi, None], cols], label[lo:hi],
-                                  self.n_ranks, C)
+            width = max(1, _PASS_COUNTS // (len(split_rows) * C))  # candidates per pass
+            for j in range(0, self.k, width):
+                cols = cand[owner, j:j + width]
+                w = cols.shape[1]
+                key = _split_keys(owner[:, None] * w + np.arange(w),
+                                  self.ranks[split_rows[:, None], cols], label, self.n_ranks, C)
                 key = key[cols >= 0] if self.padded else key.ravel()
-                g, t = _best_splits(key, (b - a) * w, self.n_ranks, C, self.values)
-                gini[a:b, j:j + w], thr[a:b, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
+                g, t = _best_splits(key, len(tries) * w, self.n_ranks, C, self.values)
+                gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
             pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
             at = np.arange(len(tries))
             ok = np.isfinite(gini[at, pick])

@@ -224,7 +224,7 @@ class _CachedMaskObjective:
     mask return the cached error without retraining, while the optimizer's
     budget accounting (which wraps this callable) still counts every call.
     A batch fits the forests of its new masks together, each exactly as
-    ``fs_cost`` would.
+    ``fs_cost`` would; a batch with one new mask goes through ``fs_cost``.
     """
 
     def __init__(self, train, validation, params, seed):
@@ -245,14 +245,15 @@ class _CachedMaskObjective:
         masks = [decode_mask(p) for p in positions]
         new = [m for m in dict.fromkeys(masks) if m not in self.cache]
         grown = [m for m in new if any(m)] if len(np.unique(self.train.labels)) > 1 else []
-        forests = fit_forests(self.params, self.train.features, self.train.labels,
-                              [_columns(m) for m in grown],
-                              [mix_seed(self.seed, *m) for m in grown])
-        for mask, forest in zip(grown, forests):
-            self.cache[mask] = 1.0 - forest.accuracy(
-                self.validation.features[:, _columns(mask)], self.validation.labels)
+        if len(grown) > 1:
+            forests = fit_forests(self.params, self.train.features, self.train.labels,
+                                  [_columns(m) for m in grown],
+                                  [mix_seed(self.seed, *m) for m in grown])
+            for mask, forest in zip(grown, forests):
+                self.cache[mask] = 1.0 - forest.accuracy(
+                    self.validation.features[:, _columns(mask)], self.validation.labels)
         for mask in new:
-            if mask not in self.cache:  # empty mask or one class: no forest to grow
+            if mask not in self.cache:  # one forest at most: fitted as one evaluation is
                 self.cache[mask] = fs_cost(mask, self.train, self.validation,
                                            self.params, mix_seed(self.seed, *mask))
         return [self.cache[m] for m in masks]

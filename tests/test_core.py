@@ -126,9 +126,10 @@ def test_evaluate_many_matches_sequential_loop(case):
         expected, failure = sequential_evaluations(expected_obj.evaluate, points)
         try:
             got = obj.evaluate_many(points)
-            assert failure is None and got == expected
         except NonFiniteValue as exc:
             assert (exc.position, repr(exc.value)) == failure
+        else:
+            assert failure is None and got == expected
         assert obj.used == expected_obj.used
         if batched:  # one call with the affordable prefix, none when it is empty
             prefix = list(range(min(len(values), cap - spent)))

@@ -268,9 +268,9 @@ class TestBitIdentical:
         X, y, fresh = pin_data(3, 120, 9, 9, 4)
         params = ForestParams(n_trees=7, max_depth=12, feature_rule="all")
         expected = RandomForest(params, seed=4).fit(X, y)
-        # a root (120 rows, 9 classes) holds 1080 (row, class) counts and 9720
-        # (row, candidate, class) counts: ``together`` trees grow at a time, and
-        # below 9720 a root's 9 candidates are scored 1, 2, 3 or 6 per pass
+        # a root (120 rows, 9 classes) holds 1080 (row, class) counts and, with
+        # its 9 candidates, 9720 (row, candidate, class) counts: ``together``
+        # trees grow at a time, and their candidates are scored 1 or 3 per pass
         monkeypatch.setattr(forest_module, "_PASS_COUNTS", pass_counts)
         monkeypatch.setattr(forest_module, "_DRAWS", draws)
         widths = []

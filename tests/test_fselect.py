@@ -18,8 +18,8 @@ from chmopt import (
     split_dataset,
 )
 from chmopt.fselect import DatasetError, Dataset
-from dataset_csv import write_dataset_csv
 from chmopt.harness import ALL_METHODS
+from dataset_csv import write_dataset_csv
 
 FAST_FOREST = ForestParams(n_trees=8, max_depth=5)
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from chmopt import (
     BudgetedObjective,
-    NonFiniteValue,
     GaParams,
     Individual,
+    NonFiniteValue,
     Population,
     PsoParams,
     SeededRng,
