@@ -209,12 +209,6 @@ class _BestTracker:
                 self.best_position = list(x)
         return values
 
-    def evaluate(self, obj: BudgetedObjective, position) -> float:
-        values = self.evaluate_many(obj, [position])
-        if not values:
-            raise BudgetExhausted(f"evaluation budget of {obj.cap} exhausted")
-        return values[0]
-
     def finalize(self, members) -> Population:
         # elitist guarantee: the best-so-far individual is never lost
         worst_i = 0

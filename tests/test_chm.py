@@ -63,7 +63,10 @@ class DivergingOptimizer(InnerOptimizer):
             for i, m in enumerate(members):
                 moved = [min(hi, v + 0.5 * (hi - lo)) for v, (lo, hi) in
                          zip(m.position, bounds)]
-                members[i] = Individual(moved, tracker.evaluate(obj, moved))
+                values = tracker.evaluate_many(obj, [moved])
+                if not values:
+                    break
+                members[i] = Individual(moved, values[0])
         except Exception:
             pass
         return tracker.finalize(members)

@@ -262,7 +262,8 @@ class TestBitIdentical:
 
     @pytest.mark.parametrize("pass_counts, draws, together",
                              [(1, 1, 1), (2200, 3, 2), (3500, 2, 3), (7000, 7, 6),
-                              (30000, 3, 7)])
+                              (30000, 3, 7)],
+                             ids=["1-1", "2200-3", "3500-2", "7000-7", "30000-3"])
     def test_pass_size_and_draw_chunk_do_not_matter(self, monkeypatch, pass_counts, draws,
                                                     together):
         X, y, fresh = pin_data(3, 120, 9, 9, 4)
@@ -406,6 +407,7 @@ class TestFitForests:
         ([[0]], [1, 2], "1 column subsets for 2 seeds"),
         ([[]], [1], "column subset"),
         ([[0, 3]], [1], "column subset"),
+        ([[1, 1]], [1], "distinct"),
         ([[-1]], [1], "column subset"),
         ([[0.5]], [1], "column subset"),
         ([[[0, 1]]], [1], "column subset"),
