@@ -265,7 +265,6 @@ class _Grower:
         n_trees = params.n_trees
         self.forest_k = [params.n_candidates(len(s)) for s in subsets]
         self.k = max(self.forest_k)
-        self.padded = min(self.forest_k) < self.k
         # each forest's own index of a column of X; index -1 gives -1
         self.own_index = np.full((len(forests), X.shape[1] + 1), -1, dtype=np.int64)
         for f, s in enumerate(subsets):
@@ -349,7 +348,7 @@ class _Grower:
                 w = cols.shape[1]
                 key = _split_keys(owner[:, None] * w + np.arange(w),
                                   self.ranks[split_rows[:, None], cols], label, self.n_ranks, C)
-                key = key[cols >= 0] if self.padded else key.ravel()
+                key = key[cols >= 0]
                 g, t = _best_splits(key, len(tries) * w, self.n_ranks, C, self.values)
                 gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
             pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order

@@ -199,22 +199,29 @@ def fs_cost(mask, train: Dataset, validation: Dataset,
     An empty mask costs 1.0 without training; a single-class training set
     falls back to majority-class prediction.
     """
-    mask = tuple(bool(m) for m in mask)
-    if not any(mask):
-        return 1.0
     columns = _columns(mask)
-    X_train = train.features[:, columns]
-    X_val = validation.features[:, columns]
-    classes = np.unique(train.labels)
-    if len(classes) == 1:
-        predictions = np.full(len(validation.labels), classes[0])
-        return float(np.mean(predictions != validation.labels))
-    forest = RandomForest(params, seed=seed).fit(X_train, train.labels)
-    return 1.0 - forest.accuracy(X_val, validation.labels)
+    cost = _untrained_cost(columns, np.unique(train.labels), validation)
+    if cost is None:
+        forest = RandomForest(params, seed=seed).fit(train.features[:, columns], train.labels)
+        cost = _forest_cost(forest, columns, validation)
+    return cost
 
 
 def _columns(mask) -> list[int]:
     return [i for i, keep in enumerate(mask) if keep]
+
+
+def _untrained_cost(columns, classes, validation: Dataset) -> float | None:
+    """The cost of a mask that trains no forest, or None if it trains one."""
+    if not columns:
+        return 1.0
+    if len(classes) == 1:
+        return float(np.mean(validation.labels != classes[0]))
+    return None
+
+
+def _forest_cost(forest: RandomForest, columns, validation: Dataset) -> float:
+    return 1.0 - forest.accuracy(validation.features[:, columns], validation.labels)
 
 
 class _CachedMaskObjective:
@@ -223,8 +230,8 @@ class _CachedMaskObjective:
     The search space has 2^d distinct masks; repeated evaluations of the same
     mask return the cached error without retraining, while the optimizer's
     budget accounting (which wraps this callable) still counts every call.
-    A batch fits the forests of its new masks together, each exactly as
-    ``fs_cost`` would; a batch with one new mask goes through ``fs_cost``.
+    The forests of a batch's new masks grow in one ``fit_forests`` pass, each
+    exactly as ``fs_cost`` would fit it; a lone one is fitted by ``fs_cost``.
     """
 
     def __init__(self, train, validation, params, seed):
@@ -232,30 +239,31 @@ class _CachedMaskObjective:
         self.validation = validation
         self.params = params
         self.seed = seed
+        self.classes = np.unique(train.labels)
         self.cache: dict[tuple[bool, ...], float] = {}
 
     def __call__(self, position) -> float:
-        mask = decode_mask(position)
-        if mask not in self.cache:
-            self.cache[mask] = fs_cost(mask, self.train, self.validation,
-                                       self.params, mix_seed(self.seed, *mask))
-        return self.cache[mask]
+        return self.evaluate_many([position])[0]
 
     def evaluate_many(self, positions) -> list[float]:
         masks = [decode_mask(p) for p in positions]
-        new = [m for m in dict.fromkeys(masks) if m not in self.cache]
-        grown = [m for m in new if any(m)] if len(np.unique(self.train.labels)) > 1 else []
-        if len(grown) > 1:
+        grown = []
+        for mask in dict.fromkeys(masks):
+            if mask not in self.cache:
+                cost = _untrained_cost(_columns(mask), self.classes, self.validation)
+                if cost is None:
+                    grown.append(mask)
+                else:
+                    self.cache[mask] = cost
+        if len(grown) == 1:  # through fs_cost, which perfbench's tracer wraps
+            self.cache[grown[0]] = fs_cost(grown[0], self.train, self.validation,
+                                           self.params, mix_seed(self.seed, *grown[0]))
+        elif grown:
             forests = fit_forests(self.params, self.train.features, self.train.labels,
                                   [_columns(m) for m in grown],
                                   [mix_seed(self.seed, *m) for m in grown])
             for mask, forest in zip(grown, forests):
-                self.cache[mask] = 1.0 - forest.accuracy(
-                    self.validation.features[:, _columns(mask)], self.validation.labels)
-        for mask in new:
-            if mask not in self.cache:  # one forest at most: fitted as one evaluation is
-                self.cache[mask] = fs_cost(mask, self.train, self.validation,
-                                           self.params, mix_seed(self.seed, *mask))
+                self.cache[mask] = _forest_cost(forest, _columns(mask), self.validation)
         return [self.cache[m] for m in masks]
 
 

@@ -17,7 +17,7 @@ from chmopt import (
     run_feature_selection_all,
     split_dataset,
 )
-from chmopt.fselect import DatasetError, Dataset
+from chmopt.fselect import DatasetError, Dataset, _CachedMaskObjective
 from chmopt.harness import ALL_METHODS
 from dataset_csv import write_dataset_csv
 
@@ -195,6 +195,26 @@ class TestFsCost:
         cost = fs_cost((True, True), train, val, FAST_FOREST, 2)
         assert cost == 0.5
 
+
+
+@pytest.mark.parametrize("single_class", [False, True])
+def test_mask_objective_costs_match_fs_cost(single_class):
+    """Alone, in a batch with empty, repeated and cached masks, or one call
+    at a time, a position costs what fs_cost gives its mask at its seed."""
+    ds = make_synthetic_dataset(n_rows=90, n_noise=3, seed=21)
+    train, val = split_dataset(ds, 0.3, 22)
+    if single_class:
+        train = Dataset(train.features, np.zeros_like(train.labels),
+                        train.feature_names, train.label_name)
+    positions = [(0.9, 0.1, 0.6, 0.2), (0.0, 0.3, 0.1, 0.4), (0.7, 0.3, 0.9, 0.0),
+                 (0.1, 0.8, 0.2, 0.5), (0.6, 0.6, 0.6, 0.6), (0.2, 0.9, 0.0, 0.1)]
+    expected = [fs_cost(decode_mask(p), train, val, FAST_FOREST, mix_seed(23, *decode_mask(p)))
+                for p in positions]
+    objective = _CachedMaskObjective(train, val, FAST_FOREST, 23)
+    assert objective.evaluate_many(positions[:1]) == expected[:1]
+    assert objective.evaluate_many(positions) == expected
+    fresh = _CachedMaskObjective(train, val, FAST_FOREST, 23)
+    assert [fresh(p) for p in positions] == expected
 
 def test_adding_informative_feature_never_hurts_median():
     ds = make_synthetic_dataset(n_rows=200, n_noise=5, seed=12)
