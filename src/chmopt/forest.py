@@ -8,8 +8,9 @@ The trees of one fit grow together, and ``fit_forests`` grows the trees of
 several forests (each on its own subset of the columns) together too. A tree
 draws one candidate permutation per node it tries to split, in pre-order, so
 each tree grows depth-first; but trees are independent, so every step takes
-the next pre-order node of each tree that still has one and scores all of
-their candidate columns in batched numpy passes. A fitted forest is a set of
+each tree's next node that tries to split, recording the leaves that come
+before it in pre-order on the way, and scores all of their candidate columns
+in batched numpy passes. Leaves take no step. A fitted forest is a set of
 flat pre-order node arrays (feature, threshold, left, right, prediction), and
 ``predict`` walks every tree for every row at once, one level per step.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -187,6 +189,8 @@ class RandomForest:
         return self
 
     def predict(self, X):
+        if self.roots is None:
+            raise ValueError("the forest is not fitted: call fit first")
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"features must be a 2-D array with {self.n_features} "
@@ -205,8 +209,12 @@ class RandomForest:
         return votes.reshape(len(X), self.n_classes).argmax(axis=1)
 
     def accuracy(self, X, y) -> float:
+        predicted = self.predict(X)
         y = np.asarray(y, dtype=np.int64)
-        return float(np.mean(self.predict(X) == y))
+        if y.shape != predicted.shape:
+            raise ValueError(f"labels must be a 1-D array of {len(predicted)} class indices, "
+                             f"got shape {y.shape}")
+        return float(np.mean(predicted == y))
 
 
 def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[RandomForest]:
@@ -231,27 +239,37 @@ def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[Rando
 
 
 class _Grower:
-    """The trees of one or more forests, grown together one pre-order node per
-    tree per step.
+    """The trees of one or more forests, grown together one split-trying node
+    per tree per step.
+
+    A node's prediction, and whether it tries to split (below the depth limit,
+    at least ``min_samples_split`` rows, impure), are worked out when it is
+    pushed: for the roots in ``__init__``, for the children of a step's split
+    nodes in ``partition``. A node that does not try is a leaf and carries no
+    rows. Each step pops, for every active tree, the run of leaves on top of
+    its stack, which it records with no numpy work, then its next split-trying
+    node; a tree whose stack holds only leaves takes just its leaf run and
+    finishes. Each tree numbers its nodes as they are popped, so in pre-order:
+    a split node's left child is popped next, and the right child's stack
+    entry carries its parent's node id.
 
     Trees are admitted in order while their roots' (row, class) counts stay
     within ``_PASS_COUNTS``, at least one; when one finishes, the next starts.
     A node holds at most its root's rows, so a step holds at most
     max(``_PASS_COUNTS``, rows x classes) (row, class) counts, and scoring
-    its candidates a few columns per pass keeps each pass within that. A
-    tree's nodes are handled at consecutive steps from the step it starts, so
-    its ``s``-th step handles its ``s``-th node in pre-order: a split node's
-    left child is the next node of its tree, and the right child's stack
-    entry carries its parent's node id. Each tree keeps its forest's column
-    map and candidate count and its own generators. Candidates are columns of
-    ``X`` until ``assemble`` maps them back to each forest's own; candidate
-    lists shorter than the longest are padded with -1, which no pass scores.
+    its candidates a few columns per pass keeps each pass within that. Each
+    tree keeps its forest's column map and candidate count and its own
+    generators; a split-trying node takes its tree's next candidate
+    permutation, so every tree draws in pre-order as if grown alone.
+    Candidates are columns of ``X`` until ``assemble`` maps them back to each
+    forest's own; candidate lists shorter than the longest are padded with -1,
+    which no pass scores.
     """
 
     def __init__(self, forests, X, y, subsets):
         self.forests, self.subsets, self.X, self.y = forests, subsets, X, y
         self.params = params = forests[0].params
-        self.n_classes = int(y.max()) + 1
+        self.n_classes = C = int(y.max()) + 1
         # each used column's values as dense ranks into one table of sorted distinct values
         self.ranks = np.zeros(X.shape, dtype=np.int64)
         values, offset = [], 0
@@ -277,15 +295,35 @@ class _Grower:
         for t in range(len(self.rngs)):
             self.refill(t)
         self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
-        self.stacks = []  # pending (rows, depth, parent id if a right child else -1)
+        roots = []
         for forest in forests:
             for t in range(n_trees):
                 if params.bootstrap:
                     rng = np.random.default_rng(mix_seed(forest.seed, "bootstrap", t))
-                    rows = rng.integers(0, len(X), size=len(X))
+                    roots.append(rng.integers(0, len(X), size=len(X)))
                 else:
-                    rows = np.arange(len(X))
-                self.stacks.append([(rows, 0, -1)])
+                    roots.append(np.arange(len(X)))
+        counts = np.bincount(np.arange(len(roots)).repeat(len(X)) * C
+                             + y.take(np.concatenate(roots)),
+                             minlength=len(roots) * C).reshape(-1, C)
+        tries, prediction = self.tries_and_prediction(counts, 0)
+        # pending (rows if it tries to split else None, depth,
+        # parent id if a right child else -1, prediction) of each tree
+        self.stacks = [[(rows if tried else None, 0, -1, p)]
+                       for rows, tried, p in zip(roots, tries, prediction)]
+        # parent id (-1 unless a right child) and prediction of each tree's nodes as popped
+        self.parents = [[] for _ in roots]
+        self.predictions = [[] for _ in roots]
+
+    def tries_and_prediction(self, counts, depth):
+        """Whether each node tries to split (below the depth limit, large
+        enough and impure) and its prediction, from its class counts."""
+        params = self.params
+        sizes = counts.sum(axis=1)
+        tries = (depth < params.max_depth) & (sizes >= params.min_samples_split) & (
+            counts.max(axis=1) < sizes)
+        # ties resolve to the lowest class index
+        return tries.tolist(), counts.argmax(axis=1).tolist()
 
     def refill(self, t):
         """A fresh batch of candidate permutations for tree ``t``: the first
@@ -306,95 +344,106 @@ class _Grower:
     def grow(self):
         width = max(1, _PASS_COUNTS // (len(self.X) * self.n_classes))
         waiting = list(range(len(self.stacks)))[::-1]
-        first_step = np.zeros(len(self.stacks), dtype=np.int64)
         active, steps = [], []
         while active or waiting:
             while waiting and len(active) < width:
                 active.append(waiting.pop())
-                first_step[active[-1]] = len(steps)
-            entries = [self.stacks[t].pop() for t in active]
-            trees = np.array(active)
-            node_id = len(steps) - first_step[trees]
-            depth = np.array([e[1] for e in entries])
-            parent = np.array([e[2] for e in entries])
-            steps.append((trees, node_id, depth, parent)
-                         + self.step(trees, node_id, depth, entries))
+            split = []  # (tree, node id, depth, rows) of each split-trying node
+            for t in active:
+                stack, parents, predictions = self.stacks[t], self.parents[t], self.predictions[t]
+                while stack:
+                    rows, depth, parent, prediction = stack.pop()
+                    parents.append(parent)
+                    predictions.append(prediction)
+                    if rows is not None:
+                        split.append((t, len(parents) - 1, depth, rows))
+                        break
+            if split:
+                steps.append(self.step(split))
             active = [t for t in active if self.stacks[t]]
         self.assemble(steps)
 
-    def step(self, trees, node_id, depth, entries):
-        """Handle the next node of each tree: (feature, threshold, prediction) per node."""
-        params, C = self.params, self.n_classes
-        sizes = np.array([len(e[0]) for e in entries])
-        rows = np.concatenate([e[0] for e in entries])
-        node = np.arange(len(trees)).repeat(sizes)
-        counts = np.bincount(node * C + self.y.take(rows),
-                             minlength=len(trees) * C).reshape(-1, C)
-        prediction = counts.argmax(axis=1)  # ties resolve to the lowest class index
-        feature = np.full(len(trees), -1, dtype=np.int64)
-        threshold = np.full(len(trees), np.nan)
-        # a node tries to split when below the depth limit, large enough and impure
-        tries = ((depth < params.max_depth) & (sizes >= params.min_samples_split)
-                 & (counts.max(axis=1) < sizes)).nonzero()[0]
-        if len(tries):
-            cand = self.candidates(trees[tries])
-            split_rows = np.concatenate([entries[a][0] for a in tries.tolist()])
-            owner = np.arange(len(tries)).repeat(sizes[tries])
-            label = self.y.take(split_rows)[:, None]
-            gini, thr = np.empty(cand.shape), np.empty(cand.shape)
-            width = max(1, _PASS_COUNTS // (len(split_rows) * C))  # candidates per pass
-            for j in range(0, self.k, width):
-                cols = cand[owner, j:j + width]
-                w = cols.shape[1]
-                key = _split_keys(owner[:, None] * w + np.arange(w),
-                                  self.ranks[split_rows[:, None], cols], label, self.n_ranks, C)
-                key = key[cols >= 0]
-                g, t = _best_splits(key, len(tries) * w, self.n_ranks, C, self.values)
-                gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
-            pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
-            at = np.arange(len(tries))
-            ok = np.isfinite(gini[at, pick])
-            feature[tries[ok]] = cand[at, pick][ok]
-            threshold[tries[ok]] = thr[at, pick][ok]
-            if ok.any():
-                self.partition(trees, node_id, depth, rows, node, feature, threshold)
-        return feature, threshold, prediction
+    def step(self, split):
+        """Split each tree's split-trying node on its best candidate, if any has
+        two sides: (tree, node id, depth, feature, threshold) per node."""
+        C = self.n_classes
+        trees, node_id, depth = (np.array([s[i] for s in split]) for i in range(3))
+        sizes = np.array([len(s[3]) for s in split])
+        rows = np.concatenate([s[3] for s in split])
+        node = np.arange(len(split)).repeat(sizes)
+        label = self.y.take(rows)
+        cand = self.candidates(trees)
+        gini, thr = np.empty(cand.shape), np.empty(cand.shape)
+        width = max(1, _PASS_COUNTS // (len(rows) * C))  # candidates per pass
+        for j in range(0, self.k, width):
+            cols = cand[node, j:j + width]
+            w = cols.shape[1]
+            key = _split_keys(node[:, None] * w + np.arange(w),
+                              self.ranks[rows[:, None], cols], label[:, None], self.n_ranks, C)
+            key = key[cols >= 0]
+            g, t = _best_splits(key, len(split) * w, self.n_ranks, C, self.values)
+            gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
+        pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
+        at = np.arange(len(split))
+        ok = np.isfinite(gini[at, pick])
+        feature = np.where(ok, cand[at, pick], -1)
+        threshold = np.where(ok, thr[at, pick], np.nan)
+        if ok.any():
+            self.partition(split, depth, rows, node, label, feature, threshold)
+        return trees, node_id, depth, feature, threshold
 
-    def partition(self, trees, node_id, depth, rows, node, feature, threshold):
-        """Push the two children of every split node; the left one is handled next.
+    def partition(self, split, depth, rows, node, label, feature, threshold):
+        """Push the two children of every split node; the left one is popped next.
 
-        ``rows`` holds each node's rows in one run, so compressing it by side
-        keeps every node's left (right) rows in one run too. Rows of a node
-        that does not split are sent right and never read.
+        One bincount keyed by (node, side, label) gives every child's class
+        counts, so its prediction and whether it tries to split. A leaf child
+        carries no rows, a split-trying child its own copy of them. ``rows``
+        holds each node's rows in one run, so compressing it by side keeps
+        every node's left (right) rows in one run too. Rows of a node that
+        does not split are sent right and never read.
         """
-        go_left = self.X[rows, feature[node]] <= threshold[node]
-        sides = []
-        for mask in (go_left, ~go_left):
-            ends = np.bincount(node[mask], minlength=len(trees)).cumsum().tolist()
-            sides.append((rows[mask], [0] + ends))
-        (left, left_at), (right, right_at) = sides
+        go_right = ~(self.X[rows, feature[node]] <= threshold[node])
+        counts = np.bincount((node * 2 + go_right) * self.n_classes + label,
+                             minlength=2 * len(split) * self.n_classes).reshape(2 * len(split), -1)
+        tries, prediction = self.tries_and_prediction(counts, depth.repeat(2) + 1)
+        sizes = counts.sum(axis=1)
+        left, right = rows[~go_right], rows[go_right]
+        left_at = [0] + sizes[0::2].cumsum().tolist()
+        right_at = [0] + sizes[1::2].cumsum().tolist()
         for a in (feature >= 0).nonzero()[0].tolist():
-            stack = self.stacks[trees[a]]
-            stack.append((right[right_at[a]:right_at[a + 1]], depth[a] + 1, node_id[a]))
-            stack.append((left[left_at[a]:left_at[a + 1]], depth[a] + 1, -1))
+            t, node_id, node_depth = split[a][:3]
+            stack = self.stacks[t]
+            stack.append((right[right_at[a]:right_at[a + 1]].copy() if tries[2 * a + 1] else None,
+                          node_depth + 1, node_id, prediction[2 * a + 1]))
+            stack.append((left[left_at[a]:left_at[a + 1]].copy() if tries[2 * a] else None,
+                          node_depth + 1, -1, prediction[2 * a]))
 
     def assemble(self, steps):
-        """Set each forest's flat node arrays from the nodes of all steps."""
-        tree, node_id, depth, parent, feature, threshold, prediction = (
-            np.concatenate(column) for column in zip(*steps))
-        roots = np.concatenate(([0], np.bincount(tree).cumsum()[:-1]))
-        at = roots[tree] + node_id
-        order = at.argsort()
-        feature, threshold = feature[order], threshold[order]
-        prediction, depth = prediction[order], depth[order]
-        nodes = np.arange(len(at))
+        """Set each forest's flat node arrays from the popped nodes and the steps' splits."""
+        sizes = [len(p) for p in self.parents]
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        nodes = np.arange(sum(sizes))
+        parent, prediction = (np.fromiter(chain.from_iterable(column), np.int64, len(nodes))
+                              for column in (self.parents, self.predictions))
+        tree = np.arange(len(sizes)).repeat(sizes)
+        feature = np.full(len(nodes), -1, dtype=np.int64)
+        threshold = np.full(len(nodes), np.nan)
+        n_forests, n_trees = len(self.forests), self.params.n_trees
+        # a forest's depth is one more than its deepest split node's, 0 with none
+        depth = np.zeros(n_forests, dtype=np.int64)
+        if steps:
+            split_tree, node_id, split_depth, split_feature, split_threshold = (
+                np.concatenate(column) for column in zip(*steps))
+            ok = split_feature >= 0
+            at = roots[split_tree] + node_id
+            feature[at], threshold[at] = split_feature, split_threshold
+            np.maximum.at(depth, self.forest[split_tree[ok]], split_depth[ok] + 1)
         right = nodes.copy()
         is_right = parent >= 0
-        right[roots[tree[is_right]] + parent[is_right]] = at[is_right]
+        right[roots[tree[is_right]] + parent[is_right]] = nodes[is_right]
         # a split node's left child comes next in pre-order; a leaf is its own child
         left = nodes + (feature >= 0)
-        feature = self.own_index[self.forest[tree[order]], feature]
-        n_trees = self.params.n_trees
+        feature = self.own_index[self.forest[tree], feature]
         ends = np.append(roots[::n_trees][1:], len(nodes))
         for f, forest in enumerate(self.forests):
             first, end = roots[f * n_trees], ends[f]
@@ -404,4 +453,4 @@ class _Grower:
             forest.left, forest.right = left[first:end] - first, right[first:end] - first
             forest.feature, forest.threshold = feature[first:end], threshold[first:end]
             forest.prediction = prediction[first:end]
-            forest.depth = int(depth[first:end].max())
+            forest.depth = int(depth[f])

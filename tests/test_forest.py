@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from forest_reference import ReferenceForest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chmopt import ForestParams, RandomForest
@@ -195,6 +195,18 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="3 column"):
             forest.predict(x[:, :2])
 
+    def test_predict_before_fit_rejected(self):
+        with pytest.raises(ValueError, match="not fitted"):
+            RandomForest(ForestParams(n_trees=2)).predict(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("labels", [np.array([1]), np.zeros(39, dtype=int),
+                                        np.zeros((40, 1), dtype=int)])
+    def test_accuracy_checks_labels_match_rows(self, labels):
+        x, y = separable_data(n=40, seed=14)
+        forest = RandomForest(ForestParams(n_trees=2), seed=1).fit(x, y)
+        with pytest.raises(ValueError, match="40 class indices"):
+            forest.accuracy(x, labels)
+
     def test_no_bootstrap_pure_fit(self):
         x, y = separable_data(seed=11)
         forest = RandomForest(ForestParams(n_trees=3, bootstrap=False,
@@ -289,6 +301,22 @@ class TestBitIdentical:
                                   equal_nan=True), name
         assert np.array_equal(forest.predict(fresh), expected.predict(fresh))
 
+    def test_leaves_take_no_step(self, monkeypatch):
+        # distinct values and no bootstrap: every node that tries to split
+        # finds a split, so the nodes that tried are the split nodes
+        X, y, _ = pin_data(1, 60, 5, 2, 0)
+        calls = []
+        step = forest_module._Grower.step
+
+        def recording_step(grower, *args):
+            calls.append(1)
+            return step(grower, *args)
+
+        monkeypatch.setattr(forest_module._Grower, "step", recording_step)
+        params = ForestParams(n_trees=1, max_depth=12, bootstrap=False)
+        forest = RandomForest(params, seed=3).fit(X, y)
+        assert len(calls) == (forest.feature >= 0).sum() < len(forest.feature)
+
     def test_flat_arrays_are_consistent(self):
         X, y, _ = pin_data(2, 90, 6, 3, 5)
         forest = RandomForest(ForestParams(n_trees=8, max_depth=12), seed=11).fit(X, y)
@@ -324,8 +352,22 @@ def forest_case(draw):
     return X, y, params, draw(st.integers(0, 2**32))
 
 
+# trees whose nodes are all or mostly leaves: every root pure, every root
+# too small to split, and every split's children at the depth limit
+LEAF_X = np.array([[0.0, 1.0], [0.25, -1.0], [0.5, 2.0], [2.0, 0.0], [-1.0, 0.25], [0.5, 0.5]])
+LEAF_Y = np.array([0, 1, 1, 0, 2, 1])
+LEAF_CASES = [
+    (LEAF_X, np.zeros(6, dtype=np.int64), ForestParams(n_trees=3, max_depth=4)),
+    (LEAF_X, LEAF_Y, ForestParams(n_trees=3, min_samples_split=7)),
+    (LEAF_X, LEAF_Y, ForestParams(n_trees=4, max_depth=1, feature_rule="all")),
+]
+
+
 @settings(max_examples=150, deadline=10_000)
 @given(forest_case())
+@example((*LEAF_CASES[0], 5))
+@example((*LEAF_CASES[1], 6))
+@example((*LEAF_CASES[2], 7))
 def test_kernel_matches_reference_forest(case):
     X, y, params, seed = case
     forest = RandomForest(params, seed=seed).fit(X, y)
@@ -372,6 +414,9 @@ def multi_forest_case(draw):
 
 @settings(max_examples=150, deadline=10_000)
 @given(multi_forest_case(), st.sampled_from([1, 300, 65536]))
+@example((*LEAF_CASES[0], [[0, 1], [1]], [5, 6]), 65536)
+@example((*LEAF_CASES[1], [[1], [0, 1]], [6, 7]), 300)
+@example((*LEAF_CASES[2], [[0], [0, 1], [1]], [7, 8, 9]), 1)
 def test_fit_forests_matches_separate_fits(case, pass_counts):
     X, y, params, subsets, seeds = case
     expected = [RandomForest(params, seed=seed).fit(X[:, subset], y)
