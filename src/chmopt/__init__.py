@@ -61,7 +61,6 @@ from .harness import (
     run_experiment,
     run_method,
     save_plan,
-    selection_frequencies,
 )
 from .optimizers import (
     GaParams,

@@ -105,9 +105,6 @@ class ChmConfig:
         return fe_budget(self.k, self.maxfe_probing, self.maxfe_fit,
                          self.iterations, self.population_size)
 
-    def method_names(self) -> tuple[str, ...]:
-        return tuple(opt.name for opt in self.optimizers)
-
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -140,7 +137,6 @@ class Iteration:
 class RunTrace:
     """Trace of one run: the initial population, then one entry per phase."""
 
-    method_names: tuple[str, ...]
     initial_best_cost: float
     initial_best_fitness: float | None
     iterations: list[Iteration] = field(default_factory=list)
@@ -225,10 +221,9 @@ def _fitness_of(cost: float, reference_value: float | None) -> float | None:
 
 
 def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
-           population_size: int, phases: int, step, method_names: tuple[str, ...],
-           init_method: str, reference_value: float | None,
-           convergence_epsilon: float, convergence_patience: int
-           ) -> tuple[Individual, RunTrace]:
+           population_size: int, phases: int, step, init_method: str,
+           reference_value: float | None, convergence_epsilon: float,
+           convergence_patience: int) -> tuple[Individual, RunTrace]:
     """Shared run loop: evaluate a random initial population, then up to
     ``phases`` calls of ``step(population, index, rng, bounds)``, checking
     convergence after each.
@@ -247,9 +242,8 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
         raise EvaluationAborted("initialization", init_method, exc) from exc
 
     best = pop.best().copy()
-    trace = RunTrace(method_names=method_names, initial_best_cost=best.cost,
-                     initial_best_fitness=_fitness_of(best.cost, reference_value),
-                     total_fe=init_obj.used)
+    trace = RunTrace(initial_best_cost=best.cost, total_fe=init_obj.used,
+                     initial_best_fitness=_fitness_of(best.cost, reference_value))
     history = [trace.initial_best_fitness if reference_value is not None else best.cost]
 
     for index in range(1, phases + 1):
@@ -309,8 +303,7 @@ def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
         )
 
     return _drive(objective_fn, bounds, seed, population_size=config.population_size,
-                  phases=config.iterations, step=probe_and_fit,
-                  method_names=config.method_names(), init_method="-",
+                  phases=config.iterations, step=probe_and_fit, init_method="-",
                   reference_value=reference_value,
                   convergence_epsilon=config.convergence_epsilon,
                   convergence_patience=config.convergence_patience)
@@ -337,7 +330,7 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
                               fe_used=obj.used)
 
     return _drive(objective_fn, bounds, seed, population_size=population_size,
-                  phases=segments, step=segment, method_names=(optimizer.name,),
-                  init_method=optimizer.name, reference_value=reference_value,
+                  phases=segments, step=segment, init_method=optimizer.name,
+                  reference_value=reference_value,
                   convergence_epsilon=convergence_epsilon,
                   convergence_patience=convergence_patience)

@@ -26,6 +26,7 @@ from .harness import (
     load_plan,
     run_cell,
     run_experiment,
+    write_jsonl,
 )
 
 OUT_ROOT_ENV = "CHMOPT_RESULTS"
@@ -140,9 +141,7 @@ def cmd_run(args) -> int:
         trace_path = os.path.join(
             out_root, "traces",
             f"{record.function}__{record.method}__seed{record.seed}.jsonl")
-        with open(trace_path, "w") as fh:
-            for line in trace.to_records():
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        write_jsonl(trace_path, trace.to_records())
         if args.format == "records":
             print(json.dumps(record.to_dict(), sort_keys=True))
         else:
@@ -217,9 +216,7 @@ def cmd_fselect(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "fselect_report.jsonl")
-        with open(path, "w") as fh:
-            for record in report.to_records():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_jsonl(path, report.to_records())
         if args.format == "table":
             print(f"report: {path}")
     return 0

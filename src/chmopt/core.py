@@ -55,6 +55,28 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def check_fields(record, counts: dict[str, int] | None = None, reals=(), optional=()):
+    """Type check of a parameter record: each field in ``counts`` an integer at or
+    above its bound, each in ``reals`` a finite real (or None if in ``optional``)."""
+    for name, low in (counts or {}).items():
+        value = getattr(record, name)
+        if not is_integer(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    for name in reals:
+        value = getattr(record, name)
+        if not (is_finite_real(value) or value is None and name in optional):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def mix_seed(base_seed: int, *labels) -> int:
     """Stable 64-bit seed for (base_seed, labels); independent of hash randomization."""
     key = repr((int(base_seed),) + tuple(labels)).encode()

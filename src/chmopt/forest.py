@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import is_integer, mix_seed
+from .core import check_fields, mix_seed
 
 _PASS_COUNTS = 65536  # (row, candidate, class) prefix counts one scoring pass aims to hold
 _DRAWS = 32  # candidate permutations drawn from a tree's generator at a time
@@ -38,10 +38,7 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        for name, low in (("n_trees", 1), ("max_depth", 1), ("min_samples_split", 2)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_fields(self, {"n_trees": 1, "max_depth": 1, "min_samples_split": 2})
         if not isinstance(self.bootstrap, bool):
             raise ValueError(f"bootstrap must be True or False, got {self.bootstrap!r}")
         if self.feature_rule not in ("sqrt", "all"):

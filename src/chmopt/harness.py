@@ -7,17 +7,17 @@ selected, and writes tables, raw replayable records and per-run traces.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
-from .benchmarks import BENCHMARK_NAMES, get_benchmark
+from .benchmarks import BENCHMARK_NAMES, get_benchmark, normalize_name
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
-from .core import (euclidean_distance, fitness, format_table, is_integer, mix_seed,
-                   population_std)
+from .core import (euclidean_distance, fitness, format_table, is_finite_real, is_integer,
+                   mix_seed, population_std)
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
 CHM_METHOD = "chm"
@@ -47,6 +47,8 @@ class ExperimentPlan:
         self.functions = tuple(self.functions)
         self.methods = tuple(m.strip().lower() if isinstance(m, str) else m
                              for m in self.methods)
+        if isinstance(self.budget_override, list):
+            self.budget_override = tuple(self.budget_override)
         self.validate()
 
     def validate(self):
@@ -64,21 +66,24 @@ class ExperimentPlan:
         for attr in ("skip_on_error", "distance_to_nearest"):
             if not isinstance(getattr(self, attr), bool):
                 raise ValueError(f"{attr} must be true or false, got {getattr(self, attr)!r}")
-        epsilon = self.convergence_epsilon
-        if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-                or not math.isfinite(epsilon)):
-            raise ValueError(f"convergence_epsilon must be a finite number, got {epsilon!r}")
+        if not is_finite_real(self.convergence_epsilon):
+            raise ValueError(f"convergence_epsilon must be a finite number, "
+                             f"got {self.convergence_epsilon!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
         if not self.functions:
             raise ValueError("functions must be non-empty")
         for f in self.functions:
             if not isinstance(f, str):
                 raise ValueError(f"function names must be strings, got {f!r}")
             get_benchmark(f)  # raises on unknown names
+        if len({normalize_name(f) for f in self.functions}) != len(self.functions):
+            raise ValueError(f"functions must not repeat, got {list(self.functions)}")
         if self.budget_override is not None and (
                 not isinstance(self.budget_override, (tuple, list))
                 or len(self.budget_override) != 2
@@ -112,30 +117,15 @@ class ExperimentPlan:
         return fe_budget(len(OPTIMIZER_NAMES), probing, fit, self.iterations,
                          self.population_size)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["functions"] = list(self.functions)
-        d["methods"] = list(self.methods)
-        d["budget_override"] = (list(self.budget_override)
-                                if self.budget_override else None)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentPlan":
-        data = dict(data)
-        if data.get("budget_override"):
-            data["budget_override"] = tuple(data["budget_override"])
-        return cls(**data)
-
 
 def load_plan(path: str) -> ExperimentPlan:
     with open(path) as fh:
-        return ExperimentPlan.from_dict(json.load(fh))
+        return ExperimentPlan(**json.load(fh))
 
 
 def save_plan(plan: ExperimentPlan, path: str):
     with open(path, "w") as fh:
-        json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(plan), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -158,10 +148,7 @@ class RunRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["best_position"] = list(self.best_position)
-        d["selections"] = list(self.selections)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -290,96 +277,37 @@ def aggregate_records(records) -> dict[tuple[str, str], RunStats]:
     return stats
 
 
-def selection_frequencies(traces) -> dict[str, int]:
-    """Fit-phase selection counts per inner method across traces."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("traces must be non-empty")
-    counts: dict[str, int] = {}
-    for trace in traces:
-        for name in trace.selections():
-            counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
 class LeaderBoard:
-    """Suite-level summary over all functions of a result set."""
+    """Suite-level summary over all functions of a result set, keyed by method."""
 
-    single_best: tuple[tuple[str, tuple[str, ...]], ...]  # function -> tied best single methods
-    best_chm: tuple[tuple[str, str], ...]  # function -> most selected inner method
-    lowest_fitness_counts: tuple[tuple[str, int], ...]
-    lowest_distance_counts: tuple[tuple[str, int], ...]
-    suite_avg_fitness: tuple[tuple[str, float], ...]
-    suite_sum_fitness: tuple[tuple[str, float], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "single_best": {f: list(m) for f, m in self.single_best},
-            "best_chm": dict(self.best_chm),
-            "lowest_fitness_counts": dict(self.lowest_fitness_counts),
-            "lowest_distance_counts": dict(self.lowest_distance_counts),
-            "suite_avg_fitness": dict(self.suite_avg_fitness),
-            "suite_sum_fitness": dict(self.suite_sum_fitness),
-        }
+    lowest_fitness_counts: dict[str, int]
+    lowest_distance_counts: dict[str, int]
+    suite_avg_fitness: dict[str, float]
+    suite_sum_fitness: dict[str, float]
 
 
 def build_leaderboard(plan: ExperimentPlan,
                       stats: dict[tuple[str, str], RunStats]) -> LeaderBoard:
     functions = [f for f in plan.functions
                  if any((f, m) in stats for m in plan.methods)]
-    methods = list(plan.methods)
-    single_methods = [m for m in methods if m != CHM_METHOD]
-
-    single_best = []
-    best_chm = []
-    lowest_fitness = {m: 0 for m in methods}
-    lowest_distance = {m: 0 for m in methods}
+    lowest = {"mean_fitness": dict.fromkeys(plan.methods, 0),
+              "mean_distance": dict.fromkeys(plan.methods, 0)}
     for f in functions:
-        if single_methods:
-            by_fitness = {m: stats[(f, m)].mean_fitness for m in single_methods
-                          if (f, m) in stats}
-            if by_fitness:
-                best_value = min(by_fitness.values())
-                tied = tuple(m for m in single_methods
-                             if m in by_fitness and by_fitness[m] == best_value)
-                single_best.append((f, tied))
-        if (f, CHM_METHOD) in stats:
-            counts = dict(stats[(f, CHM_METHOD)].selection_counts)
-            if counts:
-                top = max(counts.values())
-                for name in OPTIMIZER_NAMES:  # deterministic tie-break
-                    if counts.get(name) == top:
-                        best_chm.append((f, name))
-                        break
-        fit_values = {m: stats[(f, m)].mean_fitness for m in methods if (f, m) in stats}
-        if fit_values:
-            low = min(fit_values.values())
-            for m, v in fit_values.items():
-                if v == low:
-                    lowest_fitness[m] += 1
-        dist_values = {m: stats[(f, m)].mean_distance for m in methods if (f, m) in stats}
-        if dist_values:
-            low = min(dist_values.values())
-            for m, v in dist_values.items():
-                if v == low:
-                    lowest_distance[m] += 1
+        row = [stats[(f, m)] for m in plan.methods if (f, m) in stats]
+        for attribute, counts in lowest.items():
+            low = min(getattr(st, attribute) for st in row)
+            for st in row:
+                if getattr(st, attribute) == low:
+                    counts[st.method] += 1
 
-    suite_avg = []
-    suite_sum = []
-    for m in methods:
-        means = [stats[(f, m)].mean_fitness for f in functions if (f, m) in stats]
-        if means:
-            suite_avg.append((m, sum(means) / len(means)))
-            suite_sum.append((m, sum(means)))
+    means = {m: [stats[(f, m)].mean_fitness for f in functions if (f, m) in stats]
+             for m in plan.methods}
     return LeaderBoard(
-        single_best=tuple(single_best),
-        best_chm=tuple(best_chm),
-        lowest_fitness_counts=tuple(sorted(lowest_fitness.items())),
-        lowest_distance_counts=tuple(sorted(lowest_distance.items())),
-        suite_avg_fitness=tuple(suite_avg),
-        suite_sum_fitness=tuple(suite_sum),
-    )
+        lowest_fitness_counts=lowest["mean_fitness"],
+        lowest_distance_counts=lowest["mean_distance"],
+        suite_avg_fitness={m: sum(v) / len(v) for m, v in means.items() if v},
+        suite_sum_fitness={m: sum(v) for m, v in means.items() if v})
 
 
 @dataclass
@@ -391,9 +319,8 @@ class ExperimentResult:
     traces: dict[tuple[str, str], list] = field(default_factory=dict)
 
 
-def _run_group(plan_dict: dict, function: str, method: str):
-    """Worker task: all repetitions of one (function, method) group."""
-    plan = ExperimentPlan.from_dict(plan_dict)
+def _run_group(plan: ExperimentPlan, function: str, method: str):
+    """Worker task: the records and trace lines of one (function, method) group."""
     records = []
     trace_lines = []
     for rep in range(plan.repetitions):
@@ -407,43 +334,32 @@ def _run_group(plan_dict: dict, function: str, method: str):
                 seed=plan.cell_seed(function, method, rep),
                 best_fitness=math.nan, best_cost=math.nan, best_position=(),
                 distance=math.nan, fe_used=0, phases=0, converged=False,
-                error=f"{type(exc).__name__}: {exc}").to_dict())
+                error=f"{type(exc).__name__}: {exc}"))
             continue
-        records.append(record.to_dict())
-        for line in trace.to_records():
-            line = dict(line)
-            line.update(repetition=rep, seed=record.seed)
-            trace_lines.append(line)
-    return function, method, records, trace_lines
+        records.append(record)
+        trace_lines.extend({**line, "repetition": rep, "seed": record.seed}
+                           for line in trace.to_records())
+    return records, trace_lines
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> ExperimentResult:
-    """Execute every cell of the plan; optionally export results to ``out_dir``."""
+    """Execute every cell of the plan; optionally export results to ``out_dir``.
+
+    Groups run in worker processes when ``plan.workers > 1``, in this process
+    otherwise; results are collected in sorted (function, method) order."""
     plan.validate()
     tasks = [(f, m) for f in plan.functions for m in plan.methods]
-    plan_dict = plan.to_dict()
-    grouped: dict[tuple[str, str], tuple[list, list]] = {}
-    if plan.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(_run_group, plan_dict, f, m) for f, m in tasks]
-            for fut in futures:
-                function, method, records, trace_lines = fut.result()
-                grouped[(function, method)] = (records, trace_lines)
-    else:
-        for f, m in tasks:
-            function, method, records, trace_lines = _run_group(plan_dict, f, m)
-            grouped[(function, method)] = (records, trace_lines)
-
-    records = []
-    trace_lines: dict[tuple[str, str], list] = {}
-    for key in sorted(grouped):
-        recs, lines = grouped[key]
-        records.extend(RunRecord.from_dict(r) for r in recs)
-        trace_lines[key] = lines
+    pool = (ProcessPoolExecutor(max_workers=plan.workers)
+            if plan.workers > 1 and len(tasks) > 1 else None)
+    with pool or contextlib.nullcontext():
+        groups = list((pool.map if pool else map)(
+            _run_group, [plan] * len(tasks), *zip(*tasks)))
+    grouped = sorted(zip(tasks, groups))
+    records = [r for _, (recs, _) in grouped for r in recs]
     stats = aggregate_records(records)
-    leaderboard = build_leaderboard(plan, stats)
     result = ExperimentResult(plan=plan, records=records, stats=stats,
-                              leaderboard=leaderboard, traces=trace_lines)
+                              leaderboard=build_leaderboard(plan, stats),
+                              traces={key: lines for key, (_, lines) in grouped})
     if out_dir is not None:
         export_results(result, out_dir)
     return result
@@ -457,34 +373,33 @@ def format_table_value(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _write_matrix_csv(path: str, plan, stats, attribute: str):
-    methods = list(plan.methods)
+def _write_csv(path: str, rows):
     with open(path, "w") as fh:
-        fh.write("function," + ",".join(methods) + "\n")
-        for f in plan.functions:
-            cells = []
-            for m in methods:
-                st = stats.get((f, m))
-                cells.append(format_table_value(getattr(st, attribute)) if st else "")
-            fh.write(f + "," + ",".join(cells) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_jsonl(path: str, records):
+    """One JSON object per line, keys sorted."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def _summary_rows(result: ExperimentResult) -> list[tuple[str, ...]]:
     """Per method: lowest-fitness count, lowest-distance count, suite average
     and suite sum of fitness, as table cells."""
-    board = result.leaderboard.as_dict()
+    board = result.leaderboard
     return [(m,
-             str(board["lowest_fitness_counts"].get(m, 0)),
-             str(board["lowest_distance_counts"].get(m, 0)),
-             format_table_value(board["suite_avg_fitness"].get(m, math.nan)),
-             format_table_value(board["suite_sum_fitness"].get(m, math.nan)))
+             str(board.lowest_fitness_counts[m]),
+             str(board.lowest_distance_counts[m]),
+             format_table_value(board.suite_avg_fitness.get(m, math.nan)),
+             format_table_value(board.suite_sum_fitness.get(m, math.nan)))
             for m in result.plan.methods]
 
 
 def export_results(result: ExperimentResult, out_dir: str):
     """Write tables (3-decimal views), raw replayable records (full precision)
     and per-run traces under ``out_dir``."""
-    plan = result.plan
+    plan, stats = result.plan, result.stats
     root = os.path.join(out_dir, plan.name)
     try:
         for sub in ("tables", "raw", "traces"):
@@ -495,47 +410,34 @@ def export_results(result: ExperimentResult, out_dir: str):
     tables = os.path.join(root, "tables")
     for attribute in ("mean_fitness", "std_fitness", "min_fitness", "sum_fitness",
                       "mean_distance", "mean_fe"):
-        _write_matrix_csv(os.path.join(tables, attribute + ".csv"),
-                          plan, result.stats, attribute)
-
+        rows = [("function",) + plan.methods]
+        rows += [(f,) + tuple(format_table_value(getattr(stats[(f, m)], attribute))
+                              if (f, m) in stats else "" for m in plan.methods)
+                 for f in plan.functions]
+        _write_csv(os.path.join(tables, attribute + ".csv"), rows)
     if CHM_METHOD in plan.methods:
-        with open(os.path.join(tables, "selection_frequencies.csv"), "w") as fh:
-            fh.write("function," + ",".join(OPTIMIZER_NAMES) + "\n")
-            for f in plan.functions:
-                st = result.stats.get((f, CHM_METHOD))
-                counts = dict(st.selection_counts) if st else {}
-                fh.write(f + "," + ",".join(str(counts.get(m, 0))
-                                            for m in OPTIMIZER_NAMES) + "\n")
+        rows = [("function",) + OPTIMIZER_NAMES]
+        for f in plan.functions:
+            st = stats.get((f, CHM_METHOD))
+            counts = dict(st.selection_counts) if st else {}
+            rows.append((f,) + tuple(str(counts.get(m, 0)) for m in OPTIMIZER_NAMES))
+        _write_csv(os.path.join(tables, "selection_frequencies.csv"), rows)
+    _write_csv(os.path.join(tables, "summary.csv"),
+               [("method", "lowest_fitness_count", "lowest_distance_count",
+                 "suite_avg_fitness", "suite_sum_fitness")] + _summary_rows(result))
 
-    with open(os.path.join(tables, "summary.csv"), "w") as fh:
-        fh.write("method,lowest_fitness_count,lowest_distance_count,"
-                 "suite_avg_fitness,suite_sum_fitness\n")
-        for row in _summary_rows(result):
-            fh.write(",".join(row) + "\n")
-
-    with open(os.path.join(root, "raw", "runs.jsonl"), "w") as fh:
-        for r in result.records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(os.path.join(root, "raw", "runs.jsonl"), map(asdict, result.records))
     save_plan(plan, os.path.join(root, "raw", "plan.json"))
-
     for (function, method), lines in result.traces.items():
-        path = os.path.join(root, "traces", f"{function}__{method}.jsonl")
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        write_jsonl(os.path.join(root, "traces", f"{function}__{method}.jsonl"), lines)
 
 
 def load_records(path: str) -> list[RunRecord]:
-    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
-    return records
+        return [RunRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
 def format_leaderboard(result: ExperimentResult) -> str:
-    """Human-readable suite summary."""
+    """Human-readable suite summary: the rows of ``summary.csv``."""
     header = ("method", "lowest fitness", "lowest distance", "avg fitness", "sum fitness")
     return format_table([header] + _summary_rows(result))

@@ -35,6 +35,7 @@ from .core import (
     Individual,
     Population,
     SeededRng,
+    check_fields,
     clamp_to_bounds,
     random_position,
 )
@@ -52,10 +53,13 @@ class PsoParams:
     v_max_fraction: float = 0.5
 
     def __post_init__(self):
+        check_fields(self, reals=("inertia", "cognitive", "social", "v_max_fraction"))
         if not 0.0 < self.inertia < 1.0:
             raise ValueError(f"inertia must be in (0,1), got {self.inertia}")
         if self.cognitive <= 0 or self.social <= 0:
             raise ValueError("cognitive and social weights must be positive")
+        if self.v_max_fraction <= 0:
+            raise ValueError("v_max_fraction must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,12 @@ class SaParams:
     t0_floor: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self, reals=("cooling", "step_fraction", "t0", "t0_floor"),
+                     optional=("t0",))
         if not 0.0 < self.cooling < 1.0:
             raise ValueError(f"cooling must be in (0,1), got {self.cooling}")
+        if self.step_fraction <= 0:
+            raise ValueError("step_fraction must be positive")
         if self.t0 is not None and self.t0 <= 0:
             raise ValueError("t0 must be positive")
         if self.t0_floor <= 0:
@@ -84,29 +92,30 @@ class GaParams:
     elitism: int = 1
 
     def __post_init__(self):
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be >= 2")
+        check_fields(self, {"tournament_size": 2, "elitism": 0},
+                     reals=("crossover_rate", "blend_alpha", "mutation_rate",
+                            "mutation_sigma_fraction"), optional=("mutation_rate",))
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0,1]")
+        if self.blend_alpha < 0:
+            raise ValueError("blend_alpha must be >= 0")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0,1]")
-        if self.elitism < 0:
-            raise ValueError("elitism must be >= 0")
+        if self.mutation_sigma_fraction <= 0:
+            raise ValueError("mutation_sigma_fraction must be positive")
 
 
 @dataclass(frozen=True)
 class DeParams:
     weight: float = 0.5  # differential weight F
     crossover_rate: float = 0.9  # CR
-    strategy: str = "rand/1/bin"
 
     def __post_init__(self):
+        check_fields(self, reals=("weight", "crossover_rate"))
         if not 0.0 < self.weight <= 2.0:
             raise ValueError(f"weight must be in (0,2], got {self.weight}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0,1]")
-        if self.strategy != "rand/1/bin":
-            raise ValueError(f"unsupported strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -119,12 +128,13 @@ class BfoParams:
     step_fraction: float = 0.05
 
     def __post_init__(self):
-        for name in ("chemotaxis_steps", "swim_length", "reproduction_steps",
-                     "elimination_dispersal_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self, dict.fromkeys(("chemotaxis_steps", "swim_length", "reproduction_steps",
+                                          "elimination_dispersal_steps"), 1),
+                     reals=("dispersal_probability", "step_fraction"))
         if not 0.0 <= self.dispersal_probability <= 1.0:
             raise ValueError("dispersal_probability must be in [0,1]")
+        if self.step_fraction <= 0:
+            raise ValueError("step_fraction must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,13 @@ class TestBench:
         ("convergence_epsilon", "x"), ("convergence_epsilon", None),
         ("budget_override", [2.5, 3]), ("budget_override", [10]), ("base_seed", "7"),
         ("base_seed", 7.0), ("methods", [1]), ("functions", [1]), ("name", 5),
+        ("optimizer_overrides", {"bfo": {"chemotaxis_steps": 2.5}}),
+        ("optimizer_overrides", {"ga": {"tournament_size": 2.5}}),
+        ("optimizer_overrides", {"sa": {"step_fraction": "x"}}),
+        ("optimizer_overrides", {"pso": {"v_max_fraction": -1.0}}),
+        ("optimizer_overrides", {"de": {"strategy": "rand/1/bin"}}),
+        ("functions", ["matyas", "matyas"]), ("functions", ["matyas", "MATYAS"]),
+        ("methods", ["de", "de"]), ("methods", ["de", " DE "]),
     ])
     def test_invalid_plan_file_exits_one(self, tmp_path, capsys, field, value):
         plan = {"name": "fromfile", "functions": ["matyas"], "methods": ["de"],
@@ -173,6 +180,14 @@ class TestBench:
         assert code == 1
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+    def test_repeated_names_exit_one(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "bench", "--functions", "matyas,matyas",
+                                 "--methods", "de,de", "--reps", "1", "--budgets", "10,20",
+                                 "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must not repeat" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["../../escape", "..", ".", "", "a/b"])
     def test_name_outside_out_exits_one(self, tmp_path, capsys, name):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,21 +7,24 @@ import numpy as np
 import pytest
 
 from chmopt import (
-    ChmConfig,
     ExperimentPlan,
     RunRecord,
     aggregate_records,
-    chm_run,
     export_results,
-    get_benchmark,
     load_plan,
+    make_synthetic_dataset,
     replay_record,
     run_cell,
     run_experiment,
     save_plan,
-    selection_frequencies,
 )
+from chmopt.cli import main as cli_main
 from chmopt.harness import build_leaderboard, format_leaderboard, load_records
+from dataset_csv import write_dataset_csv
+
+# sha256 over every file `TestExport.test_export_output_pin` writes; any
+# change to an exported byte, file name or file count changes it
+EXPORT_PIN = "06b5bf973ec4be1ef00e997235f37721328dd893d96027116d5d3757831198d0"
 
 
 def small_plan(**kwargs):
@@ -64,6 +68,9 @@ class TestPlanValidation:
         ("budget_override", (0, 20), "budget_override must be two integers"),
         ("skip_on_error", "no", "skip_on_error must be true or false"),
         ("distance_to_nearest", 1, "distance_to_nearest must be true or false"),
+        ("functions", ("matyas", "brent", "matyas"), "functions must not repeat"),
+        ("functions", ("matyas", " Matyas"), "functions must not repeat"),
+        ("methods", ("de", "chm", "DE"), "methods must not repeat"),
     ])
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -101,6 +108,9 @@ class TestRunExperiment:
         assert stats.mean_fitness == pytest.approx(sum(fits) / 3)
         assert stats.min_fitness == fits[0]
         assert stats.sum_fitness == pytest.approx(sum(fits))
+        # one fit-phase selection per hybrid iteration
+        chm_phases = sum(r.phases for r in result.records if r.method == "chm")
+        assert sum(n for _, n in stats.selection_counts) == chm_phases
 
     def test_closed_form_statistics(self):
         records = [
@@ -151,37 +161,6 @@ class TestRunExperiment:
         assert len(seeds) == 2 * 3
 
 
-class TestSelectionFrequencies:
-    def test_uniform_selection(self):
-        spec = get_benchmark("matyas")
-        traces = []
-        for seed in range(2):
-            config = ChmConfig(iterations=2, population_size=5,
-                               maxfe_probing=20, maxfe_fit=40,
-                               convergence_epsilon=0.0, convergence_patience=5)
-            _, trace = chm_run(config, spec.formula, spec.bounds, seed,
-                               reference_value=spec.reference_value)
-            traces.append(trace)
-        counts = selection_frequencies(traces)
-        assert sum(counts.values()) == sum(len(t.iterations) for t in traces)
-
-    def test_hand_built_counts(self):
-        class FakeTrace:
-            def __init__(self, names):
-                self.names = names
-
-            def selections(self):
-                return tuple(self.names)
-
-        counts = selection_frequencies([FakeTrace(["de", "pso"]),
-                                        FakeTrace(["pso", "pso"])])
-        assert counts == {"de": 1, "pso": 3}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            selection_frequencies([])
-
-
 class TestLeaderboard:
     def test_counts_allow_ties(self):
         records = []
@@ -192,17 +171,14 @@ class TestLeaderboard:
                                          converged=True))
         plan = small_plan(methods=("de", "pso", "sa"))
         stats = aggregate_records(records)
-        board = build_leaderboard(plan, stats).as_dict()
-        assert board["lowest_fitness_counts"]["de"] == 1
-        assert board["lowest_fitness_counts"]["pso"] == 1
-        assert board["lowest_fitness_counts"]["sa"] == 0
-        assert board["single_best"]["matyas"] == ["de", "pso"]
+        board = build_leaderboard(plan, stats)
+        assert board.lowest_fitness_counts == {"de": 1, "pso": 1, "sa": 0}
+        assert board.lowest_distance_counts == {"de": 1, "pso": 1, "sa": 0}
 
     def test_suite_sums_match_stats(self):
         plan = small_plan()
         result = run_experiment(plan)
-        board = result.leaderboard.as_dict()
-        assert board["suite_sum_fitness"]["chm"] == pytest.approx(
+        assert result.leaderboard.suite_sum_fitness["chm"] == pytest.approx(
             result.stats[("matyas", "chm")].mean_fitness)
 
 
@@ -272,6 +248,31 @@ class TestExport:
         result = run_experiment(plan)
         with pytest.raises(RuntimeError, match="blocked"):
             export_results(result, str(blocker))
+
+    def test_export_output_pin(self, tmp_path):
+        # sha256 over every file a sweep exports (with two workers), the
+        # `run --out` traces and the `fselect --out` report: path, then bytes
+        plan = small_plan(name="pin", functions=("matyas", "himmelblau", "rastrigin"),
+                          methods=("chm", "pso", "sa", "ga", "de", "bfo"),
+                          repetitions=2, budget_override=(20, 40), workers=2,
+                          optimizer_overrides={"de": {"weight": 0.7}})
+        run_experiment(plan, out_dir=str(tmp_path / "bench"))
+        assert cli_main(["run", "matyas", "chm", "--reps", "2", "--seed", "3",
+                         "--out", str(tmp_path / "run"), "--format", "records"]) == 0
+        csv_path = tmp_path / "synth.csv"
+        write_dataset_csv(make_synthetic_dataset(n_rows=60, n_noise=4, seed=9),
+                          str(csv_path))
+        assert cli_main(["fselect", str(csv_path), "--label", "label", "--method", "all",
+                         "--reps", "2", "--budgets", "5,10", "--trees", "5",
+                         "--depth", "4", "--population", "5", "--iterations", "1",
+                         "--format", "records", "--out", str(tmp_path / "fs")]) == 0
+        digest = hashlib.sha256()
+        paths = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != csv_path)
+        assert len(paths) == 8 + 2 + 18 + 2 + 1
+        for path in paths:
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == EXPORT_PIN
 
     def test_validation_fails_before_any_write(self, tmp_path):
         with pytest.raises(ValueError):

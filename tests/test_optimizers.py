@@ -268,8 +268,6 @@ class TestParamValidation:
     def test_de(self):
         with pytest.raises(ValueError):
             DeParams(weight=0.0)
-        with pytest.raises(ValueError):
-            DeParams(strategy="best/1/bin")
 
     def test_bfo(self):
         with pytest.raises(ValueError):
@@ -280,6 +278,33 @@ class TestParamValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_optimizer("cmaes")
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("bfo", "chemotaxis_steps", 2.5, "chemotaxis_steps must be an integer >= 1"),
+        ("bfo", "swim_length", True, "swim_length must be an integer >= 1"),
+        ("ga", "tournament_size", 2.5, "tournament_size must be an integer >= 2"),
+        ("ga", "elitism", -1, "elitism must be an integer >= 0"),
+        ("sa", "step_fraction", "x", "step_fraction must be a finite number"),
+        ("sa", "t0", float("inf"), "t0 must be a finite number"),
+        ("pso", "inertia", True, "inertia must be a finite number"),
+        ("de", "weight", None, "weight must be a finite number"),
+        ("ga", "mutation_rate", float("nan"), "mutation_rate must be a finite number"),
+        ("pso", "v_max_fraction", -1.0, "v_max_fraction must be positive"),
+        ("pso", "v_max_fraction", 0.0, "v_max_fraction must be positive"),
+        ("sa", "step_fraction", 0.0, "step_fraction must be positive"),
+        ("bfo", "step_fraction", -0.1, "step_fraction must be positive"),
+        ("ga", "mutation_sigma_fraction", 0.0, "mutation_sigma_fraction must be positive"),
+        ("ga", "blend_alpha", -0.5, "blend_alpha must be >= 0"),
+        ("de", "strategy", "rand/1/bin", "strategy"),
+    ])
+    def test_bad_field_rejected(self, kind, field, value, message):
+        with pytest.raises((TypeError, ValueError), match=message):
+            make_optimizer(kind, **{field: value})
+
+    def test_optional_fields_and_edges_accepted(self):
+        make_optimizer("sa", t0=None)
+        make_optimizer("ga", mutation_rate=None, blend_alpha=0.0, elitism=0)
+        make_optimizer("pso", v_max_fraction=1)
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_NAMES)
@@ -362,9 +387,9 @@ PARAM_STRATEGIES = {
     "pso": st.fixed_dictionaries(dict(
         inertia=_open_unit(), cognitive=st.floats(0.0, 4.0, exclude_min=True),
         social=st.floats(0.0, 4.0, exclude_min=True),
-        v_max_fraction=st.floats(0.0, 1.0))),
+        v_max_fraction=st.floats(0.0, 1.0, exclude_min=True))),
     "sa": st.fixed_dictionaries(dict(
-        cooling=_open_unit(), step_fraction=st.floats(0.0, 0.5),
+        cooling=_open_unit(), step_fraction=st.floats(0.0, 0.5, exclude_min=True),
         t0=st.none() | st.floats(0.0, 100.0, exclude_min=True),
         t0_floor=st.floats(0.0, 1.0, exclude_min=True))),
     "de": st.fixed_dictionaries(dict(
@@ -374,7 +399,8 @@ PARAM_STRATEGIES = {
         chemotaxis_steps=st.integers(1, 4), swim_length=st.integers(1, 4),
         reproduction_steps=st.integers(1, 3),
         elimination_dispersal_steps=st.integers(1, 2),
-        dispersal_probability=st.floats(0.0, 1.0), step_fraction=st.floats(0.0, 0.2))),
+        dispersal_probability=st.floats(0.0, 1.0),
+        step_fraction=st.floats(0.0, 0.2, exclude_min=True))),
 }
 
 
