@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--reps", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=1234)
     p_bench.add_argument("--workers", type=int, help="worker processes (default: 1, "
-                         "or the plan's value)")
+                         "or the plan's value), at most one per group and per CPU")
     p_bench.add_argument("--name", default="default")
     p_bench.add_argument("--budgets", help="override probing,fit budgets, e.g. 300,600")
     p_bench.add_argument("--out", help="output root (default: results or $CHMOPT_RESULTS)")
@@ -166,8 +166,7 @@ def cmd_bench(args) -> int:
     else:
         kwargs = {}
         if args.functions:
-            kwargs["functions"] = tuple(
-                benchmarks.normalize_name(f) for f in args.functions.split(","))
+            kwargs["functions"] = tuple(args.functions.split(","))
         if args.methods:
             kwargs["methods"] = tuple(args.methods.split(","))
         if args.budgets:

@@ -5,12 +5,19 @@ Feature masks are encoded as points in the unit cube (coordinate >= 0.5 means
 search masks unchanged. The cost of a mask is the error rate of the built-in
 random forest trained on the selected features, measured on an inner
 validation split; reported errors come from a held-out test split.
+
+The methods of a repetition search in lockstep: each runs in its own thread,
+used only to suspend its search, and the new masks they ask for in one round
+grow their forests in one pass. A mask's cost does not depend on which masks
+share its pass, so every search is what it would be alone.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import statistics
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -225,13 +232,15 @@ def _forest_cost(forest: RandomForest, columns, validation: Dataset) -> float:
 
 
 class _CachedMaskObjective:
-    """Search-time cost of a mask position, cached per decoded mask.
+    """Search-time costs of masks, cached per mask, for one repetition's searches.
 
     The search space has 2^d distinct masks; repeated evaluations of the same
     mask return the cached error without retraining, while the optimizer's
-    budget accounting (which wraps this callable) still counts every call.
-    The forests of a batch's new masks grow in one ``fit_forests`` pass, each
-    exactly as ``fs_cost`` would fit it; a lone one is fitted by ``fs_cost``.
+    budget accounting (which wraps each method's ``_Search``) still counts
+    every call. ``new_masks`` caches the masks that train no forest and
+    returns the ones that need one; ``fit`` grows their forests in one
+    ``fit_forests`` pass, each exactly as ``fs_cost`` would fit it, and fits a
+    lone one by ``fs_cost``.
     """
 
     def __init__(self, train, validation, params, seed):
@@ -242,11 +251,8 @@ class _CachedMaskObjective:
         self.classes = np.unique(train.labels)
         self.cache: dict[tuple[bool, ...], float] = {}
 
-    def __call__(self, position) -> float:
-        return self.evaluate_many([position])[0]
-
-    def evaluate_many(self, positions) -> list[float]:
-        masks = [decode_mask(p) for p in positions]
+    def new_masks(self, masks) -> list[tuple[bool, ...]]:
+        """The distinct uncached masks among ``masks`` that train a forest."""
         grown = []
         for mask in dict.fromkeys(masks):
             if mask not in self.cache:
@@ -255,6 +261,10 @@ class _CachedMaskObjective:
                     grown.append(mask)
                 else:
                     self.cache[mask] = cost
+        return grown
+
+    def fit(self, grown):
+        """Cache the cost of each of the distinct masks ``grown``."""
         if len(grown) == 1:  # through fs_cost, which perfbench's tracer wraps
             self.cache[grown[0]] = fs_cost(grown[0], self.train, self.validation,
                                            self.params, mix_seed(self.seed, *grown[0]))
@@ -264,7 +274,106 @@ class _CachedMaskObjective:
                                   [mix_seed(self.seed, *m) for m in grown])
             for mask, forest in zip(grown, forests):
                 self.cache[mask] = _forest_cost(forest, _columns(mask), self.validation)
-        return [self.cache[m] for m in masks]
+
+
+class _Cancelled(BaseException):
+    """Unwinds a suspended search whose lockstep run is being torn down."""
+
+
+class _Search:
+    """One method's search in its own thread, suspended while it waits for forests.
+
+    The thread runs only between ``step`` being called and returning, so the
+    searches of a lockstep run take turns and never run at the same time.
+    To the optimizer it is the mask objective: an evaluation whose masks are
+    all cached, or train no forest, returns at once; otherwise the search
+    posts its new masks and waits for the coordinator to fit them.
+    """
+
+    def __init__(self, objective: _CachedMaskObjective, name: str, run):
+        self.objective = objective
+        self.run = run
+        self.posted: list[tuple[bool, ...]] = []  # masks the next round must fit
+        self.done = False
+        self.result = None
+        self.error: BaseException | None = None
+        self._cancelled = False
+        self._go = threading.Event()
+        self._paused = threading.Event()
+        self.thread = threading.Thread(target=self._main, name=f"fselect-{name}",
+                                       daemon=True)
+
+    def __call__(self, position) -> float:
+        return self.evaluate_many([position])[0]
+
+    def evaluate_many(self, positions) -> list[float]:
+        if self._cancelled:
+            raise _Cancelled
+        masks = [decode_mask(p) for p in positions]
+        self.posted = self.objective.new_masks(masks)
+        if self.posted:
+            self._paused.set()
+            self._wait_for_turn()
+        return [self.objective.cache[m] for m in masks]
+
+    def step(self):
+        """Let the search run until it posts new masks or ends."""
+        if self.thread.ident is None:
+            self.thread.start()
+        self._go.set()
+        self._paused.wait()
+        self._paused.clear()
+
+    def cancel(self):
+        """Make a suspended search unwind at once, a running one at its next evaluation."""
+        self._cancelled = True
+        self._go.set()
+
+    def _wait_for_turn(self):
+        self._go.wait()
+        self._go.clear()
+        if self._cancelled:
+            raise _Cancelled
+
+    def _main(self):
+        try:
+            self._wait_for_turn()
+            self.result = self.run(self)
+        except _Cancelled:
+            pass
+        except BaseException as exc:  # handed to the coordinator, which raises it
+            self.error = exc
+        finally:
+            self.done = True
+            self._paused.set()
+
+
+def _search_in_lockstep(objective: _CachedMaskObjective, runs: dict) -> dict:
+    """Run each ``runs[name](search_objective)`` in lockstep; their results by name.
+
+    Each round steps every live search in order until it posts new masks or
+    ends, then fits the union of the posted masks, in order, in one pass. Only
+    this coordinator fits, and only between rounds, so the rounds do not depend
+    on thread timing. The first error, in order, propagates; every thread has
+    ended when this returns or raises.
+    """
+    searches = [_Search(objective, name, run) for name, run in runs.items()]
+    try:
+        live = searches
+        while live:
+            for search in live:
+                search.step()
+                if search.error is not None:
+                    raise search.error
+            live = [s for s in live if not s.done]
+            objective.fit(list(dict.fromkeys(m for s in live for m in s.posted)))
+    finally:
+        for search in searches:
+            search.cancel()
+        for search in searches:
+            if search.thread.ident is not None:
+                search.thread.join()
+    return {name: search.result for name, search in zip(runs, searches)}
 
 
 @dataclass(frozen=True)
@@ -330,10 +439,13 @@ def run_feature_selection(dataset: Dataset, methods, *,
     ``none``) is one all-features evaluation on it. Each repetition draws its
     inner validation split and all optimizer/forest randomness from its own
     seed. All methods of a repetition search that one split through one mask
-    cache, and each distinct mask they find gets one test error, so a mask is
-    fitted once per repetition and the baseline once per call. No seed depends
-    on the method, so a method's results do not depend on which methods run
-    beside it. Rows follow ``methods``, then ``none``.
+    cache, in lockstep: the new masks they ask for in one round grow their
+    forests in one pass. After the searches, each distinct mask they found gets
+    one test error, in method order, so a mask is fitted once per repetition
+    and the baseline once per call. No seed depends on the method and no cost
+    on the pass that fitted it, so a method's results do not depend on which
+    methods run beside it. Repetitions run one after another. Rows follow
+    ``methods``, then ``none``.
     ``forest_params`` sets the search-time classifier; ``report_forest_params``
     (default: same) sets the classifier for the reported test errors, so the
     search can use a cheaper forest than the final evaluation.
@@ -362,11 +474,14 @@ def run_feature_selection(dataset: Dataset, methods, *,
         fit_train, validation = split_dataset(
             train_all, validation_fraction, seed=mix_seed(rep_seed, "val-split"))
         objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
+        bests = _search_in_lockstep(objective, {
+            method: functools.partial(run_method, method, bounds=bounds, seed=rep_seed,
+                                      iterations=iterations,
+                                      population_size=population_size,
+                                      maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
+            for method in methods})
         test_errors = {}
-        for method in methods:
-            best, _ = run_method(method, objective, bounds, rep_seed, iterations=iterations,
-                                 population_size=population_size,
-                                 maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
+        for method, (best, _) in bests.items():
             mask = decode_mask(best.position)
             if mask not in test_errors:
                 test_errors[mask] = fs_cost(mask, train_all, test, report_params,

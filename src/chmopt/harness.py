@@ -44,7 +44,8 @@ class ExperimentPlan:
     distance_to_nearest: bool = False  # measure against the nearest known optimum
 
     def __post_init__(self):
-        self.functions = tuple(self.functions)
+        self.functions = tuple(normalize_name(f) if isinstance(f, str) else f
+                               for f in self.functions)
         self.methods = tuple(m.strip().lower() if isinstance(m, str) else m
                              for m in self.methods)
         if isinstance(self.budget_override, list):
@@ -345,12 +346,13 @@ def _run_group(plan: ExperimentPlan, function: str, method: str):
 def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> ExperimentResult:
     """Execute every cell of the plan; optionally export results to ``out_dir``.
 
-    Groups run in worker processes when ``plan.workers > 1``, in this process
-    otherwise; results are collected in sorted (function, method) order."""
+    Groups run in a pool of min(``plan.workers``, groups, CPUs) worker
+    processes when that is above 1, in this process otherwise; results are
+    collected in sorted (function, method) order."""
     plan.validate()
     tasks = [(f, m) for f in plan.functions for m in plan.methods]
-    pool = (ProcessPoolExecutor(max_workers=plan.workers)
-            if plan.workers > 1 and len(tasks) > 1 else None)
+    workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         groups = list((pool.map if pool else map)(
             _run_group, [plan] * len(tasks), *zip(*tasks)))

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chmopt import (
     ForestParams,
@@ -17,7 +21,7 @@ from chmopt import (
     run_feature_selection_all,
     split_dataset,
 )
-from chmopt.fselect import DatasetError, Dataset, _CachedMaskObjective
+from chmopt.fselect import DatasetError, Dataset, _CachedMaskObjective, _search_in_lockstep
 from chmopt.harness import ALL_METHODS
 from dataset_csv import write_dataset_csv
 
@@ -199,8 +203,9 @@ class TestFsCost:
 
 @pytest.mark.parametrize("single_class", [False, True])
 def test_mask_objective_costs_match_fs_cost(single_class):
-    """Alone, in a batch with empty, repeated and cached masks, or one call
-    at a time, a position costs what fs_cost gives its mask at its seed."""
+    """Alone, in a batch with empty, repeated and cached masks, in a round
+    with another search's masks, or one call at a time, a position costs what
+    fs_cost gives its mask at its seed."""
     ds = make_synthetic_dataset(n_rows=90, n_noise=3, seed=21)
     train, val = split_dataset(ds, 0.3, 22)
     if single_class:
@@ -211,10 +216,14 @@ def test_mask_objective_costs_match_fs_cost(single_class):
     expected = [fs_cost(decode_mask(p), train, val, FAST_FOREST, mix_seed(23, *decode_mask(p)))
                 for p in positions]
     objective = _CachedMaskObjective(train, val, FAST_FOREST, 23)
-    assert objective.evaluate_many(positions[:1]) == expected[:1]
-    assert objective.evaluate_many(positions) == expected
+    costs = _search_in_lockstep(objective, {
+        "batch": lambda search: [search.evaluate_many(positions[:1]),
+                                 search.evaluate_many(positions)],
+        "reversed": lambda search: search.evaluate_many(positions[::-1])})
+    assert costs == {"batch": [expected[:1], expected], "reversed": expected[::-1]}
     fresh = _CachedMaskObjective(train, val, FAST_FOREST, 23)
-    assert [fresh(p) for p in positions] == expected
+    costs = _search_in_lockstep(fresh, {"each": lambda search: [search(p) for p in positions]})
+    assert costs == {"each": expected}
 
 def test_adding_informative_feature_never_hurts_median():
     ds = make_synthetic_dataset(n_rows=200, n_noise=5, seed=12)
@@ -287,17 +296,20 @@ def _pin_dataset():
     return make_synthetic_dataset(60, 3, seed=7)
 
 
+def _pin_digest(report):
+    payload = {"runs": {m: [dict(d, mask=list(d["mask"])) for d in details]
+                        for m, details in report.runs.items()},
+               "records": report.to_records()}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def test_feature_selection_output_pin():
     """Every detail of every (method, repetition) search and the report rows,
     hashed; the constant was recorded before the methods shared their splits,
     mask caches and baseline."""
     report = run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
-    payload = {"runs": {m: [dict(d, mask=list(d["mask"])) for d in details]
-                        for m, details in report.runs.items()},
-               "records": report.to_records()}
-    text = json.dumps(payload, sort_keys=True)
     assert list(report.runs) == list(ALL_METHODS)
-    assert hashlib.sha256(text.encode()).hexdigest() == PIN_DIGEST
+    assert _pin_digest(report) == PIN_DIGEST
 
 
 def test_feature_selection_results_do_not_depend_on_method_set():
@@ -310,18 +322,46 @@ def test_feature_selection_results_do_not_depend_on_method_set():
         assert other.row("none") == first.row("none")
 
 
+LOCKSTEP_KWARGS = dict(repetitions=1, population_size=4, iterations=1, maxfe_probing=4,
+                       maxfe_fit=8, forest_params=ForestParams(3, 3),
+                       report_forest_params=ForestParams(3, 3))
+_alone_runs = {}
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(ALL_METHODS), count=st.integers(1, len(ALL_METHODS)),
+       seed=st.integers(0, 3))
+def test_lockstep_method_equals_its_run_alone(order, count, seed):
+    """Searching in lockstep with other methods, in any order, a method gets
+    the runs and row it gets alone."""
+    dataset = make_synthetic_dataset(40, 3, seed=7)
+    methods = order[:count]
+    report = run_feature_selection(dataset, methods, seed=seed, **LOCKSTEP_KWARGS)
+    assert list(report.runs) == list(methods)
+    for method in methods:
+        if (method, seed) not in _alone_runs:
+            _alone_runs[method, seed] = run_feature_selection(
+                dataset, (method,), seed=seed, **LOCKSTEP_KWARGS)
+        alone = _alone_runs[method, seed]
+        assert report.runs[method] == alone.runs[method]
+        assert report.row(method) == alone.row(method)
+
+
 # forests the pin run grew before search fits were batched: 20 search
 # forests, 5 for the test errors of the masks found and the baseline
 PIN_FORESTS = 25
+# _Grower passes of the pin run: 19 with the methods searching one after
+# another, 12 in lockstep
+PIN_GROWERS = 12
 
 
-def test_each_mask_fitted_once_per_repetition_and_baseline_once(monkeypatch):
-    """Every forest grown, one fit at a time or several in one pass, has its
-    own (mask, seed) key, and the run grows as many as before batching."""
+def _counted_pin_run(monkeypatch):
+    """The pin run with every grown forest's (mask, seed) key and every
+    _Grower pass counted: (report, keys, forests grown, grower passes)."""
     import chmopt.forest as forest
     import chmopt.fselect as fselect
 
-    keys, grown = [], []
+    keys, grown, passes = [], [], []
     real_cost, real_fit_forests, grower = fselect.fs_cost, fselect.fit_forests, forest._Grower
 
     def counting_cost(mask, train, validation, params, seed):
@@ -337,11 +377,101 @@ def test_each_mask_fitted_once_per_repetition_and_baseline_once(monkeypatch):
     class CountingGrower(grower):
         def __init__(self, forests, *args):
             grown.extend(forests)
+            passes.append(len(forests))
             super().__init__(forests, *args)
 
     monkeypatch.setattr(fselect, "fs_cost", counting_cost)
     monkeypatch.setattr(fselect, "fit_forests", counting_fit_forests)
     monkeypatch.setattr(forest, "_Grower", CountingGrower)
-    run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
+    report = run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
+    return report, keys, grown, passes
+
+
+def test_each_mask_fitted_once_per_repetition_and_baseline_once(monkeypatch):
+    """Every forest grown, one fit at a time or several in one pass, has its
+    own (mask, seed) key, and the run grows as many as before batching, in
+    the _Grower passes the lockstep rounds give."""
+    _, keys, grown, passes = _counted_pin_run(monkeypatch)
     assert len(keys) == len(set(keys)) == len(grown) == PIN_FORESTS
     assert sum(1 for k in keys if k[1] == mix_seed(PIN_KWARGS["seed"], "baseline")) == 1
+    assert len(passes) == PIN_GROWERS
+
+
+def test_lockstep_pin_under_rapid_thread_switching(monkeypatch):
+    """Forcing a thread switch every microsecond changes no search or count."""
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report, keys, grown, passes = _counted_pin_run(monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _pin_digest(report) == PIN_DIGEST
+    assert len(keys) == len(set(keys)) == len(grown) == PIN_FORESTS
+    assert len(passes) == PIN_GROWERS
+    assert threading.active_count() == before
+
+
+def _raised_by(call, timeout=120.0):
+    """What ``call()`` raises, run in a thread joined within ``timeout``."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    return raised[0] if raised else None
+
+
+def _raising_evolve(monkeypatch, cls, message, calls_before=1):
+    """Make ``cls`` raise RuntimeError(message) at its ``calls_before + 1``-th _evolve."""
+    real, calls = cls._evolve, []
+
+    def evolve(self, *args):
+        calls.append(1)
+        if len(calls) > calls_before:
+            raise RuntimeError(message)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, "_evolve", evolve)
+
+
+@pytest.mark.parametrize("methods", [("sa", "de"), ("de", "sa")])
+def test_optimizer_error_mid_search_propagates_and_ends_every_thread(monkeypatch, methods):
+    """Both searches fail in the same round; the one first in method order
+    propagates, and no search thread is left."""
+    from chmopt.optimizers import DifferentialEvolution, SimulatedAnnealing
+
+    _raising_evolve(monkeypatch, DifferentialEvolution, "de failed")
+    _raising_evolve(monkeypatch, SimulatedAnnealing, "sa failed")
+    before = threading.active_count()
+    error = _raised_by(lambda: run_feature_selection(
+        _pin_dataset(), ("pso",) + methods + ("bfo",), **PIN_KWARGS))
+    assert isinstance(error, RuntimeError) and str(error) == f"{methods[0]} failed"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error_type", [RuntimeError, KeyboardInterrupt])
+def test_fit_error_in_a_round_propagates_and_ends_every_thread(monkeypatch, error_type):
+    import chmopt.fselect as fselect
+
+    real, calls = fselect.fit_forests, []
+
+    def failing_fit_forests(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error_type("fit failed")
+        return real(*args)
+
+    monkeypatch.setattr(fselect, "fit_forests", failing_fit_forests)
+    before = threading.active_count()
+    error = _raised_by(lambda: run_feature_selection_all(_pin_dataset(), **PIN_KWARGS))
+    assert isinstance(error, error_type) and str(error) == "fit failed"
+    assert len(calls) == 2
+    assert threading.active_count() == before

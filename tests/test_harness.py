@@ -71,6 +71,7 @@ class TestPlanValidation:
         ("functions", ("matyas", "brent", "matyas"), "functions must not repeat"),
         ("functions", ("matyas", " Matyas"), "functions must not repeat"),
         ("methods", ("de", "chm", "DE"), "methods must not repeat"),
+        ("functions", ("matyas", 3), "function names must be strings"),
     ])
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -86,6 +87,19 @@ class TestPlanValidation:
         save_plan(plan, str(path))
         loaded = load_plan(str(path))
         assert loaded == plan
+
+    def test_function_names_normalised(self, tmp_path):
+        """A plan's function names are registry names, so their spelling
+        changes no seed, record or exported file name."""
+        results = {}
+        for spelling in ("Matyas", "matyas"):
+            plan = small_plan(functions=(spelling,), repetitions=1)
+            assert plan.functions == ("matyas",)
+            result = run_experiment(plan, out_dir=str(tmp_path / spelling))
+            traces = sorted(os.listdir(tmp_path / spelling / "test" / "traces"))
+            results[spelling] = ([r.to_dict() for r in result.records], traces)
+        assert results["Matyas"] == results["matyas"]
+        assert results["matyas"][1] == ["matyas__chm.jsonl", "matyas__de.jsonl"]
 
     def test_budgets_for_uses_bucket_defaults(self):
         plan = small_plan(budget_override=None)
@@ -144,6 +158,40 @@ class TestRunExperiment:
         key = lambda r: (r.function, r.method, r.repetition)
         assert ([r.to_dict() for r in sorted(sequential.records, key=key)]
                 == [r.to_dict() for r in sorted(parallel.records, key=key)])
+
+    @pytest.mark.parametrize("workers, functions, cpus, pool_size", [
+        (64, ("matyas",), 8, 2),
+        (3, ("matyas", "beale", "brent"), 8, 3),
+        (64, ("matyas", "beale", "brent"), 4, 4),
+        (64, ("matyas",), None, None),
+        (1, ("matyas",), 8, None),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, functions, cpus, pool_size):
+        """The pool holds at most one worker per group and per CPU, and none
+        at all when that leaves one; no process is started here."""
+        import chmopt.harness as harness
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        result = run_experiment(small_plan(functions=functions, repetitions=1,
+                                           workers=workers))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(result.records) == 2 * len(functions)
 
     def test_replay_is_bit_exact(self):
         plan = small_plan()
