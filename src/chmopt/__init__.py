@@ -70,7 +70,6 @@ from .optimizers import (
     make_optimizer,
     pso_velocity_update,
     sa_accept,
-    tumble_direction,
 )
 
 __version__ = "0.1.0"

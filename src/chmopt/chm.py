@@ -149,15 +149,6 @@ class RunTrace:
         return tuple(it.selected_name for it in self.iterations
                      if it.kind == ITERATION_KIND)
 
-    def best_fitness_history(self) -> list[float]:
-        """Best fitness at init and after each phase (None entries excluded)."""
-        history = []
-        if self.initial_best_fitness is not None:
-            history.append(self.initial_best_fitness)
-        history.extend(it.best_fitness for it in self.iterations
-                       if it.best_fitness is not None)
-        return history
-
     def to_records(self) -> list[dict]:
         """Line-oriented trace: one init record plus one record per phase."""
         records = [{

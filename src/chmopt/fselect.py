@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import statistics
 import threading
@@ -69,7 +70,7 @@ def _encode_first_appearance(values):
 
 
 def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
-    """Ingest a CSV with a header row.
+    """Ingest a UTF-8 CSV with a header row that names the label column once.
 
     Rows with missing cells are dropped (and counted). Feature columns where
     every retained value parses as a number become numeric and must hold no
@@ -77,9 +78,14 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     strict mode every feature column is treated as numeric and rows with
     unparseable cells are dropped instead.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                           f"at byte offset {exc.start}") from None
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise DatasetError(f"{path}: file is empty")
     header, data = rows[0], rows[1:]
@@ -87,6 +93,9 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
         raise DatasetError(
             f"{path}: label column {label_column!r} not found; "
             f"available columns: {', '.join(header)}")
+    if header.count(label_column) > 1:
+        raise DatasetError(f"{path}: label column {label_column!r} appears more than "
+                           f"once in the header")
     if not data:
         raise DatasetError(f"{path}: no data rows")
     label_idx = header.index(label_column)

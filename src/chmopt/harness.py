@@ -151,13 +151,6 @@ class RunRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        data = dict(data)
-        data["best_position"] = tuple(data["best_position"])
-        data["selections"] = tuple(data.get("selections") or ())
-        return cls(**data)
-
 
 def run_method(method: str, objective_fn, bounds, seed, *, iterations: int,
                population_size: int, maxfe_probing: int, maxfe_fit: int,
@@ -432,11 +425,6 @@ def export_results(result: ExperimentResult, out_dir: str):
     save_plan(plan, os.path.join(root, "raw", "plan.json"))
     for (function, method), lines in result.traces.items():
         write_jsonl(os.path.join(root, "traces", f"{function}__{method}.jsonl"), lines)
-
-
-def load_records(path: str) -> list[RunRecord]:
-    with open(path) as fh:
-        return [RunRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
 def format_leaderboard(result: ExperimentResult) -> str:

@@ -13,7 +13,18 @@ before it reads any of their costs (an SA sweep, a GA generation, BFO
 dispersal), it draws the batch first and evaluates it with one
 ``evaluate_many``; PSO, DE and BFO chemotaxis read each cost before the next
 draw and evaluate point by point. Trajectories are pinned bit-exactly by the
-tests, so any rewrite must keep every RNG call and its order. Auxiliary
+tests, so any rewrite must keep every RNG call and its order.
+
+The Gaussian and bounded-integer draws of the hot loops (SA steps, GA
+mutation, the BFO tumble, DE's picks and the GA tournament) are inline
+copies of CPython's ``Random.gauss`` and ``Random._randbelow_with_getrandbits``
+(the same source for n > 0 on 3.10 to 3.13): they make the same ``random()``
+and ``getrandbits(n.bit_length())`` calls in the same order without a Python
+frame per draw. A loop holding ``gauss``'s cached second value in a local
+``spare`` writes it back to ``rng.gauss_next`` before it evaluates or raises,
+so the generator's state is ``rng.gauss``'s at every point a caller can see.
+``tests/optimizer_reference.py`` keeps the loops that call the helpers, and a
+test holds the two to identical populations, counts and RNG states. Auxiliary
 state (velocities, temperatures, bacterial health) is rebuilt from the
 incoming population and the RNG on every call, so populations transfer
 between methods without hidden baggage.
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, log, sin, sqrt, tau
 
 from .core import (
     BudgetExhausted,
@@ -166,21 +178,6 @@ def sa_accept(delta_cost: float, temperature: float, u: float) -> bool:
 def blend_crossover(p1, p2, alpha: float, draws) -> list[float]:
     """Per-dimension interpolation child: p1 + u*(p2-p1) with u ~ U(-alpha, 1+alpha)."""
     return [a + u * (b - a) for a, b, u in zip(p1, p2, draws)]
-
-
-def tumble_direction(rng: SeededRng, dim: int) -> list[float]:
-    """Uniform random unit vector."""
-    gauss = rng.gauss
-    while True:
-        d = []
-        squares = 0.0  # accumulated left to right: the pins fix this order
-        for _ in range(dim):
-            g = gauss(0.0, 1.0)
-            d.append(g)
-            squares += g * g
-        norm = math.sqrt(squares)
-        if norm > 0.0:
-            return [v / norm for v in d]
 
 
 def bfo_reproduce(members: list[Individual]) -> list[Individual]:
@@ -330,7 +327,6 @@ class SimulatedAnnealing(InnerOptimizer):
         p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
-        gauss = rng.gauss
         sigma = [p.step_fraction * w for w in _widths(bounds)]
         current = list(chain_best)
         if p.t0 is not None:
@@ -344,13 +340,23 @@ class SimulatedAnnealing(InnerOptimizer):
             # a sweep's steps and accept draws do not depend on its costs:
             # draw them all, in the order a chain-by-chain loop would
             candidates, draws = [], []
+            spare = rng.gauss_next
             for cur in current:
                 candidate = []
                 for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
-                    v += gauss(0.0, s)
+                    if spare is None:  # rng.gauss(0.0, s), inline
+                        x2pi = random() * tau
+                        g2rad = sqrt(-2.0 * log(1.0 - random()))
+                        z = cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    else:
+                        z = spare
+                        spare = None
+                    v += 0.0 + z * s
                     candidate.append(lo if v < lo else hi if v > hi else v)
                 candidates.append(candidate)
                 draws.append(random())
+            rng.gauss_next = spare
             costs = evaluate_many(candidates)
             for i, c in enumerate(costs):
                 candidate = candidates[i]
@@ -366,19 +372,21 @@ class SimulatedAnnealing(InnerOptimizer):
             temperature = max(temperature * p.cooling, 1e-12)
 
 
-def _lowest_of_sample(randbelow, n: int, k: int) -> int:
-    """``min(random.sample(range(n), k))``, drawn with exactly the ``randbelow``
-    calls ``random.sample`` makes."""
+def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
+    """``min(random.sample(range(n), k))``, drawn with exactly the ``getrandbits``
+    calls ``random.sample`` makes: each ``randbelow(m)`` draws
+    ``m.bit_length()`` bits until the value is below ``m``."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n > setsize:
         # rejection path: redraw any index already picked
+        bits = n.bit_length()
         selected = set()
         for _ in range(k):
-            j = randbelow(n)
-            while j in selected:
-                j = randbelow(n)
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
             selected.add(j)
         return min(selected)
     # pool path: draw i picks slot j of the n - i unpicked indices, and the
@@ -386,16 +394,26 @@ def _lowest_of_sample(randbelow, n: int, k: int) -> int:
     if k == 2:
         # the default tournament: the second pick is j1, or n - 1 when j1 is
         # the first pick's slot; either way the lower draw is the lowest pick
-        first = randbelow(n)
-        second = randbelow(n - 1)
+        bits = n.bit_length()
+        first = getrandbits(bits)
+        while first >= n:
+            first = getrandbits(bits)
+        bits = (n - 1).bit_length()
+        second = getrandbits(bits)
+        while second >= n - 1:
+            second = getrandbits(bits)
         return first if first < second else second
     pool = list(range(n))
     lowest = n
     for i in range(k):
-        j = randbelow(n - i)
+        unpicked = n - i
+        bits = unpicked.bit_length()
+        j = getrandbits(bits)
+        while j >= unpicked:
+            j = getrandbits(bits)
         if pool[j] < lowest:
             lowest = pool[j]
-        pool[j] = pool[n - i - 1]
+        pool[j] = pool[unpicked - 1]
     return lowest
 
 
@@ -409,8 +427,7 @@ class GeneticAlgorithm(InnerOptimizer):
         p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
-        gauss = rng.gauss
-        randbelow = rng._randbelow
+        getrandbits = rng.getrandbits
         size = len(members)
         dims = range(len(members[0].position))
         mutation_rate = p.mutation_rate if p.mutation_rate is not None else 1.0 / len(dims)
@@ -428,11 +445,12 @@ class GeneticAlgorithm(InnerOptimizer):
             # a generation's draws do not depend on its children's costs: draw
             # every child first; an untouched clone keeps its parent's cost
             children, points = [], []
+            spare = rng.gauss_next
             for _ in range(size - n_elite):
                 # ranked is sorted by cost: the lowest index wins a tournament
-                parent1 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                parent1 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
                 if random() < crossover_rate:
-                    parent2 = ranked[_lowest_of_sample(randbelow, size, n_pick)]
+                    parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
                     child = blend_crossover(parent1.position, parent2.position,
                                             p.blend_alpha,
                                             [draw_low + draw_span * random() for _ in dims])
@@ -442,7 +460,15 @@ class GeneticAlgorithm(InnerOptimizer):
                 for d, (lo, hi) in enumerate(bounds):
                     v = child[d]
                     if random() < mutation_rate:
-                        v += gauss(0.0, sigma[d])
+                        if spare is None:  # rng.gauss(0.0, sigma[d]), inline
+                            x2pi = random() * tau
+                            g2rad = sqrt(-2.0 * log(1.0 - random()))
+                            z = cos(x2pi) * g2rad
+                            spare = sin(x2pi) * g2rad
+                        else:
+                            z = spare
+                            spare = None
+                        v += 0.0 + z * sigma[d]
                         mutated = True
                     child[d] = lo if v < lo else hi if v > hi else v
                 if not mutated and child == parent1.position:
@@ -450,6 +476,7 @@ class GeneticAlgorithm(InnerOptimizer):
                 else:
                     children.append((child, None))
                     points.append(child)
+            rng.gauss_next = spare
             costs = evaluate_many(points)
             paid = iter(costs)
             for child, c in children:
@@ -505,18 +532,37 @@ class DifferentialEvolution(InnerOptimizer):
         p = self.params
         evaluate = obj.evaluate
         random = rng.random
-        randbelow = rng._randbelow  # randrange(n) for n >= 1
+        getrandbits = rng.getrandbits  # randbelow(n) draws n.bit_length() bits until < n
         weight = p.weight
         crossover_rate = p.crossover_rate
         size = len(members)
         dim = len(members[0].position)
+        size_bits = size.bit_length()
+        dim_bits = dim.bit_length()
         while obj.remaining > 0:
             for i in range(size):
-                r1, r2, r3 = self._pick_three(size, i, rng, randbelow)
+                if size < 4:
+                    # tiny populations: sample with the target only excluded where possible
+                    pool = [j for j in range(size) if j != i] or [i]
+                    r1, r2, r3 = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+                else:
+                    # three distinct indices other than i: a draw out of range,
+                    # equal to i or already picked is drawn again
+                    r1 = getrandbits(size_bits)
+                    while r1 >= size or r1 == i:
+                        r1 = getrandbits(size_bits)
+                    r2 = getrandbits(size_bits)
+                    while r2 >= size or r2 == i or r2 == r1:
+                        r2 = getrandbits(size_bits)
+                    r3 = getrandbits(size_bits)
+                    while r3 >= size or r3 == i or r3 == r1 or r3 == r2:
+                        r3 = getrandbits(size_bits)
                 base = members[r1].position
                 va = members[r2].position
                 vb = members[r3].position
-                j_rand = randbelow(dim)
+                j_rand = getrandbits(dim_bits)
+                while j_rand >= dim:
+                    j_rand = getrandbits(dim_bits)
                 trial = list(members[i].position)
                 for d in range(dim):
                     if d == j_rand or random() < crossover_rate:
@@ -529,19 +575,6 @@ class DifferentialEvolution(InnerOptimizer):
                     tracker.best_position = list(trial)
                 if c <= members[i].cost:
                     members[i] = Individual(trial, c)
-
-    @staticmethod
-    def _pick_three(size, exclude, rng, randbelow):
-        if size < 4:
-            # tiny populations: sample with the target only excluded where possible
-            pool = [j for j in range(size) if j != exclude] or [exclude]
-            return (rng.choice(pool), rng.choice(pool), rng.choice(pool))
-        picks = []
-        while len(picks) < 3:
-            j = randbelow(size)
-            if j != exclude and j not in picks:
-                picks.append(j)
-        return picks
 
 
 class BacterialForaging(InnerOptimizer):
@@ -570,7 +603,28 @@ class BacterialForaging(InnerOptimizer):
         while each move improves. The tumble is always kept; a swim only when
         it improves."""
         evaluate = obj.evaluate
-        delta = [s * d for s, d in zip(step, tumble_direction(rng, len(step)))]
+        random = rng.random
+        spare = rng.gauss_next
+        while True:  # tumble: a uniform random unit vector
+            direction = []
+            squares = 0.0  # accumulated left to right: the pins fix this order
+            for _ in step:
+                if spare is None:  # rng.gauss(0.0, 1.0), inline
+                    x2pi = random() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    z = cos(x2pi) * g2rad
+                    spare = sin(x2pi) * g2rad
+                else:
+                    z = spare
+                    spare = None
+                g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
+                direction.append(g)
+                squares += g * g
+            norm = sqrt(squares)
+            if norm > 0.0:
+                break
+        rng.gauss_next = spare
+        delta = [s * (g / norm) for s, g in zip(step, direction)]
         position = bacterium.position
         last_cost = bacterium.cost
         for swim in range(self.params.swim_length + 1):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -16,6 +17,7 @@ from chmopt import (  # noqa: E402
     random_population,
 )
 from chmopt.chm import FIT_STREAM, INIT_STREAM, PROBE_STREAM  # noqa: E402
+from chmopt.harness import RunRecord  # noqa: E402
 
 
 def sphere(x):
@@ -94,3 +96,22 @@ def sequential_evaluations(evaluate, points):
         except NonFiniteValue as exc:
             return values, (exc.position, repr(exc.value))
     return values, None
+
+
+def load_records(path):
+    """The RunRecords of an exported ``raw/runs.jsonl``."""
+    records = []
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                data = json.loads(line)
+                data["best_position"] = tuple(data["best_position"])
+                data["selections"] = tuple(data["selections"])
+                records.append(RunRecord(**data))
+    return records
+
+
+def best_fitness_history(trace):
+    """Best fitness at init and after each phase of a RunTrace, None entries excluded."""
+    values = [trace.initial_best_fitness] + [it.best_fitness for it in trace.iterations]
+    return [v for v in values if v is not None]

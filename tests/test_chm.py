@@ -21,7 +21,7 @@ from chmopt import (
 )
 from chmopt.optimizers import InnerOptimizer, _BestTracker
 
-from conftest import run_segmented_mirror, sphere
+from conftest import best_fitness_history, run_segmented_mirror, sphere
 
 
 class StubOptimizer(InnerOptimizer):
@@ -248,7 +248,7 @@ class TestMonotonicityAndDeterminism:
                               maxfe_probing=60, maxfe_fit=120)
         _, trace = chm_run(config, spec.formula, spec.bounds, 13,
                            reference_value=spec.reference_value)
-        history = trace.best_fitness_history()
+        history = best_fitness_history(trace)
         assert all(a >= b for a, b in zip(history, history[1:]))
 
     def test_identical_seed_identical_trace(self):
@@ -330,7 +330,7 @@ class TestSegmentedDriver:
             convergence_patience=3)
         assert trace.total_fe <= 6 + 3 * 50
         assert 1 <= len(trace.iterations) <= 3
-        history = trace.best_fitness_history()
+        history = best_fitness_history(trace)
         assert all(a >= b for a, b in zip(history, history[1:]))
 
     def test_converges_and_stops_early(self):

@@ -263,11 +263,12 @@ class TestFselect:
                      id="0.5,0.5,rare-fewer than 2 members"),
         ("0.5,0.5,rare\n0.25,0.75,rare", "label 'rare' has only 2 row"),
         ("0.5,inf,1", "column 'b'"),
+        pytest.param("0.5,0.5,\xff", "byte 0xff at byte offset", id="0xff-not UTF-8"),
     ])
     def test_bad_csv_exits_two_with_one_line(self, tmp_path, capsys, bad_row, message):
         rows = ["a,b,y"] + [f"{i / 20},{(i * 7 % 20) / 20},{i % 2}" for i in range(20)]
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join(rows + [bad_row]) + "\n")
+        path.write_bytes(("\n".join(rows + [bad_row]) + "\n").encode("latin-1"))
         code, _, err = run_cli(capsys, "fselect", str(path), "--label", "y",
                                "--method", "de", "--reps", "1", "--budgets", "5,10",
                                "--trees", "3", "--depth", "3", "--population", "4",

@@ -46,6 +46,18 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="available columns: a, b"):
             load_csv(path, "y")
 
+    def test_repeated_label_column_rejected(self, tmp_path):
+        # a second copy of the label would train as a feature that is the answer
+        rows = ["label,b,label"] + [f"{i % 2},{i},{i % 2}" for i in range(12)]
+        with pytest.raises(DatasetError, match="'label' appears more than once"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "label")
+
+    def test_non_utf8_header_names_byte_offset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,\xffb,y\n" + b"1,2,0\n" * 12)
+        with pytest.raises(DatasetError, match="byte 0xff at byte offset 2$"):
+            load_csv(str(path), "y")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetError, match="empty"):
             load_csv(write_csv(tmp_path / "d.csv", ""), "y")

@@ -19,7 +19,8 @@ from chmopt import (
     save_plan,
 )
 from chmopt.cli import main as cli_main
-from chmopt.harness import build_leaderboard, format_leaderboard, load_records
+from chmopt.harness import build_leaderboard, format_leaderboard
+from conftest import load_records
 from dataset_csv import write_dataset_csv
 
 # sha256 over every file `TestExport.test_export_output_pin` writes; any

@@ -23,10 +23,10 @@ from chmopt import (
     pso_velocity_update,
     random_population,
     sa_accept,
-    tumble_direction,
 )
 from chmopt.harness import ExperimentPlan, run_cell
 from chmopt.optimizers import (
+    OPTIMIZER_CLASSES,
     OPTIMIZER_NAMES,
     BfoParams,
     DeParams,
@@ -35,6 +35,7 @@ from chmopt.optimizers import (
 )
 
 from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
+from optimizer_reference import REFERENCE_CLASSES, tumble_direction
 
 
 def evaluated_population(size, bounds, seed, fn=sphere):
@@ -518,5 +519,82 @@ def test_tournament_draws_match_random_sample(shape, seed):
     n, k = shape
     expected_rng, rng = SeededRng(seed), SeededRng(seed)
     expected = min(expected_rng.sample(range(n), k))
-    assert _lowest_of_sample(rng._randbelow, n, k) == expected
+    assert _lowest_of_sample(rng.getrandbits, n, k) == expected
     assert rng.getstate() == expected_rng.getstate()
+
+
+GA_PARAMS = st.fixed_dictionaries(dict(
+    tournament_size=st.integers(2, 10), crossover_rate=st.floats(0.0, 1.0),
+    blend_alpha=st.floats(0.0, 1.0),
+    # a small positive rate without crossover never stalls and can spin for
+    # ever without evaluating: rates start at 0.05
+    mutation_rate=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0),
+    mutation_sigma_fraction=st.floats(0.0, 0.5, exclude_min=True),
+    elitism=st.integers(0, 41)))
+
+
+class _ProbeObjective:
+    """A smooth cost, rounded to one decimal for ties when ``coarse``, that
+    returns nan on call number ``poison``."""
+
+    def __init__(self, coarse, poison=None):
+        self.coarse = coarse
+        self.poison = poison
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls == self.poison:
+            return math.nan
+        value = sum(v * v - math.cos(3.0 * v) for v in x)
+        return round(value, 1) if self.coarse else value
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_CLASSES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(1, 40), dim=st.integers(1, 8),
+       budget=st.integers(0, 200), seed=st.integers(0, 2 ** 32),
+       gauss_next=st.none() | st.floats(-4.0, 4.0),
+       collapsed=st.booleans(), coarse=st.booleans(),
+       poison=st.none() | st.integers(1, 200))
+def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed, gauss_next,
+                                            collapsed, coarse, poison):
+    # the hot loops inline CPython's gauss and _randbelow_with_getrandbits;
+    # every population, count and RNG state must be what the helpers give,
+    # also when a non-finite cost ends the run early
+    strategy = GA_PARAMS if kind == "ga" else PARAM_STRATEGIES[kind]
+    params = type(OPTIMIZER_CLASSES[kind].params)(**data.draw(strategy))
+    init_rng = SeededRng(seed)
+    bounds = [(lo, lo + init_rng.uniform(0.5, 20.0))
+              for lo in (init_rng.uniform(-10.0, 0.0) for _ in range(dim))]
+    pop = evaluated_population(size, bounds, seed + 1, _ProbeObjective(coarse))
+    if collapsed:
+        pop = Population([pop.best().copy() for _ in range(size)])
+    outcomes = []
+    for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
+        rng = SeededRng(seed + 2)
+        rng.gauss_next = gauss_next
+        obj = BudgetedObjective(_ProbeObjective(coarse, poison), budget)
+        try:
+            with deadline(20):
+                out = cls(params).run(pop, obj, bounds, rng)
+            result = repr([(m.position, m.cost) for m in out])
+        except NonFiniteValue as exc:
+            result = ("non-finite", repr(exc.position))
+        outcomes.append((result, obj.used, repr(rng.getstate())))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("kind, overrides", [("sa", {}), ("ga", dict(elitism=0, mutation_rate=1.0))])
+def test_inline_gauss_keeps_signed_zero(kind, overrides):
+    # gauss returns mu + z * sigma: with mu = 0.0 a step of z = -0.0 moves -0.0
+    # to 0.0, which a bare z * sigma would not
+    pop = Population([Individual([-0.0], cost=1.0)])
+    outcomes = []
+    for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
+        rng = SeededRng(0)
+        rng.gauss_next = -0.0
+        out = cls(cls.params.__class__(**overrides)).run(
+            pop, BudgetedObjective(sphere, 1), [(-1.0, 1.0)], rng)
+        outcomes.append(repr([(m.position, m.cost) for m in out]))
+    assert outcomes[0] == outcomes[1] == "[([0.0], 0.0)]"
