@@ -438,6 +438,7 @@ class GeneticAlgorithm(InnerOptimizer):
         # rng.uniform(low, high) is low + (high - low) * random()
         draw_low = -p.blend_alpha
         draw_span = (1.0 + p.blend_alpha) - draw_low
+        idle = 0  # children drawn since the last evaluation
         while obj.remaining > 0:
             used = obj.used
             ranked = sorted(members, key=lambda m: m.cost)
@@ -497,8 +498,14 @@ class GeneticAlgorithm(InnerOptimizer):
                 members[:] = next_gen
                 raise BudgetExhausted
             members[:] = next_gen
-            if obj.used == used and self._stalled(members, bounds):
-                return
+            if obj.used > used:
+                idle = 0
+            else:
+                # a child that copies its parent costs nothing, but drawing it is
+                # work: stop once as many were drawn in a row as the budget has left
+                idle += size - n_elite
+                if idle >= obj.remaining or self._stalled(members, bounds):
+                    return
 
     def _stalled(self, members, bounds) -> bool:
         """True when no later generation can evaluate a point: elitism fills

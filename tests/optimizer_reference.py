@@ -98,6 +98,7 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
         sigma = [p.mutation_sigma_fraction * w for w in _widths(bounds)]
         n_pick = min(p.tournament_size, size)
         n_elite = min(p.elitism, size)
+        idle = 0  # children drawn since the last evaluation
         while obj.remaining > 0:
             used = obj.used
             ranked = sorted(members, key=lambda m: m.cost)
@@ -143,8 +144,12 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
                 members[:] = next_gen
                 raise BudgetExhausted
             members[:] = next_gen
-            if obj.used == used and self._stalled(members, bounds):
-                return
+            if obj.used > used:
+                idle = 0
+            else:
+                idle += size - n_elite
+                if idle >= obj.remaining or self._stalled(members, bounds):
+                    return
 
 
 class ReferenceDifferentialEvolution(DifferentialEvolution):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from chmopt import ForestParams, RandomForest
 from chmopt import forest as forest_module
-from chmopt.forest import _best_splits, _split_keys, fit_forests
+from chmopt.forest import _best_splits, _bits, _class_sum, _generators, fit_forests
 
 
 def separable_data(n=80, seed=0):
@@ -18,11 +19,16 @@ def separable_data(n=80, seed=0):
     return x, y
 
 
+def split_keys(segment, rank, label, n_ranks, n_classes):
+    """Sort keys for `_best_splits`: segment, then value rank, then label, packed in bits."""
+    return (segment << _bits(n_ranks) | rank) << _bits(n_classes) | label
+
+
 def best_split(column, y, n_classes):
     """(weighted Gini, threshold) of one column as one segment, (None, None) if constant."""
     values, rank = np.unique(column, return_inverse=True)
-    key = _split_keys(np.zeros(len(y), dtype=np.int64), rank, np.asarray(y),
-                      len(values), n_classes)
+    key = split_keys(np.zeros(len(y), dtype=np.int64), rank, np.asarray(y),
+                     len(values), n_classes)
     gini, threshold = _best_splits(key, 1, len(values), n_classes, values)
     if np.isinf(gini[0]):
         return None, None
@@ -75,7 +81,7 @@ class TestGiniSplit:
         labels = [np.array([0, 0, 0, 1, 1, 1]), np.array([0, 0, 1, 0])]
         values, rank = np.unique(np.concatenate(columns), return_inverse=True)
         segment = np.repeat([0, 1], [6, 4])
-        key = _split_keys(segment, rank, np.concatenate(labels), len(values), 2)
+        key = split_keys(segment, rank, np.concatenate(labels), len(values), 2)
         gini, threshold = _best_splits(key, 3, len(values), 2, values)
         assert gini[0] == 0.0 and 0.3 < threshold[0] < 0.7
         assert gini[1] == pytest.approx(0.25) and 0.1 < threshold[1] < 0.9
@@ -262,6 +268,37 @@ def pin_digest(make_forest, nodes):
         digest.update(forest.predict(X[:, columns]).astype(np.int64).tobytes())
         digest.update(forest.predict(fresh[:, columns]).astype(np.int64).tobytes())
     return digest.hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+@example(7, 5, False, 0)  # the last count summed one after another
+@example(8, 5, False, 0)  # the first with 8 running sums
+@example(128, 3, True, 1)  # the last without halving
+@example(129, 3, False, 2)  # the first halved
+@example(300, 2, True, 3)
+def test_class_sum_matches_numpy_row_sum(n_classes, n_columns, two_sides, seed):
+    # squared class shares of non-negative counts, summed as a per-column split
+    # search lays them out: each row of the C-ordered (columns, classes)
+    # transpose; a transposed view sums its classes in another order from 8 on
+    rng = np.random.default_rng(seed)
+    shape = (n_classes, 2, n_columns) if two_sides else (n_classes, n_columns)
+    counts = rng.integers(0, rng.choice([2, 30, 10**6]), size=shape).astype(float)
+    shares = np.square(counts / np.maximum(counts.sum(axis=0), 1.0))
+    rows = shares.reshape(n_classes, -1).T.astype(float, order="C")
+    expected = rows.sum(axis=1).reshape(shape[1:])
+    assert np.array_equal(_class_sum(shares).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+                min_size=1, max_size=20))
+def test_generators_match_default_rng(seeds):
+    for rng, seed in zip(_generators(seeds), seeds, strict=True):
+        expected = np.random.default_rng(seed)
+        assert np.array_equal(rng.integers(0, 2**63, size=6), expected.integers(0, 2**63, size=6))
+        assert np.array_equal(rng.permuted(np.tile(np.arange(7), (3, 1)), axis=1),
+                              expected.permuted(np.tile(np.arange(7), (3, 1)), axis=1))
 
 
 class TestBitIdentical:
@@ -461,3 +498,36 @@ class TestFitForests:
         X, y = separable_data()
         with pytest.raises(ValueError, match=message):
             fit_forests(ForestParams(n_trees=2), X, y, subsets, seeds)
+
+
+# bytes a grower may hold between the steps of the fit below; with numpy 2.4
+# it holds at most 0.38 MB there, and one that kept every step's rows alive
+# would hold 0.90 MB
+GROWER_BYTES_BOUND = 560_000
+
+
+def test_grower_memory_between_steps(monkeypatch):
+    # a tree's pending nodes are segments of one sample buffer: nothing a step
+    # makes outlives it but its splits, so what a grower holds between steps
+    # stays near the buffer, the rank table and the nodes recorded so far
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(210, 9))
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=210) > 0).astype(np.int64)
+    params = ForestParams(n_trees=50, max_depth=12)
+    RandomForest(params, seed=1).fit(X, y)  # first-call allocations stay out of the count
+    held = []
+    step = forest_module._Grower.step
+
+    def recording_step(grower, trees, *args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return step(grower, trees, *args)
+
+    monkeypatch.setattr(forest_module._Grower, "step", recording_step)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        RandomForest(params, seed=1).fit(X, y)
+    finally:
+        tracemalloc.stop()
+    assert len(held) > 20
+    assert max(held) - start <= GROWER_BYTES_BOUND

@@ -215,11 +215,23 @@ class TestGaBehaviour:
         assert out.best_cost() <= pop.best_cost()
         assert obj.used <= 200
 
+    def test_tiny_mutation_without_crossover_terminates(self):
+        # no child differs from its parent, so no generation evaluates: the run
+        # stops once it has drawn as many children in a row as the budget has left
+        bounds = [(-5.0, 5.0)] * 2
+        pop = evaluated_population(6, bounds, 4)
+        obj = BudgetedObjective(sphere, 100)
+        opt = make_optimizer("ga", mutation_rate=1e-300, crossover_rate=0.0)
+        with deadline(10):
+            out = opt.run(pop, obj, bounds, SeededRng(9))
+        assert obj.used == 0
+        assert out.best_cost() <= pop.best_cost()
+
     @settings(max_examples=150, deadline=None)
     @given(size=st.integers(1, 8), collapsed=st.booleans(),
            tournament_size=st.integers(2, 9), elitism=st.integers(0, 9),
            crossover_rate=st.sampled_from([0.0, 0.5, 1.0]),
-           mutation_rate=st.sampled_from([0.0, 0.3, None]),
+           mutation_rate=st.sampled_from([0.0, 1e-300, 0.3, None]),
            budget=st.integers(0, 80), seed=st.integers(0, 2 ** 32))
     def test_any_params_terminate_within_budget_and_elitist(
             self, size, collapsed, tournament_size, elitism, crossover_rate,
@@ -526,9 +538,7 @@ def test_tournament_draws_match_random_sample(shape, seed):
 GA_PARAMS = st.fixed_dictionaries(dict(
     tournament_size=st.integers(2, 10), crossover_rate=st.floats(0.0, 1.0),
     blend_alpha=st.floats(0.0, 1.0),
-    # a small positive rate without crossover never stalls and can spin for
-    # ever without evaluating: rates start at 0.05
-    mutation_rate=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0),
+    mutation_rate=st.none() | st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.05, 1.0),
     mutation_sigma_fraction=st.floats(0.0, 0.5, exclude_min=True),
     elitism=st.integers(0, 41)))
 
