@@ -97,14 +97,6 @@ class ChmConfig:
                 f"probing-to-fit ratio {ratio:.3f} outside the recommended "
                 f"[{RATIO_LOW}, {RATIO_HIGH}] range", UserWarning, stacklevel=2)
 
-    @property
-    def k(self) -> int:
-        return len(self.optimizers)
-
-    def max_total_fe(self) -> int:
-        return fe_budget(self.k, self.maxfe_probing, self.maxfe_fit,
-                         self.iterations, self.population_size)
-
 
 @dataclass(frozen=True)
 class ProbeResult:

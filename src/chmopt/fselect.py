@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import math
+import queue
 import statistics
 import threading
 from collections import Counter
@@ -31,6 +32,7 @@ from .forest import ForestParams, RandomForest, fit_forests
 from .harness import ALL_METHODS, run_method
 
 BASELINE_METHOD = "none"
+SPLIT_FRACTION = 0.30  # of the rows held out for test, and of the rest for validation
 
 
 class DatasetError(ValueError):
@@ -70,7 +72,8 @@ def _encode_first_appearance(values):
 
 
 def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
-    """Ingest a UTF-8 CSV with a header row that names the label column once.
+    """Ingest a UTF-8 CSV (byte-order mark optional) with a header row that
+    names the label column once.
 
     Rows with missing cells are dropped (and counted). Feature columns where
     every retained value parses as a number become numeric and must hold no
@@ -85,6 +88,8 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
                            f"at byte offset {exc.start}") from None
+    # after decoding, so an error offset counts the byte-order mark's 3 bytes
+    text = text.removeprefix("\ufeff")
     rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise DatasetError(f"{path}: file is empty")
@@ -163,8 +168,8 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     return dataset
 
 
-def split_dataset(dataset: Dataset, test_fraction: float = 0.30,
-                  seed: int = 0) -> tuple[Dataset, Dataset]:
+def split_dataset(dataset: Dataset, test_fraction: float,
+                  seed: int) -> tuple[Dataset, Dataset]:
     """Stratified-by-label random split into (train, test)."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
@@ -292,7 +297,7 @@ class _Cancelled(BaseException):
 class _Search:
     """One method's search in its own thread, suspended while it waits for forests.
 
-    The thread runs only between ``step`` being called and returning, so the
+    The thread runs only between ``resume`` being called and returning, so the
     searches of a lockstep run take turns and never run at the same time.
     To the optimizer it is the mask objective: an evaluation whose masks are
     all cached, or train no forest, returns at once; otherwise the search
@@ -302,13 +307,8 @@ class _Search:
     def __init__(self, objective: _CachedMaskObjective, name: str, run):
         self.objective = objective
         self.run = run
-        self.posted: list[tuple[bool, ...]] = []  # masks the next round must fit
-        self.done = False
-        self.result = None
-        self.error: BaseException | None = None
-        self._cancelled = False
-        self._go = threading.Event()
-        self._paused = threading.Event()
+        self._turns = queue.SimpleQueue()  # to the search: True to go on, False to unwind
+        self._posts = queue.SimpleQueue()  # from it: new masks, then (result,) or an error
         self.thread = threading.Thread(target=self._main, name=f"fselect-{name}",
                                        daemon=True)
 
@@ -316,73 +316,66 @@ class _Search:
         return self.evaluate_many([position])[0]
 
     def evaluate_many(self, positions) -> list[float]:
-        if self._cancelled:
-            raise _Cancelled
         masks = [decode_mask(p) for p in positions]
-        self.posted = self.objective.new_masks(masks)
-        if self.posted:
-            self._paused.set()
-            self._wait_for_turn()
+        posted = self.objective.new_masks(masks)
+        if posted:
+            self._posts.put(posted)
+            if not self._turns.get():
+                raise _Cancelled
         return [self.objective.cache[m] for m in masks]
 
-    def step(self):
-        """Let the search run until it posts new masks or ends."""
-        if self.thread.ident is None:
+    def resume(self, go: bool = True):
+        """Let the search run until it posts new masks (returned as a list) or
+        ends (its result in a 1-tuple; its error is raised here). With ``go``
+        false, make a suspended search unwind at once instead."""
+        if go and self.thread.ident is None:
             self.thread.start()
-        self._go.set()
-        self._paused.wait()
-        self._paused.clear()
-
-    def cancel(self):
-        """Make a suspended search unwind at once, a running one at its next evaluation."""
-        self._cancelled = True
-        self._go.set()
-
-    def _wait_for_turn(self):
-        self._go.wait()
-        self._go.clear()
-        if self._cancelled:
-            raise _Cancelled
+        else:
+            self._turns.put(go)
+        if go:
+            post = self._posts.get()
+            if isinstance(post, BaseException):
+                raise post
+            return post
 
     def _main(self):
         try:
-            self._wait_for_turn()
-            self.result = self.run(self)
+            self._posts.put((self.run(self),))
         except _Cancelled:
             pass
         except BaseException as exc:  # handed to the coordinator, which raises it
-            self.error = exc
-        finally:
-            self.done = True
-            self._paused.set()
+            self._posts.put(exc)
 
 
 def _search_in_lockstep(objective: _CachedMaskObjective, runs: dict) -> dict:
     """Run each ``runs[name](search_objective)`` in lockstep; their results by name.
 
-    Each round steps every live search in order until it posts new masks or
+    Each round resumes every live search in order until it posts new masks or
     ends, then fits the union of the posted masks, in order, in one pass. Only
     this coordinator fits, and only between rounds, so the rounds do not depend
     on thread timing. The first error, in order, propagates; every thread has
     ended when this returns or raises.
     """
-    searches = [_Search(objective, name, run) for name, run in runs.items()]
+    searches = {name: _Search(objective, name, run) for name, run in runs.items()}
+    results = {}
     try:
-        live = searches
-        while live:
-            for search in live:
-                search.step()
-                if search.error is not None:
-                    raise search.error
-            live = [s for s in live if not s.done]
-            objective.fit(list(dict.fromkeys(m for s in live for m in s.posted)))
+        while len(results) < len(searches):
+            posted = []
+            for name, search in searches.items():
+                if name not in results:
+                    post = search.resume()
+                    if isinstance(post, tuple):
+                        results[name] = post[0]
+                    else:
+                        posted += post
+            objective.fit(list(dict.fromkeys(posted)))
     finally:
-        for search in searches:
-            search.cancel()
-        for search in searches:
+        for search in searches.values():
+            search.resume(go=False)
+        for search in searches.values():
             if search.thread.ident is not None:
                 search.thread.join()
-    return {name: search.result for name, search in zip(runs, searches)}
+    return {name: results[name] for name in runs}
 
 
 @dataclass(frozen=True)
@@ -439,9 +432,7 @@ def run_feature_selection(dataset: Dataset, methods, *,
                           population_size: int = 10, iterations: int = 4,
                           maxfe_probing: int = 25, maxfe_fit: int = 50,
                           forest_params: ForestParams | None = None,
-                          report_forest_params: ForestParams | None = None,
-                          test_fraction: float = 0.30,
-                          validation_fraction: float = 0.30) -> FsReport:
+                          report_forest_params: ForestParams | None = None) -> FsReport:
     """Search feature masks with each of ``methods``, report held-out test errors.
 
     The test split is fixed for the whole call, and the baseline row (method
@@ -474,14 +465,13 @@ def run_feature_selection(dataset: Dataset, methods, *,
     d = dataset.n_features
     bounds = tuple((0.0, 1.0) for _ in range(d))
 
-    train_all, test = split_dataset(dataset, test_fraction,
-                                    seed=mix_seed(seed, "test-split"))
+    train_all, test = split_dataset(dataset, SPLIT_FRACTION, seed=mix_seed(seed, "test-split"))
     report = FsReport(label_name=dataset.label_name, n_features=d,
                       runs={method: [] for method in methods})
     for rep in range(repetitions):
         rep_seed = mix_seed(seed, "rep", rep)
         fit_train, validation = split_dataset(
-            train_all, validation_fraction, seed=mix_seed(rep_seed, "val-split"))
+            train_all, SPLIT_FRACTION, seed=mix_seed(rep_seed, "val-split"))
         objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
         bests = _search_in_lockstep(objective, {
             method: functools.partial(run_method, method, bounds=bounds, seed=rep_seed,

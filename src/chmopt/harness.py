@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark, normalize_name
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
-from .core import (euclidean_distance, fitness, format_table, is_finite_real, is_integer,
+from .core import (check_fields, euclidean_distance, fitness, format_table, is_integer,
                    mix_seed, population_std)
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
@@ -44,6 +44,9 @@ class ExperimentPlan:
     distance_to_nearest: bool = False  # measure against the nearest known optimum
 
     def __post_init__(self):
+        for attr in ("functions", "methods"):  # a string would split into characters
+            if not isinstance(getattr(self, attr), (list, tuple)):
+                raise ValueError(f"{attr} must be a list of names, got {getattr(self, attr)!r}")
         self.functions = tuple(normalize_name(f) if isinstance(f, str) else f
                                for f in self.functions)
         self.methods = tuple(m.strip().lower() if isinstance(m, str) else m
@@ -57,19 +60,14 @@ class ExperimentPlan:
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(sep and sep in self.name for sep in (os.sep, os.altsep))):
             raise ValueError(f"plan name {self.name!r} must be a plain directory name")
-        for attr in ("repetitions", "iterations", "population_size", "workers",
-                     "convergence_patience"):
-            value = getattr(self, attr)
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{attr} must be an integer >= 1, got {value!r}")
+        check_fields(self, dict.fromkeys(("repetitions", "iterations", "population_size",
+                                          "workers", "convergence_patience"), 1),
+                     reals=("convergence_epsilon",))
         if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         for attr in ("skip_on_error", "distance_to_nearest"):
             if not isinstance(getattr(self, attr), bool):
                 raise ValueError(f"{attr} must be true or false, got {getattr(self, attr)!r}")
-        if not is_finite_real(self.convergence_epsilon):
-            raise ValueError(f"convergence_epsilon must be a finite number, "
-                             f"got {self.convergence_epsilon!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:

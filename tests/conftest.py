@@ -7,21 +7,32 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from chmopt import (  # noqa: E402
+from chmopt.chm import (  # noqa: E402
+    FIT_STREAM,
+    INIT_STREAM,
+    PROBE_STREAM,
+    check_convergence,
+    fe_budget,
+)
+from chmopt.core import (  # noqa: E402
     BudgetExhausted,
     BudgetedObjective,
     NonFiniteValue,
     SeededRng,
-    check_convergence,
     evaluate_population,
     random_population,
 )
-from chmopt.chm import FIT_STREAM, INIT_STREAM, PROBE_STREAM  # noqa: E402
 from chmopt.harness import RunRecord  # noqa: E402
 
 
 def sphere(x):
     return sum(v * v for v in x)
+
+
+def config_budget(config):
+    """Evaluation cap of a hybrid run under ``config``."""
+    return fe_budget(len(config.optimizers), config.maxfe_probing, config.maxfe_fit,
+                     config.iterations, config.population_size)
 
 
 def run_segmented_mirror(optimizer, objective_fn, bounds, seed, *, iterations,

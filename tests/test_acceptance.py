@@ -13,29 +13,21 @@ import warnings
 
 import pytest
 
-from chmopt import (
+from chmopt.benchmarks import REGISTRY, get_benchmark, list_benchmarks
+from chmopt.chm import ChmConfig, chm_run
+from chmopt.core import (
     BudgetedObjective,
-    ChmConfig,
-    ExperimentPlan,
-    ForestParams,
     SeededRng,
-    chm_run,
     evaluate_population,
-    get_benchmark,
-    list_benchmarks,
-    local_minimality_check,
-    make_optimizer,
-    make_synthetic_dataset,
     random_population,
-    replay_record,
-    run_experiment,
-    run_feature_selection_all,
 )
-from chmopt.benchmarks import REGISTRY
-from chmopt.harness import CHM_METHOD
-from chmopt.optimizers import OPTIMIZER_NAMES
+from chmopt.forest import ForestParams
+from chmopt.fselect import make_synthetic_dataset, run_feature_selection_all
+from chmopt.harness import CHM_METHOD, ExperimentPlan, replay_record, run_experiment
+from chmopt.optimizers import OPTIMIZER_NAMES, make_optimizer
 
-from conftest import run_segmented_mirror
+from benchmark_checks import local_minimality_check
+from conftest import config_budget, run_segmented_mirror
 
 
 _CAPTURE_MANAGER = None
@@ -157,7 +149,7 @@ def test_criterion_5_budget_invariants():
             _, trace = chm_run(config, spec.formula, spec.bounds,
                                rng.randrange(10 ** 9),
                                reference_value=spec.reference_value)
-            if trace.total_fe > config.max_total_fe():
+            if trace.total_fe > config_budget(config):
                 violations += 1
             for it in trace.iterations:
                 if any(fe > config.maxfe_probing for fe in it.probe_fe):

@@ -5,23 +5,21 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from chmopt import (
+from chmopt.benchmarks import (
     BENCHMARK_NAMES,
     BUCKET_BUDGETS,
-    SeededRng,
-    UnknownBenchmark,
-    catalogue_records,
-    eval_benchmark,
-    format_catalogue,
-    get_benchmark,
-    list_benchmarks,
-    local_minimality_check,
-)
-from chmopt.benchmarks import (
     HIGHLY_MULTIMODAL,
     REGISTRY,
     SINGLE_BASIN,
+    UnknownBenchmark,
+    catalogue_records,
+    format_catalogue,
+    get_benchmark,
+    list_benchmarks,
 )
+from chmopt.core import SeededRng
+
+from benchmark_checks import eval_benchmark, local_minimality_check
 
 
 def test_registry_has_28_unique_functions():

@@ -3,25 +3,26 @@ import warnings
 
 import pytest
 
-from chmopt import (
-    BudgetedObjective,
+from chmopt.benchmarks import get_benchmark
+from chmopt.chm import (
     ChmConfig,
     EvaluationAborted,
+    check_convergence,
+    chm_run,
+    probe_all,
+    run_segmented,
+)
+from chmopt.core import (
+    BudgetedObjective,
     Individual,
     Population,
     SeededRng,
-    check_convergence,
-    chm_run,
     evaluate_population,
-    get_benchmark,
-    make_optimizer,
-    probe_all,
     random_population,
-    run_segmented,
 )
-from chmopt.optimizers import InnerOptimizer, _BestTracker
+from chmopt.optimizers import InnerOptimizer, _BestTracker, make_optimizer
 
-from conftest import best_fitness_history, run_segmented_mirror, sphere
+from conftest import best_fitness_history, config_budget, run_segmented_mirror, sphere
 
 
 class StubOptimizer(InnerOptimizer):
@@ -121,7 +122,7 @@ class TestConfig:
     def test_max_total_fe(self):
         config = quiet_config(iterations=4, population_size=20,
                               maxfe_probing=300, maxfe_fit=600)
-        assert config.max_total_fe() == 20 + 4 * (5 * 300 + 600)
+        assert config_budget(config) == 20 + 4 * (5 * 300 + 600)
 
 
 class TestSelection:
@@ -216,7 +217,7 @@ class TestBudgetAccounting:
                 convergence_epsilon=0.0, convergence_patience=10)
             _, trace = chm_run(config, sphere, BOUNDS, rng.randrange(10**6),
                                reference_value=0.0)
-            assert trace.total_fe <= config.max_total_fe()
+            assert trace.total_fe <= config_budget(config)
 
 
 class TestProbeAll:

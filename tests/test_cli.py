@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from chmopt import make_synthetic_dataset
 from chmopt.cli import main
+from chmopt.fselect import make_synthetic_dataset
 from dataset_csv import write_dataset_csv
 
 
@@ -179,6 +179,20 @@ class TestBench:
                                "--out", str(out_root))
         assert code == 1
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+    @pytest.mark.parametrize("field, value", [("functions", "matyas"), ("methods", "de"),
+                                              ("functions", None), ("methods", 5)])
+    def test_plan_names_not_given_as_a_list_exit_one(self, tmp_path, capsys, field, value):
+        plan = {"name": "fromfile", "functions": ["matyas"], "methods": ["de"],
+                "repetitions": 1, "budget_override": [10, 20]}
+        plan[field] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, _, err = run_cli(capsys, "bench", "--plan", str(plan_path),
+                               "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err.strip().endswith(f"{field} must be a list of names, got {value!r}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
 
     def test_repeated_names_exit_one(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, settings
 
-from chmopt import (
+from chmopt.benchmarks import ackley02, matyas
+from chmopt.core import (
     BudgetExhausted,
     BudgetedObjective,
     Individual,
@@ -17,7 +18,6 @@ from chmopt import (
     mix_seed,
     random_population,
 )
-from chmopt.benchmarks import ackley02, matyas
 
 from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
 
@@ -227,7 +227,7 @@ class TestPopulation:
 
 def test_deterministic_trajectories_same_seed():
     # identical seed and configuration: identical population trajectory
-    from chmopt import make_optimizer
+    from chmopt.optimizers import make_optimizer
 
     bounds = [(-4.0, 4.0)] * 2
     results = []

@@ -7,9 +7,16 @@ from forest_reference import ReferenceForest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chmopt import ForestParams, RandomForest
 from chmopt import forest as forest_module
-from chmopt.forest import _best_splits, _bits, _class_sum, _generators, fit_forests
+from chmopt.forest import (
+    ForestParams,
+    RandomForest,
+    _best_splits,
+    _bits,
+    _class_sum,
+    _generators,
+    fit_forests,
+)
 
 
 def separable_data(n=80, seed=0):

@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chmopt import (
-    ForestParams,
-    SeededRng,
+from chmopt.core import SeededRng, mix_seed
+from chmopt.forest import ForestParams
+from chmopt.fselect import (
+    Dataset,
+    DatasetError,
+    _CachedMaskObjective,
+    _search_in_lockstep,
     decode_mask,
     fs_cost,
     load_csv,
     make_synthetic_dataset,
-    mix_seed,
     run_feature_selection,
     run_feature_selection_all,
     split_dataset,
 )
-from chmopt.fselect import DatasetError, Dataset, _CachedMaskObjective, _search_in_lockstep
 from chmopt.harness import ALL_METHODS
 from dataset_csv import write_dataset_csv
 
@@ -56,6 +58,21 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,\xffb,y\n" + b"1,2,0\n" * 12)
         with pytest.raises(DatasetError, match="byte 0xff at byte offset 2$"):
+            load_csv(str(path), "y")
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"  # as Excel saves "CSV UTF-8"
+        path.write_bytes("\ufefflabel,a,b\n".encode()
+                         + b"".join(b"%d,%d.0,%d.5\n" % (i % 2, i, i) for i in range(12)))
+        ds = load_csv(str(path), "label")
+        assert ds.label_name == "label"
+        assert ds.feature_names == ("a", "b")
+        assert ds.n_rows == 12
+
+    def test_byte_order_mark_counts_in_byte_offset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufeff".encode() + b"a,\xffb,y\n" + b"1,2,0\n" * 12)
+        with pytest.raises(DatasetError, match="byte 0xff at byte offset 5$"):
             load_csv(str(path), "y")
 
     def test_empty_file(self, tmp_path):

@@ -6,20 +6,21 @@ import os
 import numpy as np
 import pytest
 
-from chmopt import (
+from chmopt.cli import main as cli_main
+from chmopt.fselect import make_synthetic_dataset
+from chmopt.harness import (
     ExperimentPlan,
     RunRecord,
     aggregate_records,
+    build_leaderboard,
     export_results,
+    format_leaderboard,
     load_plan,
-    make_synthetic_dataset,
     replay_record,
     run_cell,
     run_experiment,
     save_plan,
 )
-from chmopt.cli import main as cli_main
-from chmopt.harness import build_leaderboard, format_leaderboard
 from conftest import load_records
 from dataset_csv import write_dataset_csv
 
@@ -412,7 +413,7 @@ class TestErrorPolicy:
 
     def test_fail_fast_by_default(self, monkeypatch):
         plan = self._poisoned_plan(monkeypatch)
-        from chmopt import EvaluationAborted
+        from chmopt.chm import EvaluationAborted
 
         with pytest.raises(EvaluationAborted):
             run_experiment(plan)

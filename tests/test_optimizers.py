@@ -7,22 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chmopt import (
+from chmopt.benchmarks import get_benchmark
+from chmopt.core import (
     BudgetedObjective,
-    GaParams,
     Individual,
     NonFiniteValue,
     Population,
-    PsoParams,
     SeededRng,
-    bfo_reproduce,
-    blend_crossover,
     evaluate_population,
-    get_benchmark,
-    make_optimizer,
-    pso_velocity_update,
     random_population,
-    sa_accept,
 )
 from chmopt.harness import ExperimentPlan, run_cell
 from chmopt.optimizers import (
@@ -30,8 +23,15 @@ from chmopt.optimizers import (
     OPTIMIZER_NAMES,
     BfoParams,
     DeParams,
+    GaParams,
+    PsoParams,
     SaParams,
     _lowest_of_sample,
+    bfo_reproduce,
+    blend_crossover,
+    make_optimizer,
+    pso_velocity_update,
+    sa_accept,
 )
 
 from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
