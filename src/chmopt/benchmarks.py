@@ -37,6 +37,9 @@ class UnknownBenchmark(KeyError):
         super().__init__(f"unknown benchmark {name!r}; valid names: {', '.join(valid)}")
         self.name = name
 
+    def __str__(self):  # KeyError's own would quote the message
+        return self.args[0]
+
 
 def ackley02(x):
     x1, x2 = x

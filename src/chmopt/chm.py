@@ -106,67 +106,24 @@ class ProbeResult:
     fe_used: int
 
 
-@dataclass(frozen=True)
-class Iteration:
-    """One phase of a run: a probe + fit iteration or a single-method segment."""
-
-    kind: str  # ITERATION_KIND or SEGMENT_KIND
-    index: int  # 1-based
-    selected_name: str
-    fe_used: int
-    best_cost: float  # best-so-far after this phase
-    best_fitness: float | None
-    # probe + fit details; None for a segment
-    probe_best_costs: tuple[float, ...] | None = None
-    probe_fe: tuple[int, ...] | None = None
-    selected: int | None = None
-    fit_best_cost: float | None = None
-    fit_fe: int | None = None
-    carryover: bool | None = None
-
-
 @dataclass
 class RunTrace:
-    """Trace of one run: the initial population, then one entry per phase."""
+    """Trace of one run as the records it exports: ``initial``, the init
+    record, and ``iterations``, one record per phase (a probe + fit iteration
+    or a single-method segment)."""
 
-    initial_best_cost: float
-    initial_best_fitness: float | None
-    iterations: list[Iteration] = field(default_factory=list)
+    initial: dict
+    iterations: list[dict] = field(default_factory=list)
     total_fe: int = 0
-    final_best: Individual | None = None
     converged: bool = False
 
     def selections(self) -> tuple[str, ...]:
         """Fit-phase winners; a single-method run selects nothing."""
-        return tuple(it.selected_name for it in self.iterations
-                     if it.kind == ITERATION_KIND)
+        return tuple(r["selected"] for r in self.iterations if r["kind"] == ITERATION_KIND)
 
     def to_records(self) -> list[dict]:
-        """Line-oriented trace: one init record plus one record per phase."""
-        records = [{
-            "kind": "init",
-            "iteration": 0,
-            "fe_used": self.total_fe - sum(it.fe_used for it in self.iterations),
-            "best_cost": self.initial_best_cost,
-            "best_fitness": self.initial_best_fitness,
-        }]
-        for it in self.iterations:
-            record = {
-                "kind": it.kind,
-                "iteration": it.index,
-                "selected": it.selected_name,
-                "fe_used": it.fe_used,
-                "best_cost": it.best_cost,
-                "best_fitness": it.best_fitness,
-            }
-            if it.kind == ITERATION_KIND:
-                record.update(probe_best_costs=list(it.probe_best_costs),
-                              probe_fe=list(it.probe_fe),
-                              fit_best_cost=it.fit_best_cost,
-                              fit_fe=it.fit_fe,
-                              carryover=it.carryover)
-            records.append(record)
-        return records
+        """Line-oriented trace: the init record, then one record per phase."""
+        return [self.initial, *self.iterations]
 
 
 def check_convergence(best_history, epsilon: float, patience: int) -> bool:
@@ -211,9 +168,10 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
     ``phases`` calls of ``step(population, index, rng, bounds)``, checking
     convergence after each.
 
-    A step returns ``(carried, scored, fields)``: the population the next
+    A step returns ``(carried, scored, record)``: the population the next
     phase starts from, the population the best-so-far is read from, and the
-    phase's ``Iteration`` fields other than index and best-so-far.
+    phase's trace record, to which this loop adds ``iteration``, ``best_cost``
+    and ``best_fitness``.
     """
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -225,24 +183,25 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
         raise EvaluationAborted("initialization", init_method, exc) from exc
 
     best = pop.best().copy()
-    trace = RunTrace(initial_best_cost=best.cost, total_fe=init_obj.used,
-                     initial_best_fitness=_fitness_of(best.cost, reference_value))
-    history = [trace.initial_best_fitness if reference_value is not None else best.cost]
+    best_fitness = _fitness_of(best.cost, reference_value)
+    trace = RunTrace(dict(kind="init", iteration=0, fe_used=init_obj.used,
+                          best_cost=best.cost, best_fitness=best_fitness),
+                     total_fe=init_obj.used)
+    history = [best.cost if reference_value is None else best_fitness]
 
     for index in range(1, phases + 1):
-        pop, scored, fields = step(pop, index, rng, bounds)
+        pop, scored, record = step(pop, index, rng, bounds)
         if scored.best_cost() < best.cost:
             best = scored.best().copy()
-        trace.total_fe += fields["fe_used"]
+        trace.total_fe += record["fe_used"]
         best_fitness = _fitness_of(best.cost, reference_value)
-        trace.iterations.append(Iteration(index=index, best_cost=best.cost,
-                                          best_fitness=best_fitness, **fields))
-        history.append(best_fitness if reference_value is not None else best.cost)
+        trace.iterations.append(dict(record, iteration=index, best_cost=best.cost,
+                                     best_fitness=best_fitness))
+        history.append(best.cost if reference_value is None else best_fitness)
         if check_convergence(history, convergence_epsilon, convergence_patience):
             trace.converged = True
             break
 
-    trace.final_best = best.copy()
     return best, trace
 
 
@@ -275,11 +234,10 @@ def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
         # previous bests, so it holds the run-wide best whenever that improves
         return (fitted if carryover else winner.population), fitted, dict(
             kind=ITERATION_KIND,
-            selected_name=winner.method,
+            selected=winner.method,
             fe_used=sum(p.fe_used for p in probes) + fit_obj.used,
-            probe_best_costs=tuple(p.best_cost for p in probes),
-            probe_fe=tuple(p.fe_used for p in probes),
-            selected=selected,
+            probe_best_costs=[p.best_cost for p in probes],
+            probe_fe=[p.fe_used for p in probes],
             fit_best_cost=fit_best,
             fit_fe=fit_obj.used,
             carryover=carryover,
@@ -309,8 +267,7 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
             pop = optimizer.run(pop, obj, bounds, rng.derive(SEGMENT_STREAM, index))
         except NonFiniteValue as exc:
             raise EvaluationAborted(f"segment {index}", optimizer.name, exc) from exc
-        return pop, pop, dict(kind=SEGMENT_KIND, selected_name=optimizer.name,
-                              fe_used=obj.used)
+        return pop, pop, dict(kind=SEGMENT_KIND, selected=optimizer.name, fe_used=obj.used)
 
     return _drive(objective_fn, bounds, seed, population_size=population_size,
                   phases=segments, step=segment, init_method=optimizer.name,

@@ -22,6 +22,7 @@ from .fselect import (
 from .harness import (
     ALL_METHODS,
     ExperimentPlan,
+    check_methods,
     format_leaderboard,
     load_plan,
     run_cell,
@@ -123,21 +124,20 @@ def cmd_list(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def _plan(**kwargs) -> ExperimentPlan:
     try:
-        benchmarks.get_benchmark(args.function)
-    except benchmarks.UnknownBenchmark as exc:
+        return ExperimentPlan(**kwargs)
+    except (ValueError, benchmarks.UnknownBenchmark) as exc:
         raise UsageError(str(exc))
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
-    plan = ExperimentPlan(name="single", functions=(args.function,),
-                          methods=(args.method,), repetitions=args.reps,
-                          base_seed=args.seed)
+
+
+def cmd_run(args) -> int:
+    plan = _plan(name="single", functions=(args.function,), methods=(args.method,),
+                 repetitions=args.reps, base_seed=args.seed)
     out_root = _out_root(args.out)
     os.makedirs(os.path.join(out_root, "traces"), exist_ok=True)
     for rep in range(args.reps):
-        record, trace = run_cell(plan, benchmarks.normalize_name(args.function),
-                                 args.method, rep)
+        record, trace = run_cell(plan, plan.functions[0], args.method, rep)
         trace_path = os.path.join(
             out_root, "traces",
             f"{record.function}__{record.method}__seed{record.seed}.jsonl")
@@ -171,11 +171,7 @@ def cmd_bench(args) -> int:
             kwargs["methods"] = tuple(args.methods.split(","))
         if args.budgets:
             kwargs["budget_override"] = _parse_budgets(args.budgets)
-        try:
-            plan = ExperimentPlan(name=args.name, repetitions=args.reps,
-                                  base_seed=args.seed, **kwargs)
-        except (ValueError, benchmarks.UnknownBenchmark) as exc:
-            raise UsageError(str(exc))
+        plan = _plan(name=args.name, repetitions=args.reps, base_seed=args.seed, **kwargs)
     if args.workers is not None:
         if args.workers < 1:
             raise UsageError("--workers must be >= 1")
@@ -196,17 +192,17 @@ def cmd_fselect(args) -> int:
     for flag in ("reps", "population", "iterations", "trees", "depth"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag} must be >= 1")
-    method = args.method.strip().lower()
-    if method != "all" and method not in ALL_METHODS:
-        raise UsageError(f"unknown method {args.method!r}; "
-                         f"valid: {', '.join(ALL_METHODS)} or 'all'")
+    try:
+        methods = (ALL_METHODS if args.method.strip().lower() == "all"
+                   else check_methods([args.method], hint=" or 'all'"))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     dataset = load_csv(args.csv, args.label, strict=args.strict)
     kwargs = dict(repetitions=args.reps, seed=args.seed,
                   population_size=args.population, iterations=args.iterations,
                   maxfe_probing=probing, maxfe_fit=fit,
                   forest_params=ForestParams(n_trees=args.trees, max_depth=args.depth))
-    report = run_feature_selection(
-        dataset, ALL_METHODS if method == "all" else (method,), **kwargs)
+    report = run_feature_selection(dataset, methods, **kwargs)
     if args.format == "records":
         for record in report.to_records():
             print(json.dumps(record, sort_keys=True))

@@ -29,7 +29,7 @@ import numpy as np
 from .chm import chm_run, run_segmented  # noqa: F401
 from .core import SeededRng, format_table, mix_seed, population_std
 from .forest import ForestParams, RandomForest, fit_forests
-from .harness import ALL_METHODS, run_method
+from .harness import ALL_METHODS, check_methods, run_method
 
 BASELINE_METHOD = "none"
 SPLIT_FRACTION = 0.30  # of the rows held out for test, and of the rest for validation
@@ -90,7 +90,16 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
                            f"at byte offset {exc.start}") from None
     # after decoding, so an error offset counts the byte-order mark's 3 bytes
     text = text.removeprefix("\ufeff")
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    # Python 3.10's reader raises on a NUL, later ones read it as a character
+    nul = text.find("\0")
+    if nul >= 0:
+        line = text.count("\n", 0, nul) + 1
+        raise DatasetError(f"{path}: line {line} holds a NUL byte")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetError(f"{path}: file is empty")
     header, data = rows[0], rows[1:]
@@ -395,12 +404,6 @@ class FsReport:
     rows: list[FsRow] = field(default_factory=list)
     runs: dict = field(default_factory=dict)  # method -> list of per-rep details
 
-    def row(self, method: str) -> FsRow:
-        for r in self.rows:
-            if r.method == method:
-                return r
-        raise KeyError(method)
-
     def to_records(self) -> list[dict]:
         return [{
             "meta_name": r.method,
@@ -450,14 +453,7 @@ def run_feature_selection(dataset: Dataset, methods, *,
     (default: same) sets the classifier for the reported test errors, so the
     search can use a cheaper forest than the final evaluation.
     """
-    methods = tuple(m.strip().lower() for m in methods)
-    if not methods:
-        raise ValueError("methods must be non-empty")
-    for method in methods:
-        if method not in ALL_METHODS:
-            raise ValueError(f"unknown method {method!r}; valid: {', '.join(ALL_METHODS)}")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must not repeat: {', '.join(methods)}")
+    methods = check_methods(methods)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     params = forest_params or ForestParams()

@@ -24,6 +24,20 @@ CHM_METHOD = "chm"
 ALL_METHODS = (CHM_METHOD,) + OPTIMIZER_NAMES
 
 
+def check_methods(methods, hint: str = "") -> tuple[str, ...]:
+    """``methods`` stripped and lower-cased; raises ValueError unless they are
+    non-empty, known and distinct. ``hint`` ends the unknown-method message."""
+    names = tuple(m.strip().lower() if isinstance(m, str) else m for m in methods)
+    if not names:
+        raise ValueError("methods must be non-empty")
+    for m in names:
+        if m not in ALL_METHODS:
+            raise ValueError(f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}{hint}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"methods must not repeat, got {list(names)}")
+    return names
+
+
 @dataclass
 class ExperimentPlan:
     """Configuration of one experiment sweep."""
@@ -49,8 +63,6 @@ class ExperimentPlan:
                 raise ValueError(f"{attr} must be a list of names, got {getattr(self, attr)!r}")
         self.functions = tuple(normalize_name(f) if isinstance(f, str) else f
                                for f in self.functions)
-        self.methods = tuple(m.strip().lower() if isinstance(m, str) else m
-                             for m in self.methods)
         if isinstance(self.budget_override, list):
             self.budget_override = tuple(self.budget_override)
         self.validate()
@@ -58,7 +70,7 @@ class ExperimentPlan:
     def validate(self):
         # the name is the export directory under the output root
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
-                or any(sep and sep in self.name for sep in (os.sep, os.altsep))):
+                or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0"))):
             raise ValueError(f"plan name {self.name!r} must be a plain directory name")
         check_fields(self, dict.fromkeys(("repetitions", "iterations", "population_size",
                                           "workers", "convergence_patience"), 1),
@@ -68,13 +80,7 @@ class ExperimentPlan:
         for attr in ("skip_on_error", "distance_to_nearest"):
             if not isinstance(getattr(self, attr), bool):
                 raise ValueError(f"{attr} must be true or false, got {getattr(self, attr)!r}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
+        self.methods = check_methods(self.methods)
         if not self.functions:
             raise ValueError("functions must be non-empty")
         for f in self.functions:

@@ -122,7 +122,12 @@ def load_records(path):
     return records
 
 
+def report_row(report, method):
+    """The row of ``method`` in a feature-selection report."""
+    return next(r for r in report.rows if r.method == method)
+
+
 def best_fitness_history(trace):
     """Best fitness at init and after each phase of a RunTrace, None entries excluded."""
-    values = [trace.initial_best_fitness] + [it.best_fitness for it in trace.iterations]
+    values = [r["best_fitness"] for r in trace.to_records()]
     return [v for v in values if v is not None]

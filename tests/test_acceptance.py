@@ -27,7 +27,7 @@ from chmopt.harness import CHM_METHOD, ExperimentPlan, replay_record, run_experi
 from chmopt.optimizers import OPTIMIZER_NAMES, make_optimizer
 
 from benchmark_checks import local_minimality_check
-from conftest import config_budget, run_segmented_mirror
+from conftest import config_budget, report_row, run_segmented_mirror
 
 
 _CAPTURE_MANAGER = None
@@ -152,9 +152,9 @@ def test_criterion_5_budget_invariants():
             if trace.total_fe > config_budget(config):
                 violations += 1
             for it in trace.iterations:
-                if any(fe > config.maxfe_probing for fe in it.probe_fe):
+                if any(fe > config.maxfe_probing for fe in it["probe_fe"]):
                     violations += 1
-                if it.fit_fe > config.maxfe_fit:
+                if it["fit_fe"] > config.maxfe_fit:
                     violations += 1
     report(5, "budget invariants (1000 randomized mini-runs)", violations == 0,
            f"{violations} violations")
@@ -232,7 +232,7 @@ def test_criterion_8_degeneracy_equivalence():
             reference_value=spec.reference_value, epsilon=1e-12, patience=1)
         same = (best.cost == mirror_best.cost
                 and best.position == mirror_best.position
-                and [it.best_cost for it in trace.iterations] == mirror_costs)
+                and [it["best_cost"] for it in trace.iterations] == mirror_costs)
         if not same:
             mismatches.append(function)
     report(8, "k=1 degeneracy equivalence", not mismatches,
@@ -249,11 +249,11 @@ def test_criterion_9_feature_selection_desk_scale():
         maxfe_probing=25, maxfe_fit=50,
         forest_params=ForestParams(n_trees=15, max_depth=6),
         report_forest_params=ForestParams(n_trees=50, max_depth=12))
-    chm_row = reportee.row("chm")
-    baseline = reportee.row("none")
+    chm_row = report_row(reportee, "chm")
+    baseline = report_row(reportee, "none")
     signal_hits = sum(1 for run in reportee.runs["chm"] if run["mask"][0])
     strictly_better = [m for m in OPTIMIZER_NAMES
-                       if reportee.row(m).avg_cost < chm_row.avg_cost - 1e-12]
+                       if report_row(reportee, m).avg_cost < chm_row.avg_cost - 1e-12]
     ok = (chm_row.avg_cost <= baseline.avg_cost
           and signal_hits >= 8
           and not strictly_better)

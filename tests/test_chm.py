@@ -79,6 +79,12 @@ def quiet_config(**kwargs):
         return ChmConfig(**kwargs)
 
 
+def probe_winner(record) -> int:
+    """Index of the best-probing method of a chm_iteration record, the first on ties."""
+    costs = record["probe_best_costs"]
+    return costs.index(min(costs))
+
+
 BOUNDS = [(1.0, 2.0)] * 2  # keeps sphere costs >= 2 so stub costs below win
 
 
@@ -133,8 +139,8 @@ class TestSelection:
                               maxfe_probing=10, maxfe_fit=20,
                               convergence_epsilon=1e-12)
         best, trace = chm_run(config, sphere, BOUNDS, 3, reference_value=0.0)
-        assert [it.selected_name for it in trace.iterations] == ["a"] * len(trace.iterations)
-        assert all(it.selected == 0 for it in trace.iterations)
+        assert trace.selections() == ("a",) * len(trace.iterations)
+        assert all(probe_winner(it) == 0 for it in trace.iterations)
         assert best.cost == 0.1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -143,14 +149,15 @@ class TestSelection:
         config = quiet_config(iterations=1, optimizers=(a, b), population_size=5,
                               maxfe_probing=10, maxfe_fit=20)
         _, trace = chm_run(config, sphere, BOUNDS, 3, reference_value=0.0)
-        assert trace.iterations[0].selected_name == "a"
+        assert trace.iterations[0]["selected"] == "a"
 
     def test_selection_is_argmin_of_probe_costs(self):
         config = quiet_config(iterations=2, population_size=6,
                               maxfe_probing=40, maxfe_fit=80)
         _, trace = chm_run(config, sphere, [(-3.0, 3.0)] * 2, 11, reference_value=0.0)
+        names = [opt.name for opt in config.optimizers]
         for it in trace.iterations:
-            assert it.probe_best_costs[it.selected] == min(it.probe_best_costs)
+            assert it["selected"] == names[probe_winner(it)]
 
 
 class TestConvergenceBreak:
@@ -170,7 +177,7 @@ class TestCarryover:
                               maxfe_probing=10, maxfe_fit=20,
                               convergence_epsilon=0.0, convergence_patience=2)
         _, trace = chm_run(config, sphere, BOUNDS, 7, reference_value=0.0)
-        assert all(not it.carryover for it in trace.iterations)
+        assert all(not it["carryover"] for it in trace.iterations)
         # call sequence: probe iter1, fit iter1, probe iter2, fit iter2
         assert len(a.seen) >= 3
         probe_1_input = a.seen[0]
@@ -184,7 +191,7 @@ class TestCarryover:
                               convergence_epsilon=1e-15, convergence_patience=2)
         _, trace = chm_run(config, spec.formula, spec.bounds, 1,
                            reference_value=spec.reference_value)
-        assert trace.iterations[0].carryover  # plenty of budget to improve
+        assert trace.iterations[0]["carryover"]  # plenty of budget to improve
 
 
 class TestBudgetAccounting:
@@ -196,10 +203,10 @@ class TestBudgetAccounting:
                               convergence_epsilon=0.0, convergence_patience=5)
         _, trace = chm_run(config, sphere, BOUNDS, 9, reference_value=0.0)
         for it in trace.iterations:
-            assert it.probe_fe == (15, 15)
-            assert it.fit_fe == 30
-            assert it.fe_used == 2 * 15 + 30
-        assert trace.total_fe == 5 + sum(it.fe_used for it in trace.iterations)
+            assert it["probe_fe"] == [15, 15]
+            assert it["fit_fe"] == 30
+            assert it["fe_used"] == 2 * 15 + 30
+        assert trace.total_fe == 5 + sum(it["fe_used"] for it in trace.iterations)
 
     def test_whole_run_fe_bound_random_configs(self):
         rng = SeededRng(100)
@@ -272,7 +279,7 @@ class TestMonotonicityAndDeterminism:
                                   population_size=4, maxfe_probing=5, maxfe_fit=10)
             _, trace = chm_run(config, lambda x: scale * sphere(x), BOUNDS, 5,
                                reference_value=0.0)
-            assert trace.iterations[0].selected_name == "a"
+            assert trace.iterations[0]["selected"] == "a"
 
 
 class TestErrorHandling:
@@ -318,7 +325,7 @@ class TestDegeneracyEquivalence:
             reference_value=spec.reference_value, epsilon=1e-12, patience=1)
         assert best.cost == mirror_best.cost
         assert best.position == mirror_best.position
-        assert [it.best_cost for it in trace.iterations] == mirror_costs
+        assert [it["best_cost"] for it in trace.iterations] == mirror_costs
 
 
 class TestSegmentedDriver:
@@ -354,9 +361,12 @@ def test_trace_records_round_trip_shape():
     records = trace.to_records()
     assert records[0]["kind"] == "init"
     assert records[0]["fe_used"] == 5
+    assert records[1:] == trace.iterations
     for record in records[1:]:
+        assert set(record) == {"kind", "iteration", "selected", "fe_used", "best_cost",
+                               "best_fitness", "probe_best_costs", "probe_fe",
+                               "fit_best_cost", "fit_fe", "carryover"}
         assert record["kind"] == "chm_iteration"
-        assert set(record) >= {"iteration", "selected", "best_fitness", "fe_used"}
     # records serialize to JSON lines
     for record in records:
         json.loads(json.dumps(record))
@@ -364,15 +374,16 @@ def test_trace_records_round_trip_shape():
 
 def test_segmented_trace_records_shape():
     spec = get_benchmark("matyas")
-    _, trace = run_segmented(
+    best, trace = run_segmented(
         make_optimizer("de"), spec.formula, spec.bounds, 5,
         segments=3, segment_fe=50, population_size=6,
         reference_value=spec.reference_value, convergence_epsilon=1e-15,
         convergence_patience=3)
     records = trace.to_records()
-    assert records[0] == {"kind": "init", "iteration": 0, "fe_used": 6,
-                          "best_cost": trace.initial_best_cost,
-                          "best_fitness": trace.initial_best_fitness}
+    assert records[0] == trace.initial
+    assert set(records[0]) == {"kind", "iteration", "fe_used", "best_cost", "best_fitness"}
+    assert records[0]["kind"] == "init" and records[0]["fe_used"] == 6
+    assert records[0]["best_fitness"] == abs(records[0]["best_cost"] - spec.reference_value)
     assert len(records) >= 2
     for index, record in enumerate(records[1:], start=1):
         assert set(record) == {"kind", "iteration", "selected", "fe_used",
@@ -383,4 +394,4 @@ def test_segmented_trace_records_shape():
         assert record["fe_used"] == 50
         assert record["best_fitness"] == abs(record["best_cost"] - spec.reference_value)
     assert sum(r["fe_used"] for r in records) == trace.total_fe
-    assert records[-1]["best_cost"] == trace.final_best.cost
+    assert records[-1]["best_cost"] == best.cost

@@ -65,7 +65,14 @@ class TestRun:
     def test_unknown_function_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "run", "nosuchfn", "chm")
         assert code == 1
-        assert "unknown benchmark" in err
+        assert err.startswith("error: unknown benchmark 'nosuchfn'; valid names: ackley02, ")
+
+    def test_zero_reps_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "run", "matyas", "chm", "--reps", "0",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err == "error: repetitions must be an integer >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "run", "matyas", "chm", "--bogus")
@@ -203,7 +210,7 @@ class TestBench:
         assert err.startswith("error: ") and "must not repeat" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["../../escape", "..", ".", "", "a/b"])
+    @pytest.mark.parametrize("name", ["../../escape", "..", ".", "", "a/b", "a\x00b"])
     def test_name_outside_out_exits_one(self, tmp_path, capsys, name):
         out_root = tmp_path / "a" / "b" / "r"
         code, _, err = run_cli(capsys, "bench", "--functions", "matyas", "--methods", "de",
@@ -216,6 +223,19 @@ class TestBench:
     def test_bad_plan_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "--plan", str(tmp_path / "nope.json"))
         assert code == 1
+
+    def test_unknown_function_is_not_quoted(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"functions": ["nosuch"]}))
+        code, _, err = run_cli(capsys, "bench", "--plan", str(plan_path))
+        assert code == 1
+        assert err.startswith(f"error: cannot load plan {str(plan_path)!r}: "
+                              f"unknown benchmark 'nosuch'; valid names: ackley02, ")
+        code, _, err = run_cli(capsys, "bench", "--functions", "nosuch",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: unknown benchmark 'nosuch'; valid names: ackley02, ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
 
     def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CHMOPT_RESULTS", str(tmp_path / "envroot"))
@@ -278,6 +298,9 @@ class TestFselect:
         ("0.5,0.5,rare\n0.25,0.75,rare", "label 'rare' has only 2 row"),
         ("0.5,inf,1", "column 'b'"),
         pytest.param("0.5,0.5,\xff", "byte 0xff at byte offset", id="0xff-not UTF-8"),
+        pytest.param("0.5,0\x00.5,1", "line 22 holds a NUL byte", id="NUL"),
+        pytest.param("0.5," + "5" * 140_000 + ",1", "line 22: field larger than field limit",
+                     id="field over the csv limit"),
     ])
     def test_bad_csv_exits_two_with_one_line(self, tmp_path, capsys, bad_row, message):
         rows = ["a,b,y"] + [f"{i / 20},{(i * 7 % 20) / 20},{i % 2}" for i in range(20)]

@@ -25,6 +25,7 @@ from chmopt.fselect import (
     split_dataset,
 )
 from chmopt.harness import ALL_METHODS
+from conftest import report_row
 from dataset_csv import write_dataset_csv
 
 FAST_FOREST = ForestParams(n_trees=8, max_depth=5)
@@ -74,6 +75,19 @@ class TestLoadCsv:
         path.write_bytes("\ufeff".encode() + b"a,\xffb,y\n" + b"1,2,0\n" * 12)
         with pytest.raises(DatasetError, match="byte 0xff at byte offset 5$"):
             load_csv(str(path), "y")
+
+    def test_nul_byte_names_line(self, tmp_path):
+        # Python 3.10's csv reader raises on it, later ones read it as text
+        rows = ["a,b,y"] + [f"{i},{i},{i % 2}" for i in range(12)]
+        rows[3] = "2,\x002,0"
+        with pytest.raises(DatasetError, match="line 4 holds a NUL byte$"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
+
+    def test_oversized_field_names_line(self, tmp_path):
+        rows = ["a,b,y"] + [f"{i},{i},{i % 2}" for i in range(12)]
+        rows[5] = "4," + "4" * 200_000 + ",0"
+        with pytest.raises(DatasetError, match=r"line 6: field larger than field limit"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetError, match="empty"):
@@ -273,10 +287,10 @@ class TestRunFeatureSelection:
         report = run_feature_selection(
             ds, ("de",), repetitions=1, seed=3, population_size=6, iterations=2,
             maxfe_probing=8, maxfe_fit=16, forest_params=FAST_FOREST)
-        row = report.row("de")
+        row = report_row(report, "de")
         assert row.std_cost == 0.0
         assert 0.0 <= row.avg_cost <= 1.0
-        baseline = report.row("none")
+        baseline = report_row(report, "none")
         assert baseline.avg_features == 5.0
         assert baseline.std_cost is None
 
@@ -287,7 +301,8 @@ class TestRunFeatureSelection:
             maxfe_probing=10, maxfe_fit=20, forest_params=FAST_FOREST)
         runs = report.runs["chm"]
         assert all(r["mask"][0] for r in runs)  # signal feature kept
-        assert report.row("chm").avg_cost <= report.row("none").avg_cost + 0.05
+        baseline = report_row(report, "none")
+        assert report_row(report, "chm").avg_cost <= baseline.avg_cost + 0.05
 
     def test_unknown_method_rejected(self):
         ds = make_synthetic_dataset(n_rows=60, seed=22)
@@ -347,8 +362,8 @@ def test_feature_selection_results_do_not_depend_on_method_set():
     first = reports[0]
     for other in reports[1:]:
         assert other.runs["de"] == first.runs["de"]
-        assert other.row("de") == first.row("de")
-        assert other.row("none") == first.row("none")
+        assert report_row(other, "de") == report_row(first, "de")
+        assert report_row(other, "none") == report_row(first, "none")
 
 
 LOCKSTEP_KWARGS = dict(repetitions=1, population_size=4, iterations=1, maxfe_probing=4,
@@ -373,7 +388,7 @@ def test_lockstep_method_equals_its_run_alone(order, count, seed):
                 dataset, (method,), seed=seed, **LOCKSTEP_KWARGS)
         alone = _alone_runs[method, seed]
         assert report.runs[method] == alone.runs[method]
-        assert report.row(method) == alone.row(method)
+        assert report_row(report, method) == report_row(alone, method)
 
 
 # forests the pin run grew before search fits were batched: 20 search

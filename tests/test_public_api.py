@@ -18,11 +18,17 @@ def test_top_level_names_are_the_entry_points():
 
 
 def test_readme_imports_resolve():
+    """Every README import resolves, and every README python block runs."""
     with open(README) as fh:
-        imports = re.findall(r"from chmopt[\w.]* import [\w, ]+", fh.read())
+        text = fh.read()
+    imports = re.findall(r"from chmopt[\w.]* import [\w, ]+", text)
     assert len(imports) >= 2
     for statement in imports:
         exec(statement, {})
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(block, {})
 
 
 def test_readme_names_every_entry_point():
