@@ -23,6 +23,7 @@ from .core import (
     NonFiniteValue,
     Population,
     SeededRng,
+    check_fields,
     evaluate_population,
     fitness,
     random_population,
@@ -66,7 +67,8 @@ def fe_budget(k: int, maxfe_probing: int, maxfe_fit: int, iterations: int = 1,
 
 @dataclass
 class ChmConfig:
-    """Orchestrator parameters: iteration count, portfolio, budgets, stopping."""
+    """The settings of one run, checked on construction: iteration count,
+    portfolio, population size, budgets, stopping rule."""
 
     iterations: int = 4
     optimizers: tuple[InnerOptimizer, ...] = field(default_factory=default_portfolio)
@@ -77,25 +79,21 @@ class ChmConfig:
     convergence_patience: int = 1
 
     def __post_init__(self):
+        check_fields(self, dict.fromkeys(("iterations", "population_size", "maxfe_probing",
+                                          "maxfe_fit", "convergence_patience"), 1),
+                     reals=("convergence_epsilon",))
         self.optimizers = tuple(self.optimizers)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if not self.optimizers:
             raise ValueError("at least one inner optimizer is required")
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.maxfe_probing < 1 or self.maxfe_fit < 1:
-            raise ValueError("budgets must be >= 1")
-        if self.convergence_patience < 1:
-            raise ValueError("convergence_patience must be >= 1")
+        # stack level 3 is the caller of the __init__ that dataclass generates
         if len(self.optimizers) == 1:
             warnings.warn("single-optimizer configuration: hybridisation needs "
-                          "at least two methods", UserWarning, stacklevel=2)
+                          "at least two methods", UserWarning, stacklevel=3)
         ratio = self.maxfe_probing / self.maxfe_fit
         if not RATIO_LOW <= ratio <= RATIO_HIGH:
             warnings.warn(
                 f"probing-to-fit ratio {ratio:.3f} outside the recommended "
-                f"[{RATIO_LOW}, {RATIO_HIGH}] range", UserWarning, stacklevel=2)
+                f"[{RATIO_LOW}, {RATIO_HIGH}] range", UserWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,10 @@ def cmd_fselect(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     dataset = load_csv(args.csv, args.label, strict=args.strict)
+    if dataset.dropped_rows:
+        print(f"note: dropped {dataset.dropped_rows} of "
+              f"{dataset.n_rows + dataset.dropped_rows} data rows "
+              f"(missing or unparseable cells)", file=sys.stderr)
     kwargs = dict(repetitions=args.reps, seed=args.seed,
                   population_size=args.population, iterations=args.iterations,
                   maxfe_probing=probing, maxfe_fit=fit,

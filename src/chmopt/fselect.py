@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chm import ChmConfig
 # unused here, kept importable: span tracers patch these two module attributes
 from .chm import chm_run, run_segmented  # noqa: F401
-from .core import SeededRng, format_table, mix_seed, population_std
+from .core import SeededRng, format_table, is_integer, mix_seed, population_std
 from .forest import ForestParams, RandomForest, fit_forests
 from .harness import ALL_METHODS, check_methods, run_method
 
@@ -399,8 +400,6 @@ class FsRow:
 
 @dataclass
 class FsReport:
-    label_name: str
-    n_features: int
     rows: list[FsRow] = field(default_factory=list)
     runs: dict = field(default_factory=dict)  # method -> list of per-rep details
 
@@ -449,21 +448,24 @@ def run_feature_selection(dataset: Dataset, methods, *,
     on the pass that fitted it, so a method's results do not depend on which
     methods run beside it. Repetitions run one after another. Rows follow
     ``methods``, then ``none``.
+    ``iterations``, ``population_size`` and the two budgets make one
+    ``ChmConfig``, checked before any split and shared by every search.
     ``forest_params`` sets the search-time classifier; ``report_forest_params``
     (default: same) sets the classifier for the reported test errors, so the
     search can use a cheaper forest than the final evaluation.
     """
     methods = check_methods(methods)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    if not is_integer(repetitions) or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+    config = ChmConfig(iterations=iterations, population_size=population_size,
+                       maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
     params = forest_params or ForestParams()
     report_params = report_forest_params or params
     d = dataset.n_features
     bounds = tuple((0.0, 1.0) for _ in range(d))
 
     train_all, test = split_dataset(dataset, SPLIT_FRACTION, seed=mix_seed(seed, "test-split"))
-    report = FsReport(label_name=dataset.label_name, n_features=d,
-                      runs={method: [] for method in methods})
+    report = FsReport(runs={method: [] for method in methods})
     for rep in range(repetitions):
         rep_seed = mix_seed(seed, "rep", rep)
         fit_train, validation = split_dataset(
@@ -471,9 +473,7 @@ def run_feature_selection(dataset: Dataset, methods, *,
         objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
         bests = _search_in_lockstep(objective, {
             method: functools.partial(run_method, method, bounds=bounds, seed=rep_seed,
-                                      iterations=iterations,
-                                      population_size=population_size,
-                                      maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
+                                      config=config)
             for method in methods})
         test_errors = {}
         for method, (best, _) in bests.items():

@@ -72,9 +72,7 @@ class ExperimentPlan:
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0"))):
             raise ValueError(f"plan name {self.name!r} must be a plain directory name")
-        check_fields(self, dict.fromkeys(("repetitions", "iterations", "population_size",
-                                          "workers", "convergence_patience"), 1),
-                     reals=("convergence_epsilon",))
+        check_fields(self, dict.fromkeys(("repetitions", "workers"), 1))
         if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         for attr in ("skip_on_error", "distance_to_nearest"):
@@ -108,6 +106,17 @@ class ExperimentPlan:
                 make_optimizer(name, **params)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"optimizer_overrides[{name!r}]: {exc}") from exc
+        self.config(self.functions[0])  # checks the run settings
+
+    def config(self, function: str) -> ChmConfig:
+        """The run settings of every cell on ``function``."""
+        probing, fit = self.budgets_for(function)
+        return ChmConfig(iterations=self.iterations,
+                         optimizers=default_portfolio(self.optimizer_overrides),
+                         population_size=self.population_size,
+                         maxfe_probing=probing, maxfe_fit=fit,
+                         convergence_epsilon=self.convergence_epsilon,
+                         convergence_patience=self.convergence_patience)
 
     def budgets_for(self, function: str) -> tuple[int, int]:
         if self.budget_override is not None:
@@ -156,35 +165,26 @@ class RunRecord:
         return asdict(self)
 
 
-def run_method(method: str, objective_fn, bounds, seed, *, iterations: int,
-               population_size: int, maxfe_probing: int, maxfe_fit: int,
-               reference_value: float | None = None,
-               convergence_epsilon: float = 1e-8, convergence_patience: int = 1,
-               optimizer_overrides: dict | None = None):
-    """One seeded run of ``method``: the hybrid over the default portfolio, or
-    one inner optimizer in ``iterations`` segments, each segment the budget of
-    one hybrid iteration. Returns (best individual, trace)."""
-    overrides = optimizer_overrides or {}
+def run_method(method: str, objective_fn, bounds, seed, config: ChmConfig,
+               reference_value: float | None = None):
+    """One seeded run of ``method`` under ``config``: the hybrid over its
+    portfolio, or the portfolio's optimizer of that name in
+    ``config.iterations`` segments, each segment the budget of one hybrid
+    iteration. Returns (best individual, trace)."""
     if method == CHM_METHOD:
-        config = ChmConfig(
-            iterations=iterations,
-            optimizers=default_portfolio(overrides),
-            population_size=population_size,
-            maxfe_probing=maxfe_probing,
-            maxfe_fit=maxfe_fit,
-            convergence_epsilon=convergence_epsilon,
-            convergence_patience=convergence_patience,
-        )
-        return chm_run(config, objective_fn, bounds, seed,
-                       reference_value=reference_value)
+        return chm_run(config, objective_fn, bounds, seed, reference_value=reference_value)
+    portfolio = {opt.name: opt for opt in config.optimizers}
+    if method not in portfolio:
+        raise ValueError(f"unknown method {method!r}; valid: "
+                         f"{', '.join((CHM_METHOD, *portfolio))}")
     return run_segmented(
-        make_optimizer(method, **overrides.get(method, {})), objective_fn, bounds, seed,
-        segments=iterations,
-        segment_fe=fe_budget(len(OPTIMIZER_NAMES), maxfe_probing, maxfe_fit),
-        population_size=population_size,
+        portfolio[method], objective_fn, bounds, seed,
+        segments=config.iterations,
+        segment_fe=fe_budget(len(config.optimizers), config.maxfe_probing, config.maxfe_fit),
+        population_size=config.population_size,
         reference_value=reference_value,
-        convergence_epsilon=convergence_epsilon,
-        convergence_patience=convergence_patience,
+        convergence_epsilon=config.convergence_epsilon,
+        convergence_patience=config.convergence_patience,
     )
 
 
@@ -192,15 +192,8 @@ def run_cell(plan: ExperimentPlan, function: str, method: str, repetition: int):
     """Execute one (function, method, repetition) cell; returns (record, trace)."""
     spec = get_benchmark(function)
     seed = plan.cell_seed(function, method, repetition)
-    probing, fit = plan.budgets_for(function)
-    best, trace = run_method(
-        method, spec.formula, spec.bounds, seed,
-        iterations=plan.iterations, population_size=plan.population_size,
-        maxfe_probing=probing, maxfe_fit=fit, reference_value=spec.reference_value,
-        convergence_epsilon=plan.convergence_epsilon,
-        convergence_patience=plan.convergence_patience,
-        optimizer_overrides=plan.optimizer_overrides,
-    )
+    best, trace = run_method(method, spec.formula, spec.bounds, seed, plan.config(function),
+                             reference_value=spec.reference_value)
     if plan.distance_to_nearest:
         distance = min(euclidean_distance(best.position, opt)
                        for opt in spec.all_optima())

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from chmopt.chm import (  # noqa: E402
     FIT_STREAM,
     INIT_STREAM,
     PROBE_STREAM,
+    ChmConfig,
     check_convergence,
     fe_budget,
 )
@@ -27,6 +29,13 @@ from chmopt.harness import RunRecord  # noqa: E402
 
 def sphere(x):
     return sum(v * v for v in x)
+
+
+def quiet_config(**kwargs):
+    """A ChmConfig built without the probing-to-fit ratio and portfolio warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ChmConfig(**kwargs)
 
 
 def config_budget(config):

@@ -22,7 +22,8 @@ from chmopt.core import (
 )
 from chmopt.optimizers import InnerOptimizer, _BestTracker, make_optimizer
 
-from conftest import best_fitness_history, config_budget, run_segmented_mirror, sphere
+from conftest import (best_fitness_history, config_budget, quiet_config, run_segmented_mirror,
+                      sphere)
 
 
 class StubOptimizer(InnerOptimizer):
@@ -73,12 +74,6 @@ class DivergingOptimizer(InnerOptimizer):
         return tracker.finalize(members)
 
 
-def quiet_config(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ChmConfig(**kwargs)
-
-
 def probe_winner(record) -> int:
     """Index of the best-probing method of a chm_iteration record, the first on ties."""
     costs = record["probe_best_costs"]
@@ -113,13 +108,15 @@ class TestConfig:
             ChmConfig(maxfe_probing=300, maxfe_fit=600)  # ratio 0.5
 
     def test_ratio_outside_guidance_warns(self):
-        with pytest.warns(UserWarning, match="probing-to-fit"):
+        with pytest.warns(UserWarning, match="probing-to-fit") as record:
             ChmConfig(maxfe_probing=700, maxfe_fit=600)
+        assert record[0].filename == __file__  # the caller, not dataclass code
 
     def test_single_optimizer_warns_but_is_legal(self):
-        with pytest.warns(UserWarning, match="single-optimizer"):
+        with pytest.warns(UserWarning, match="single-optimizer") as record:
             ChmConfig(optimizers=(make_optimizer("de"),),
                       maxfe_probing=300, maxfe_fit=600)
+        assert record[0].filename == __file__
 
     def test_no_optimizers_rejected(self):
         with pytest.raises(ValueError):

@@ -254,13 +254,27 @@ class TestFselect:
         return str(path)
 
     def test_report_with_baseline(self, synth_csv, capsys):
-        code, out, _ = run_cli(capsys, "fselect", synth_csv, "--label", "label",
-                               "--method", "de", "--reps", "1",
-                               "--budgets", "5,10", "--trees", "5", "--depth", "4",
-                               "--population", "5", "--iterations", "1")
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--method", "de", "--reps", "1",
+                                 "--budgets", "5,10", "--trees", "5", "--depth", "4",
+                                 "--population", "5", "--iterations", "1")
         assert code == 0
         assert "none" in out
         assert "meta_name" in out
+        assert err == ""  # a clean CSV drops no rows
+
+    def test_dropped_rows_noted_on_stderr(self, synth_csv, capsys):
+        with open(synth_csv, "a") as fh:
+            fh.write("0.5,0.5,,0.5,0.5,1\n")  # one blank cell
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--method", "de", "--reps", "1",
+                                 "--budgets", "5,10", "--trees", "5", "--depth", "4",
+                                 "--population", "5", "--iterations", "1",
+                                 "--format", "records")
+        assert code == 0
+        assert err == "note: dropped 1 of 61 data rows (missing or unparseable cells)\n"
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert {r["meta_name"] for r in records} == {"de", "none"}
 
     def test_records_format(self, synth_csv, capsys):
         code, out, _ = run_cli(capsys, "fselect", synth_csv, "--label", "label",

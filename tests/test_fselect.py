@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import statistics
 import sys
 import threading
@@ -319,6 +320,22 @@ class TestRunFeatureSelection:
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError, match="repetitions"):
             run_feature_selection(ds, ("de",), repetitions=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"repetitions": 1.5}, "repetitions must be an integer >= 1, got 1.5"),
+        ({"maxfe_probing": 0}, "maxfe_probing must be an integer >= 1, got 0"),
+        ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
+    ])
+    def test_bad_run_setting_rejected_before_any_split(self, monkeypatch, kwargs, message):
+        import chmopt.fselect as fselect
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("split before the settings were checked")
+
+        monkeypatch.setattr(fselect, "split_dataset", no_split)
+        ds = make_synthetic_dataset(n_rows=60, seed=22)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_feature_selection(ds, ["de"], **kwargs)
 
     def test_table_format_contains_columns(self):
         ds = make_synthetic_dataset(n_rows=60, n_noise=3, seed=23)

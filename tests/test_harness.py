@@ -5,10 +5,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chmopt.cli import main as cli_main
 from chmopt.fselect import make_synthetic_dataset
 from chmopt.harness import (
+    ALL_METHODS,
     ExperimentPlan,
     RunRecord,
     aggregate_records,
@@ -19,9 +22,10 @@ from chmopt.harness import (
     replay_record,
     run_cell,
     run_experiment,
+    run_method,
     save_plan,
 )
-from conftest import load_records
+from conftest import config_budget, load_records, quiet_config, sphere
 from dataset_csv import write_dataset_csv
 
 # sha256 over every file `TestExport.test_export_output_pin` writes; any
@@ -111,6 +115,54 @@ class TestPlanValidation:
     def test_per_run_cap(self):
         plan = small_plan(budget_override=None, population_size=20, iterations=4)
         assert plan.per_run_cap("matyas") == 20 + 4 * (5 * 300 + 600)
+
+
+# each run setting of ChmConfig with small valid values, and values none accepts
+RUN_SETTINGS = {
+    "iterations": st.integers(1, 3),
+    "population_size": st.integers(1, 6),
+    "maxfe_probing": st.integers(1, 8),
+    "maxfe_fit": st.integers(1, 12),
+    "convergence_patience": st.integers(1, 3),
+    "convergence_epsilon": st.floats(allow_nan=False, allow_infinity=False),
+}
+BAD_SETTINGS = (0, -1, 2.5, True, math.nan, math.inf, "3")
+
+
+class TestRunSettings:
+    @settings(max_examples=100, deadline=None)
+    @given(valid=st.fixed_dictionaries(RUN_SETTINGS), data=st.data())
+    def test_bad_setting_is_named_at_construction(self, valid, data):
+        name = data.draw(st.sampled_from(sorted(RUN_SETTINGS)))
+        # 0, -1 and 2.5 are finite numbers, which convergence_epsilon accepts
+        bad = data.draw(st.sampled_from(
+            [v for v in BAD_SETTINGS
+             if name != "convergence_epsilon" or v not in (0, -1, 2.5)]))
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            quiet_config(**{**valid, name: bad})
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid=st.fixed_dictionaries(RUN_SETTINGS), seed=st.integers(0, 2**32))
+    def test_valid_settings_run_every_method_within_budget(self, valid, seed):
+        config = quiet_config(**valid)
+        for method in ALL_METHODS:
+            calls = []
+            best, trace = run_method(method, lambda x: calls.append(x) or sphere(x),
+                                     [(-5.0, 5.0)] * 2, seed, config)
+            assert len(calls) == trace.total_fe <= config_budget(config)
+            assert best.cost == min(map(sphere, calls))
+
+    def test_unknown_method_lists_the_portfolio(self):
+        with pytest.raises(ValueError, match="valid: chm, pso, sa, ga, de, bfo$"):
+            run_method("cma", sphere, [(-5.0, 5.0)] * 2, 1, quiet_config())
+
+    def test_plan_config_holds_the_cell_settings(self):
+        plan = small_plan(optimizer_overrides={"de": {"weight": 0.7}}, convergence_patience=2)
+        config = plan.config("matyas")
+        assert (config.iterations, config.population_size, config.maxfe_probing,
+                config.maxfe_fit, config.convergence_patience) == (2, 6, 30, 60, 2)
+        assert [opt.name for opt in config.optimizers] == ["pso", "sa", "ga", "de", "bfo"]
+        assert config.optimizers[3].params.weight == 0.7
 
 
 class TestRunExperiment:
