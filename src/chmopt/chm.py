@@ -158,13 +158,12 @@ def _fitness_of(cost: float, reference_value: float | None) -> float | None:
     return None if reference_value is None else fitness(cost, reference_value)
 
 
-def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
-           population_size: int, phases: int, step, init_method: str,
-           reference_value: float | None, convergence_epsilon: float,
-           convergence_patience: int) -> tuple[Individual, RunTrace]:
+def _drive(config: ChmConfig, objective_fn, bounds: Bounds, seed: int | SeededRng,
+           step, init_method: str, reference_value: float | None
+           ) -> tuple[Individual, RunTrace]:
     """Shared run loop: evaluate a random initial population, then up to
-    ``phases`` calls of ``step(population, index, rng, bounds)``, checking
-    convergence after each.
+    ``config.iterations`` calls of ``step(population, index, rng, bounds)``,
+    checking convergence after each.
 
     A step returns ``(carried, scored, record)``: the population the next
     phase starts from, the population the best-so-far is read from, and the
@@ -173,8 +172,8 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
     """
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    init_obj = BudgetedObjective(objective_fn, population_size)
-    pop = random_population(population_size, bounds, rng.derive(INIT_STREAM))
+    init_obj = BudgetedObjective(objective_fn, config.population_size)
+    pop = random_population(config.population_size, bounds, rng.derive(INIT_STREAM))
     try:
         evaluate_population(pop, init_obj)
     except NonFiniteValue as exc:
@@ -187,7 +186,7 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
                      total_fe=init_obj.used)
     history = [best.cost if reference_value is None else best_fitness]
 
-    for index in range(1, phases + 1):
+    for index in range(1, config.iterations + 1):
         pop, scored, record = step(pop, index, rng, bounds)
         if scored.best_cost() < best.cost:
             best = scored.best().copy()
@@ -196,7 +195,8 @@ def _drive(objective_fn, bounds: Bounds, seed: int | SeededRng, *,
         trace.iterations.append(dict(record, iteration=index, best_cost=best.cost,
                                      best_fitness=best_fitness))
         history.append(best.cost if reference_value is None else best_fitness)
-        if check_convergence(history, convergence_epsilon, convergence_patience):
+        if check_convergence(history, config.convergence_epsilon,
+                             config.convergence_patience):
             trace.converged = True
             break
 
@@ -241,23 +241,16 @@ def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
             carryover=carryover,
         )
 
-    return _drive(objective_fn, bounds, seed, population_size=config.population_size,
-                  phases=config.iterations, step=probe_and_fit, init_method="-",
-                  reference_value=reference_value,
-                  convergence_epsilon=config.convergence_epsilon,
-                  convergence_patience=config.convergence_patience)
+    return _drive(config, objective_fn, bounds, seed, probe_and_fit, "-", reference_value)
 
 
-def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
-                  seed: int | SeededRng, *, segments: int, segment_fe: int,
-                  population_size: int, reference_value: float | None = None,
-                  convergence_epsilon: float = 1e-8, convergence_patience: int = 1
-                  ) -> tuple[Individual, RunTrace]:
-    """One optimizer run as ``segments`` consecutive budget slices with the
-    convergence check applied at each slice boundary. Gives single methods the
-    same total budget and the same stopping cadence as an orchestrated run."""
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
+def run_segmented(optimizer: InnerOptimizer, config: ChmConfig, objective_fn,
+                  bounds: Bounds, seed: int | SeededRng,
+                  reference_value: float | None = None) -> tuple[Individual, RunTrace]:
+    """One optimizer run as ``config.iterations`` budget slices, each the
+    budget of one hybrid iteration, with the convergence check at each slice
+    boundary: the total budget and stopping cadence of an orchestrated run."""
+    segment_fe = fe_budget(len(config.optimizers), config.maxfe_probing, config.maxfe_fit)
 
     def segment(pop, index, rng, bounds):
         obj = BudgetedObjective(objective_fn, segment_fe)
@@ -267,8 +260,5 @@ def run_segmented(optimizer: InnerOptimizer, objective_fn, bounds: Bounds,
             raise EvaluationAborted(f"segment {index}", optimizer.name, exc) from exc
         return pop, pop, dict(kind=SEGMENT_KIND, selected=optimizer.name, fe_used=obj.used)
 
-    return _drive(objective_fn, bounds, seed, population_size=population_size,
-                  phases=segments, step=segment, init_method=optimizer.name,
-                  reference_value=reference_value,
-                  convergence_epsilon=convergence_epsilon,
-                  convergence_patience=convergence_patience)
+    return _drive(config, objective_fn, bounds, seed, segment, optimizer.name,
+                  reference_value)

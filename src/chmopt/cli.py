@@ -7,9 +7,11 @@ human-readable; ``--format records`` switches to JSON lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from . import benchmarks
 from .chm import EvaluationAborted
@@ -101,17 +103,12 @@ def _parse_budgets(text: str) -> tuple[int, int]:
         probing, fit = (int(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"budgets must be two comma-separated integers, got {text!r}")
-    if probing < 1 or fit < 1:
-        raise UsageError("budgets must be positive")
     return probing, fit
 
 
 def cmd_list(args) -> int:
     if args.bucket is not None:
-        try:
-            names = benchmarks.list_benchmarks(args.bucket)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        names = benchmarks.list_benchmarks(args.bucket)
         bucket = benchmarks.normalize_name(args.bucket)
     else:
         names, bucket = benchmarks.BENCHMARK_NAMES, None
@@ -124,16 +121,9 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _plan(**kwargs) -> ExperimentPlan:
-    try:
-        return ExperimentPlan(**kwargs)
-    except (ValueError, benchmarks.UnknownBenchmark) as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_run(args) -> int:
-    plan = _plan(name="single", functions=(args.function,), methods=(args.method,),
-                 repetitions=args.reps, base_seed=args.seed)
+    plan = ExperimentPlan(name="single", functions=(args.function,), methods=(args.method,),
+                          repetitions=args.reps, base_seed=args.seed)
     out_root = _out_root(args.out)
     os.makedirs(os.path.join(out_root, "traces"), exist_ok=True)
     for rep in range(args.reps):
@@ -171,11 +161,10 @@ def cmd_bench(args) -> int:
             kwargs["methods"] = tuple(args.methods.split(","))
         if args.budgets:
             kwargs["budget_override"] = _parse_budgets(args.budgets)
-        plan = _plan(name=args.name, repetitions=args.reps, base_seed=args.seed, **kwargs)
+        plan = ExperimentPlan(name=args.name, repetitions=args.reps, base_seed=args.seed,
+                              **kwargs)
     if args.workers is not None:
-        if args.workers < 1:
-            raise UsageError("--workers must be >= 1")
-        plan.workers = args.workers
+        plan = dataclasses.replace(plan, workers=args.workers)
     out_root = _out_root(args.out)
     result = run_experiment(plan, out_dir=out_root)
     if args.format == "records":
@@ -189,24 +178,18 @@ def cmd_bench(args) -> int:
 
 def cmd_fselect(args) -> int:
     probing, fit = _parse_budgets(args.budgets)
-    for flag in ("reps", "population", "iterations", "trees", "depth"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag} must be >= 1")
-    try:
-        methods = (ALL_METHODS if args.method.strip().lower() == "all"
-                   else check_methods([args.method], hint=" or 'all'"))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    methods = (ALL_METHODS if args.method.strip().lower() == "all"
+               else check_methods([args.method], hint=" or 'all'"))
+    forest_params = ForestParams(n_trees=args.trees, max_depth=args.depth)
     dataset = load_csv(args.csv, args.label, strict=args.strict)
     if dataset.dropped_rows:
         print(f"note: dropped {dataset.dropped_rows} of "
               f"{dataset.n_rows + dataset.dropped_rows} data rows "
               f"(missing or unparseable cells)", file=sys.stderr)
-    kwargs = dict(repetitions=args.reps, seed=args.seed,
-                  population_size=args.population, iterations=args.iterations,
-                  maxfe_probing=probing, maxfe_fit=fit,
-                  forest_params=ForestParams(n_trees=args.trees, max_depth=args.depth))
-    report = run_feature_selection(dataset, methods, **kwargs)
+    report = run_feature_selection(dataset, methods, repetitions=args.reps, seed=args.seed,
+                                   population_size=args.population,
+                                   iterations=args.iterations, maxfe_probing=probing,
+                                   maxfe_fit=fit, forest_params=forest_params)
     if args.format == "records":
         for record in report.to_records():
             print(json.dumps(record, sort_keys=True))
@@ -221,25 +204,32 @@ def cmd_fselect(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "list":
-            return cmd_list(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "fselect":
-            return cmd_fselect(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            args = parser.parse_args(argv)
+            if args.command == "list":
+                return cmd_list(args)
+            if args.command == "run":
+                return cmd_run(args)
+            if args.command == "bench":
+                return cmd_bench(args)
+            if args.command == "fselect":
+                return cmd_fselect(args)
+            raise UsageError(f"unknown command {args.command!r}")
     except (DatasetError, EvaluationAborted, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # after the clause above: a DatasetError is a ValueError, and exits 2
+    except (UsageError, ValueError, benchmarks.UnknownBenchmark) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

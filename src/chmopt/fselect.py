@@ -449,7 +449,8 @@ def run_feature_selection(dataset: Dataset, methods, *,
     methods run beside it. Repetitions run one after another. Rows follow
     ``methods``, then ``none``.
     ``iterations``, ``population_size`` and the two budgets make one
-    ``ChmConfig``, checked before any split and shared by every search.
+    ``ChmConfig``, shared by every search; it, ``repetitions`` and ``seed``
+    are checked before any split.
     ``forest_params`` sets the search-time classifier; ``report_forest_params``
     (default: same) sets the classifier for the reported test errors, so the
     search can use a cheaper forest than the final evaluation.
@@ -457,6 +458,8 @@ def run_feature_selection(dataset: Dataset, methods, *,
     methods = check_methods(methods)
     if not is_integer(repetitions) or repetitions < 1:
         raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     config = ChmConfig(iterations=iterations, population_size=population_size,
                        maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
     params = forest_params or ForestParams()

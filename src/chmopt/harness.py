@@ -177,15 +177,8 @@ def run_method(method: str, objective_fn, bounds, seed, config: ChmConfig,
     if method not in portfolio:
         raise ValueError(f"unknown method {method!r}; valid: "
                          f"{', '.join((CHM_METHOD, *portfolio))}")
-    return run_segmented(
-        portfolio[method], objective_fn, bounds, seed,
-        segments=config.iterations,
-        segment_fe=fe_budget(len(config.optimizers), config.maxfe_probing, config.maxfe_fit),
-        population_size=config.population_size,
-        reference_value=reference_value,
-        convergence_epsilon=config.convergence_epsilon,
-        convergence_patience=config.convergence_patience,
-    )
+    return run_segmented(portfolio[method], config, objective_fn, bounds, seed,
+                         reference_value=reference_value)
 
 
 def run_cell(plan: ExperimentPlan, function: str, method: str, repetition: int):

@@ -325,30 +325,28 @@ class TestDegeneracyEquivalence:
         assert [it["best_cost"] for it in trace.iterations] == mirror_costs
 
 
+# five optimizers: 5 * 6 + 20 = 50 evaluations per segment
+SEGMENT_CONFIG = dict(iterations=3, population_size=6, maxfe_probing=6, maxfe_fit=20,
+                      convergence_epsilon=1e-15, convergence_patience=3)
+
+
 class TestSegmentedDriver:
     def test_budget_and_trace_shape(self):
         spec = get_benchmark("matyas")
         best, trace = run_segmented(
-            make_optimizer("pso"), spec.formula, spec.bounds, 5,
-            segments=3, segment_fe=50, population_size=6,
-            reference_value=spec.reference_value, convergence_epsilon=1e-15,
-            convergence_patience=3)
+            make_optimizer("pso"), quiet_config(**SEGMENT_CONFIG), spec.formula,
+            spec.bounds, 5, reference_value=spec.reference_value)
         assert trace.total_fe <= 6 + 3 * 50
         assert 1 <= len(trace.iterations) <= 3
         history = best_fitness_history(trace)
         assert all(a >= b for a, b in zip(history, history[1:]))
 
     def test_converges_and_stops_early(self):
-        best, trace = run_segmented(
-            make_optimizer("de"), lambda x: 0.0, BOUNDS, 6,
-            segments=5, segment_fe=30, population_size=4, reference_value=0.0)
+        config = quiet_config(iterations=5, population_size=4, maxfe_probing=2, maxfe_fit=20)
+        best, trace = run_segmented(make_optimizer("de"), config, lambda x: 0.0, BOUNDS, 6,
+                                    reference_value=0.0)
         assert trace.converged
         assert len(trace.iterations) == 1
-
-    def test_zero_segments_rejected(self):
-        with pytest.raises(ValueError, match="segments"):
-            run_segmented(make_optimizer("de"), sphere, BOUNDS, 6,
-                          segments=0, segment_fe=30, population_size=4)
 
 
 def test_trace_records_round_trip_shape():
@@ -372,10 +370,8 @@ def test_trace_records_round_trip_shape():
 def test_segmented_trace_records_shape():
     spec = get_benchmark("matyas")
     best, trace = run_segmented(
-        make_optimizer("de"), spec.formula, spec.bounds, 5,
-        segments=3, segment_fe=50, population_size=6,
-        reference_value=spec.reference_value, convergence_epsilon=1e-15,
-        convergence_patience=3)
+        make_optimizer("de"), quiet_config(**SEGMENT_CONFIG), spec.formula, spec.bounds, 5,
+        reference_value=spec.reference_value)
     records = trace.to_records()
     assert records[0] == trace.initial
     assert set(records[0]) == {"kind", "iteration", "fe_used", "best_cost", "best_fitness"}

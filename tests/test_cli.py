@@ -156,7 +156,8 @@ class TestBench:
         assert run_cli(capsys, *args)[0] == 0
         assert seen == [4, 1]
         code, _, err = run_cli(capsys, *args, "--workers", "0")
-        assert code == 1 and "--workers" in err
+        assert code == 1
+        assert err == "error: workers must be an integer >= 1, got 0\n"
         assert seen == [4, 1]
 
     @pytest.mark.parametrize("field, value", [
@@ -236,6 +237,14 @@ class TestBench:
         assert code == 1
         assert err.startswith("error: unknown benchmark 'nosuch'; valid names: ackley02, ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+    def test_ratio_warning_is_one_line(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "--functions", "matyas,bird", "--methods",
+                               "chm,de", "--reps", "2", "--budgets", "5,100",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert err == ("warning: probing-to-fit ratio 0.050 outside the recommended "
+                       "[0.2, 0.5] range\n")
 
     def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CHMOPT_RESULTS", str(tmp_path / "envroot"))
@@ -329,13 +338,49 @@ class TestFselect:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("method", ["chm", "de"])
-    @pytest.mark.parametrize("flag", ["--trees", "--depth", "--population", "--iterations"])
+    @pytest.mark.parametrize("flag", ["--trees", "--depth", "--population", "--iterations",
+                                      "--reps", "--budgets"])
     def test_zero_run_parameter_exits_one(self, synth_csv, capsys, flag, method):
-        args = {"--trees": "5", "--depth": "4", "--population": "5", "--iterations": "1"}
-        args[flag] = "0"
+        # each message names the setting that owns the rule, as the Python API does
+        field = {"--trees": "n_trees", "--depth": "max_depth",
+                 "--population": "population_size", "--iterations": "iterations",
+                 "--reps": "repetitions", "--budgets": "maxfe_probing"}[flag]
+        args = {"--trees": "5", "--depth": "4", "--population": "5", "--iterations": "1",
+                "--reps": "1", "--budgets": "5,10"}
+        args[flag] = "0,5" if flag == "--budgets" else "0"
         code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
-                                 "--method", method, "--reps", "1", "--budgets", "5,10",
+                                 "--method", method,
                                  *[v for pair in args.items() for v in pair])
         assert code == 1
         assert out == ""
-        assert err == f"error: {flag} must be >= 1\n"
+        assert err == f"error: {field} must be an integer >= 1, got 0\n"
+
+    def test_ratio_warning_is_one_line(self, synth_csv, capsys):
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--method", "de", "--reps", "1", "--budgets", "1,100",
+                                 "--trees", "3", "--depth", "3", "--population", "4",
+                                 "--iterations", "1", "--format", "records")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # stdout holds only the records
+        assert err == ("warning: probing-to-fit ratio 0.010 outside the recommended "
+                       "[0.2, 0.5] range\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("run", "matyas", "de"),
+    ("bench", "--functions", "matyas", "--methods", "de"),
+    ("fselect", "{csv}", "--label", "label", "--method", "de"),
+])
+def test_zero_reps_reads_the_same_in_every_command(tmp_path, capsys, command):
+    dataset = make_synthetic_dataset(n_rows=60, n_noise=4, seed=9)
+    csv_path = tmp_path / "synth.csv"
+    write_dataset_csv(dataset, str(csv_path))
+    out_root = tmp_path / "out"
+    argv = [a.format(csv=csv_path) for a in command]
+    if command[0] != "fselect":
+        argv += ["--out", str(out_root)]
+    code, out, err = run_cli(capsys, *argv, "--reps", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: repetitions must be an integer >= 1, got 0\n"
+    assert not out_root.exists()

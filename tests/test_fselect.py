@@ -325,6 +325,9 @@ class TestRunFeatureSelection:
         ({"repetitions": 1.5}, "repetitions must be an integer >= 1, got 1.5"),
         ({"maxfe_probing": 0}, "maxfe_probing must be an integer >= 1, got 0"),
         ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"seed": True}, "seed must be an integer, got True"),
     ])
     def test_bad_run_setting_rejected_before_any_split(self, monkeypatch, kwargs, message):
         import chmopt.fselect as fselect
