@@ -13,6 +13,7 @@ one trace type.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -79,9 +80,10 @@ class ChmConfig:
     convergence_patience: int = 1
 
     def __post_init__(self):
-        check_fields(self, dict.fromkeys(("iterations", "population_size", "maxfe_probing",
-                                          "maxfe_fit", "convergence_patience"), 1),
-                     reals=("convergence_epsilon",))
+        check_fields(vars(self),
+                     dict.fromkeys(("iterations", "population_size", "maxfe_probing",
+                                    "maxfe_fit", "convergence_patience"), 1),
+                     reals={"convergence_epsilon": "(-inf, inf)"})
         self.optimizers = tuple(self.optimizers)
         if not self.optimizers:
             raise ValueError("at least one inner optimizer is required")
@@ -89,7 +91,10 @@ class ChmConfig:
         if len(self.optimizers) == 1:
             warnings.warn("single-optimizer configuration: hybridisation needs "
                           "at least two methods", UserWarning, stacklevel=3)
-        ratio = self.maxfe_probing / self.maxfe_fit
+        try:
+            ratio = self.maxfe_probing / self.maxfe_fit
+        except OverflowError:  # a probing budget past the float range
+            ratio = math.inf
         if not RATIO_LOW <= ratio <= RATIO_HIGH:
             warnings.warn(
                 f"probing-to-fit ratio {ratio:.3f} outside the recommended "

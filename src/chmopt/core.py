@@ -55,26 +55,38 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_finite_real(value) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
+def _in_interval(value, interval: str) -> bool:
+    """A real number, not a bool, that converts to a finite float and lies in
+    ``interval``, written as "(0, 1]" or "[0, inf)"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
+        finite = math.isfinite(value)
     except OverflowError:  # an int past the float range
         return False
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return (finite and (low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high))
 
 
-def check_fields(record, counts: dict[str, int] | None = None, reals=(), optional=()):
-    """Type check of a parameter record: each field in ``counts`` an integer at or
-    above its bound, each in ``reals`` a finite real (or None if in ``optional``)."""
+def check_fields(values, counts=None, reals=None, flags=(), optional=()):
+    """Raises a ValueError naming the first setting in ``values`` (a mapping)
+    that breaks its rule. ``counts`` maps a name to its least integer (None:
+    any integer). ``reals`` maps a name to the interval its finite value lies
+    in, written as the message prints it: "(0, 1]", "[0, inf)", "(-inf, inf)";
+    a name in ``optional`` may also be None. ``flags`` name bools."""
     for name, low in (counts or {}).items():
-        value = getattr(record, name)
-        if not is_integer(value) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    for name in reals:
-        value = getattr(record, name)
-        if not (is_finite_real(value) or value is None and name in optional):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        value = values[name]
+        if not is_integer(value) or low is not None and value < low:
+            rule = "an integer" if low is None else f"an integer >= {low}"
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    for name, interval in (reals or {}).items():
+        value = values[name]
+        if not (_in_interval(value, interval) or value is None and name in optional):
+            raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+    for name in flags:
+        if not isinstance(values[name], bool):
+            raise ValueError(f"{name} must be true or false, got {values[name]!r}")
 
 
 def mix_seed(base_seed: int, *labels) -> int:
@@ -157,10 +169,9 @@ class BudgetedObjective:
     __slots__ = ("fn", "cap", "used")
 
     def __init__(self, fn: Callable[[Vector], float], cap: int):
-        if cap < 0:
-            raise ValueError(f"cap must be non-negative, got {cap}")
+        check_fields({"cap": cap}, {"cap": 0})
         self.fn = fn
-        self.cap = int(cap)
+        self.cap = cap
         self.used = 0
 
     @property
@@ -246,8 +257,7 @@ def random_position(bounds: Bounds, rng: random.Random) -> list[float]:
 
 def random_population(size: int, bounds: Bounds, rng: random.Random) -> Population:
     """Uniform random population within the box, costs unset."""
-    if size < 1:
-        raise ValueError(f"population size must be >= 1, got {size}")
+    check_fields({"size": size}, {"size": 1})
     return Population([Individual(random_position(bounds, rng)) for _ in range(size)])
 
 

@@ -41,9 +41,8 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        check_fields(self, {"n_trees": 1, "max_depth": 1, "min_samples_split": 2})
-        if not isinstance(self.bootstrap, bool):
-            raise ValueError(f"bootstrap must be True or False, got {self.bootstrap!r}")
+        check_fields(vars(self), {"n_trees": 1, "max_depth": 1, "min_samples_split": 2},
+                     flags=("bootstrap",))
         if self.feature_rule not in ("sqrt", "all"):
             raise ValueError(f"unknown feature_rule {self.feature_rule!r}")
 

@@ -28,7 +28,7 @@ import numpy as np
 from .chm import ChmConfig
 # unused here, kept importable: span tracers patch these two module attributes
 from .chm import chm_run, run_segmented  # noqa: F401
-from .core import SeededRng, format_table, is_integer, mix_seed, population_std
+from .core import SeededRng, check_fields, format_table, mix_seed, population_std
 from .forest import ForestParams, RandomForest, fit_forests
 from .harness import ALL_METHODS, check_methods, run_method
 
@@ -181,8 +181,7 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
 def split_dataset(dataset: Dataset, test_fraction: float,
                   seed: int) -> tuple[Dataset, Dataset]:
     """Stratified-by-label random split into (train, test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_fields({"test_fraction": test_fraction}, reals={"test_fraction": "(0, 1)"})
     rng = SeededRng(seed)
     labels = dataset.labels
     classes = sorted(set(int(c) for c in labels))
@@ -456,10 +455,7 @@ def run_feature_selection(dataset: Dataset, methods, *,
     search can use a cheaper forest than the final evaluation.
     """
     methods = check_methods(methods)
-    if not is_integer(repetitions) or repetitions < 1:
-        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
-    if not is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    check_fields({"repetitions": repetitions, "seed": seed}, {"repetitions": 1, "seed": None})
     config = ChmConfig(iterations=iterations, population_size=population_size,
                        maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
     params = forest_params or ForestParams()

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark, normalize_name
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
-from .core import (check_fields, euclidean_distance, fitness, format_table, is_integer,
-                   mix_seed, population_std)
+from .core import (check_fields, euclidean_distance, fitness, format_table, mix_seed,
+                   population_std)
 from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
 
 CHM_METHOD = "chm"
@@ -38,9 +38,9 @@ def check_methods(methods, hint: str = "") -> tuple[str, ...]:
     return names
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    """Configuration of one experiment sweep."""
+    """Configuration of one experiment sweep, checked on construction."""
 
     name: str = "default"
     functions: tuple[str, ...] = BENCHMARK_NAMES
@@ -61,37 +61,29 @@ class ExperimentPlan:
         for attr in ("functions", "methods"):  # a string would split into characters
             if not isinstance(getattr(self, attr), (list, tuple)):
                 raise ValueError(f"{attr} must be a list of names, got {getattr(self, attr)!r}")
-        self.functions = tuple(normalize_name(f) if isinstance(f, str) else f
-                               for f in self.functions)
+        object.__setattr__(self, "functions", tuple(normalize_name(f) if isinstance(f, str)
+                                                    else f for f in self.functions))
         if isinstance(self.budget_override, list):
-            self.budget_override = tuple(self.budget_override)
-        self.validate()
-
-    def validate(self):
+            object.__setattr__(self, "budget_override", tuple(self.budget_override))
         # the name is the export directory under the output root
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0"))):
             raise ValueError(f"plan name {self.name!r} must be a plain directory name")
-        check_fields(self, dict.fromkeys(("repetitions", "workers"), 1))
-        if not is_integer(self.base_seed):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        for attr in ("skip_on_error", "distance_to_nearest"):
-            if not isinstance(getattr(self, attr), bool):
-                raise ValueError(f"{attr} must be true or false, got {getattr(self, attr)!r}")
-        self.methods = check_methods(self.methods)
+        check_fields(vars(self), {"repetitions": 1, "workers": 1, "base_seed": None},
+                     flags=("skip_on_error", "distance_to_nearest"))
+        object.__setattr__(self, "methods", check_methods(self.methods))
         if not self.functions:
             raise ValueError("functions must be non-empty")
         for f in self.functions:
             if not isinstance(f, str):
                 raise ValueError(f"function names must be strings, got {f!r}")
             get_benchmark(f)  # raises on unknown names
-        if len({normalize_name(f) for f in self.functions}) != len(self.functions):
+        if len(set(self.functions)) != len(self.functions):
             raise ValueError(f"functions must not repeat, got {list(self.functions)}")
+        # ChmConfig checks the two budgets, through the config call below
         if self.budget_override is not None and (
-                not isinstance(self.budget_override, (tuple, list))
-                or len(self.budget_override) != 2
-                or not all(is_integer(v) and v >= 1 for v in self.budget_override)):
-            raise ValueError(f"budget_override must be two integers >= 1 (probing, fit), "
+                not isinstance(self.budget_override, tuple) or len(self.budget_override) != 2):
+            raise ValueError(f"budget_override must be two integers (probing, fit), "
                              f"got {self.budget_override!r}")
         if not isinstance(self.optimizer_overrides, dict):
             raise ValueError("optimizer_overrides must map method names to parameters")
@@ -120,7 +112,7 @@ class ExperimentPlan:
 
     def budgets_for(self, function: str) -> tuple[int, int]:
         if self.budget_override is not None:
-            return tuple(self.budget_override)
+            return self.budget_override
         return get_benchmark(function).budgets
 
     def cell_seed(self, function: str, method: str, repetition: int) -> int:
@@ -332,7 +324,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> Experime
     Groups run in a pool of min(``plan.workers``, groups, CPUs) worker
     processes when that is above 1, in this process otherwise; results are
     collected in sorted (function, method) order."""
-    plan.validate()
     tasks = [(f, m) for f in plan.functions for m in plan.methods]
     workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -65,13 +65,8 @@ class PsoParams:
     v_max_fraction: float = 0.5
 
     def __post_init__(self):
-        check_fields(self, reals=("inertia", "cognitive", "social", "v_max_fraction"))
-        if not 0.0 < self.inertia < 1.0:
-            raise ValueError(f"inertia must be in (0,1), got {self.inertia}")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be positive")
-        if self.v_max_fraction <= 0:
-            raise ValueError("v_max_fraction must be positive")
+        check_fields(vars(self), reals={"inertia": "(0, 1)", "cognitive": "(0, inf)",
+                                        "social": "(0, inf)", "v_max_fraction": "(0, inf)"})
 
 
 @dataclass(frozen=True)
@@ -82,16 +77,9 @@ class SaParams:
     t0_floor: float = 1e-3
 
     def __post_init__(self):
-        check_fields(self, reals=("cooling", "step_fraction", "t0", "t0_floor"),
+        check_fields(vars(self), reals={"cooling": "(0, 1)", "step_fraction": "(0, inf)",
+                                        "t0": "(0, inf)", "t0_floor": "(0, inf)"},
                      optional=("t0",))
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError(f"cooling must be in (0,1), got {self.cooling}")
-        if self.step_fraction <= 0:
-            raise ValueError("step_fraction must be positive")
-        if self.t0 is not None and self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-        if self.t0_floor <= 0:
-            raise ValueError("t0_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,17 +92,10 @@ class GaParams:
     elitism: int = 1
 
     def __post_init__(self):
-        check_fields(self, {"tournament_size": 2, "elitism": 0},
-                     reals=("crossover_rate", "blend_alpha", "mutation_rate",
-                            "mutation_sigma_fraction"), optional=("mutation_rate",))
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0,1]")
-        if self.blend_alpha < 0:
-            raise ValueError("blend_alpha must be >= 0")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0,1]")
-        if self.mutation_sigma_fraction <= 0:
-            raise ValueError("mutation_sigma_fraction must be positive")
+        check_fields(vars(self), {"tournament_size": 2, "elitism": 0},
+                     reals={"crossover_rate": "[0, 1]", "blend_alpha": "[0, inf)",
+                            "mutation_rate": "[0, 1]", "mutation_sigma_fraction": "(0, inf)"},
+                     optional=("mutation_rate",))
 
 
 @dataclass(frozen=True)
@@ -123,11 +104,7 @@ class DeParams:
     crossover_rate: float = 0.9  # CR
 
     def __post_init__(self):
-        check_fields(self, reals=("weight", "crossover_rate"))
-        if not 0.0 < self.weight <= 2.0:
-            raise ValueError(f"weight must be in (0,2], got {self.weight}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0,1]")
+        check_fields(vars(self), reals={"weight": "(0, 2]", "crossover_rate": "[0, 1]"})
 
 
 @dataclass(frozen=True)
@@ -140,13 +117,10 @@ class BfoParams:
     step_fraction: float = 0.05
 
     def __post_init__(self):
-        check_fields(self, dict.fromkeys(("chemotaxis_steps", "swim_length", "reproduction_steps",
-                                          "elimination_dispersal_steps"), 1),
-                     reals=("dispersal_probability", "step_fraction"))
-        if not 0.0 <= self.dispersal_probability <= 1.0:
-            raise ValueError("dispersal_probability must be in [0,1]")
-        if self.step_fraction <= 0:
-            raise ValueError("step_fraction must be positive")
+        check_fields(vars(self),
+                     dict.fromkeys(("chemotaxis_steps", "swim_length", "reproduction_steps",
+                                    "elimination_dispersal_steps"), 1),
+                     reals={"dispersal_probability": "[0, 1]", "step_fraction": "(0, inf)"})
 
 
 # ---------------------------------------------------------------------------

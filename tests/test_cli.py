@@ -3,9 +3,12 @@ import os
 
 import pytest
 
+import chmopt.cli
 from chmopt.cli import main
 from chmopt.fselect import make_synthetic_dataset
+from chmopt.optimizers import BfoParams, DeParams, GaParams, PsoParams, SaParams
 from dataset_csv import write_dataset_csv
+from setting_rules import RULES, small_plan
 
 
 def run_cli(capsys, *argv):
@@ -135,8 +138,6 @@ class TestBench:
         assert not out_root.exists()
 
     def test_workers_flag_overrides_plan(self, tmp_path, capsys, monkeypatch):
-        import chmopt.cli
-
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({
             "name": "fromfile", "functions": ["matyas"], "methods": ["de"],
@@ -252,6 +253,69 @@ class TestBench:
                              "--methods", "de", "--reps", "1", "--budgets", "10,20")
         assert code == 0
         assert (tmp_path / "envroot" / "default" / "raw" / "runs.jsonl").exists()
+
+
+VALID_PLAN = {"name": "fromfile", "functions": ["matyas"], "methods": ["de"],
+              "repetitions": 1, "budget_override": [10, 20], "population_size": 5,
+              "iterations": 1}
+
+
+def hostile_plans():
+    """(field, value, message) for every plan field, a wrong type and the
+    first value out of range; a parameter inside optimizer_overrides is named
+    as <method>.<parameter>."""
+    def bad_values(rule):
+        return ([v for v in ("1", None) if not rule.accepts(v)]
+                + [v for v, accepted in rule.boundary() if not accepted][:1])
+
+    cases = [(name, value, rule.message(name, value))
+             for name, rule in RULES[small_plan].items() for value in bad_values(rule)]
+    for kind, record in (("pso", PsoParams), ("sa", SaParams), ("ga", GaParams),
+                         ("de", DeParams), ("bfo", BfoParams)):
+        cases += [(f"{kind}.{name}", value,
+                   f"optimizer_overrides[{kind!r}]: {rule.message(name, value)}")
+                  for name, rule in RULES[record].items() for value in bad_values(rule)]
+    return cases + [
+        ("budget_override", [0, 20], "maxfe_probing must be an integer >= 1, got 0"),
+        ("budget_override", [10, 2.5], "maxfe_fit must be an integer >= 1, got 2.5"),
+        ("budget_override", [10], "budget_override must be two integers (probing, fit), "
+                                  "got (10,)"),
+        ("budget_override", "10,20", "budget_override must be two integers (probing, fit), "
+                                     "got '10,20'"),
+        ("name", 5, "plan name 5 must be a plain directory name"),
+        ("functions", "matyas", "functions must be a list of names, got 'matyas'"),
+        ("functions", [1], "function names must be strings, got 1"),
+        ("methods", ["cma"], "unknown method 'cma'; valid: chm, pso, sa, ga, de, bfo"),
+        ("optimizer_overrides", ["pso"], "optimizer_overrides must map method names to "
+                                         "parameters"),
+    ]
+
+
+HOSTILE_PLANS = hostile_plans()
+
+
+@pytest.mark.parametrize("field, value, message", HOSTILE_PLANS,
+                         ids=[f"{f}={v!r}" for f, v, _ in HOSTILE_PLANS])
+def test_hostile_plan_value_is_one_error_line(tmp_path, capsys, monkeypatch, field, value,
+                                              message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment called on a bad plan")
+
+    monkeypatch.setattr(chmopt.cli, "run_experiment", no_run)
+    plan = dict(VALID_PLAN)
+    if "." in field:
+        kind, name = field.split(".")
+        plan["optimizer_overrides"] = {kind: {name: value}}
+    else:
+        plan[field] = value
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan_path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot load plan {str(plan_path)!r}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
 
 
 class TestFselect:
@@ -383,4 +447,21 @@ def test_zero_reps_reads_the_same_in_every_command(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert err == "error: repetitions must be an integer >= 1, got 0\n"
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("bench", "--functions", "matyas", "--methods", "de", "--reps", "1"),
+    ("fselect", "{csv}", "--label", "label", "--method", "de", "--reps", "1"),
+])
+def test_zero_budget_reads_the_same_in_every_command(tmp_path, capsys, command):
+    dataset = make_synthetic_dataset(n_rows=60, n_noise=4, seed=9)
+    csv_path = tmp_path / "synth.csv"
+    write_dataset_csv(dataset, str(csv_path))
+    out_root = tmp_path / "out"
+    argv = [a.format(csv=csv_path) for a in command] + ["--out", str(out_root)]
+    code, out, err = run_cli(capsys, *argv, "--budgets", "0,5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: maxfe_probing must be an integer >= 1, got 0\n"
     assert not out_root.exists()

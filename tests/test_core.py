@@ -104,8 +104,10 @@ class TestBudgetedObjective:
             obj.evaluate([0.0])
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            BudgetedObjective(sphere, -1)
+        # a fractional or bool cap was once truncated to an int: 2.5 gave 2, True gave 1
+        for cap in (-1, 2.5, True, None):
+            with pytest.raises(ValueError, match=f"^cap must be an integer >= 0, got {cap!r}$"):
+                BudgetedObjective(sphere, cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,6 +199,12 @@ class TestPopulation:
         pop = random_population(3, [(-1.0, 1.0)], SeededRng(0))
         with pytest.raises(ValueError):
             pop.best()
+
+    @pytest.mark.parametrize("size", [0, 2.5, True, "3"])
+    def test_random_population_size_checked(self, size):
+        # 2.5 once reached range() and died in a raw TypeError
+        with pytest.raises(ValueError, match=f"^size must be an integer >= 1, got {size!r}$"):
+            random_population(size, [(-1.0, 1.0)], SeededRng(0))
 
     def test_random_population_within_bounds(self):
         bounds = [(-2.0, -1.0), (3.0, 7.0)]

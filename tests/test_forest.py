@@ -171,7 +171,7 @@ class TestRandomForest:
 
     @pytest.mark.parametrize("field, value", [
         ("n_trees", 2.5), ("max_depth", 2.5), ("max_depth", True), ("min_samples_split", 2.5),
-        ("min_samples_split", 1), ("bootstrap", "no"), ("bootstrap", 1)])
+        ("min_samples_split", 1), ("bootstrap", "no"), ("bootstrap", 1), ("bootstrap", None)])
     def test_params_types_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             ForestParams(**{field: value})

@@ -191,8 +191,10 @@ class TestSplit:
 
     def test_bad_fraction_rejected(self):
         ds = self._dataset([0, 1] * 5)
-        with pytest.raises(ValueError):
-            split_dataset(ds, 0.0, 1)
+        for fraction in (0.0, 1.0, float("nan"), True, "0.5"):
+            message = f"test_fraction must be a finite number in (0, 1), got {fraction!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                split_dataset(ds, fraction, 1)
 
 
 class TestDecodeMask:
@@ -328,6 +330,8 @@ class TestRunFeatureSelection:
         ({"seed": 1.9}, "seed must be an integer, got 1.9"),
         ({"seed": "1"}, "seed must be an integer, got '1'"),
         ({"seed": True}, "seed must be an integer, got True"),
+        ({"repetitions": True}, "repetitions must be an integer >= 1, got True"),
+        ({"seed": None}, "seed must be an integer, got None"),
     ])
     def test_bad_run_setting_rejected_before_any_split(self, monkeypatch, kwargs, message):
         import chmopt.fselect as fselect

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -69,19 +70,34 @@ class TestPlanValidation:
         ("convergence_epsilon", "x", "convergence_epsilon must be a finite number"),
         ("convergence_epsilon", float("nan"), "convergence_epsilon must be a finite number"),
         ("convergence_epsilon", True, "convergence_epsilon must be a finite number"),
-        ("budget_override", (2.5, 3), "budget_override must be two integers"),
+        ("budget_override", (2.5, 3), "maxfe_probing must be an integer >= 1, got 2.5"),
         ("budget_override", (10, 20, 30), "budget_override must be two integers"),
-        ("budget_override", (0, 20), "budget_override must be two integers"),
+        ("budget_override", (0, 20), "maxfe_probing must be an integer >= 1, got 0"),
         ("skip_on_error", "no", "skip_on_error must be true or false"),
         ("distance_to_nearest", 1, "distance_to_nearest must be true or false"),
         ("functions", ("matyas", "brent", "matyas"), "functions must not repeat"),
         ("functions", ("matyas", " Matyas"), "functions must not repeat"),
         ("methods", ("de", "chm", "DE"), "methods must not repeat"),
         ("functions", ("matyas", 3), "function names must be strings"),
+        ("budget_override", (20, True), "maxfe_fit must be an integer >= 1, got True"),
+        ("budget_override", "20,40", "budget_override must be two integers"),
+        ("workers", None, "workers must be an integer >= 1, got None"),
+        ("skip_on_error", None, "skip_on_error must be true or false, got None"),
     ])
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             small_plan(**{field: value})
+
+    def test_plan_is_frozen_and_replace_checks_it_again(self):
+        plan = small_plan(functions=[" Matyas"], budget_override=[30, 60])
+        assert plan.functions == ("matyas",) and plan.budget_override == (30, 60)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.workers = 0
+        for field, message in (("workers", "workers must be an integer >= 1, got 0"),
+                               ("iterations", "iterations must be an integer >= 1, got 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dataclasses.replace(plan, **{field: 0})
+        assert dataclasses.replace(plan, workers=2) == small_plan(workers=2)
 
     def test_integral_numbers_accepted(self):
         plan = small_plan(repetitions=np.int64(2), base_seed=-3, convergence_epsilon=0)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+import re
 import signal
 
 import pytest
@@ -302,16 +303,23 @@ class TestParamValidation:
         ("pso", "inertia", True, "inertia must be a finite number"),
         ("de", "weight", None, "weight must be a finite number"),
         ("ga", "mutation_rate", float("nan"), "mutation_rate must be a finite number"),
-        ("pso", "v_max_fraction", -1.0, "v_max_fraction must be positive"),
-        ("pso", "v_max_fraction", 0.0, "v_max_fraction must be positive"),
-        ("sa", "step_fraction", 0.0, "step_fraction must be positive"),
-        ("bfo", "step_fraction", -0.1, "step_fraction must be positive"),
-        ("ga", "mutation_sigma_fraction", 0.0, "mutation_sigma_fraction must be positive"),
-        ("ga", "blend_alpha", -0.5, "blend_alpha must be >= 0"),
+        ("pso", "v_max_fraction", -1.0, "v_max_fraction must be a finite number in (0, inf), got -1.0"),
+        ("pso", "v_max_fraction", 0.0, "v_max_fraction must be a finite number in (0, inf), got 0.0"),
+        ("sa", "step_fraction", 0.0, "step_fraction must be a finite number in (0, inf), got 0.0"),
+        ("bfo", "step_fraction", -0.1, "step_fraction must be a finite number in (0, inf), got -0.1"),
+        ("ga", "mutation_sigma_fraction", 0.0,
+         "mutation_sigma_fraction must be a finite number in (0, inf), got 0.0"),
+        ("ga", "blend_alpha", -0.5, "blend_alpha must be a finite number in [0, inf), got -0.5"),
         ("de", "strategy", "rand/1/bin", "strategy"),
+        ("pso", "social", 0.0, "social must be a finite number in (0, inf), got 0.0"),
+        ("pso", "inertia", 1.0, "inertia must be a finite number in (0, 1), got 1.0"),
+        ("de", "weight", 2.5, "weight must be a finite number in (0, 2], got 2.5"),
+        ("bfo", "dispersal_probability", 1.5,
+         "dispersal_probability must be a finite number in [0, 1], got 1.5"),
+        ("sa", "t0", 10 ** 400, "t0 must be a finite number in (0, inf), got " + str(10 ** 400)),
     ])
     def test_bad_field_rejected(self, kind, field, value, message):
-        with pytest.raises((TypeError, ValueError), match=message):
+        with pytest.raises((TypeError, ValueError), match=re.escape(message)):
             make_optimizer(kind, **{field: value})
 
     def test_optional_fields_and_edges_accepted(self):
