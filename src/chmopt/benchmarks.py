@@ -32,13 +32,10 @@ BUCKET_BUDGETS = {
 }
 
 
-class UnknownBenchmark(KeyError):
+class UnknownBenchmark(ValueError):
     def __init__(self, name, valid):
         super().__init__(f"unknown benchmark {name!r}; valid names: {', '.join(valid)}")
         self.name = name
-
-    def __str__(self):  # KeyError's own would quote the message
-        return self.args[0]
 
 
 def ackley02(x):

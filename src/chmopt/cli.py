@@ -18,6 +18,7 @@ from .chm import EvaluationAborted
 from .fselect import (
     DatasetError,
     ForestParams,
+    FselectPlan,
     load_csv,
     run_feature_selection,
 )
@@ -68,14 +69,17 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run a benchmark experiment plan")
     p_bench.add_argument("--plan", help="JSON plan file; of the flags below only --workers, "
                          "--out and --format apply with it")
-    p_bench.add_argument("--functions", help="comma-separated names (default: all 28)")
-    p_bench.add_argument("--methods", help=f"comma-separated from {', '.join(ALL_METHODS)}")
-    p_bench.add_argument("--reps", type=int, default=50)
-    p_bench.add_argument("--seed", type=int, default=1234)
+    p_bench.add_argument("--functions", type=_names, default=ExperimentPlan.functions,
+                         help="comma-separated names (default: all 28)")
+    p_bench.add_argument("--methods", type=_names, default=ExperimentPlan.methods,
+                         help=f"comma-separated from {', '.join(ALL_METHODS)}")
+    p_bench.add_argument("--reps", type=int, default=ExperimentPlan.repetitions)
+    p_bench.add_argument("--seed", type=int, default=ExperimentPlan.base_seed)
     p_bench.add_argument("--workers", type=int, help="worker processes (default: 1, "
                          "or the plan's value), at most one per group and per CPU")
-    p_bench.add_argument("--name", default="default")
-    p_bench.add_argument("--budgets", help="override probing,fit budgets, e.g. 300,600")
+    p_bench.add_argument("--name", default=ExperimentPlan.name)
+    p_bench.add_argument("--budgets", type=_parse_budgets,
+                         help="override probing,fit budgets, e.g. 300,600")
     p_bench.add_argument("--out", help="output root (default: results or $CHMOPT_RESULTS)")
     p_bench.add_argument("--format", choices=("table", "records"), default="table")
 
@@ -84,18 +88,24 @@ def build_parser() -> _Parser:
     p_fs.add_argument("--label", required=True, help="label column name")
     p_fs.add_argument("--method", default="chm",
                       help=f"one of {', '.join(ALL_METHODS)} or 'all'")
-    p_fs.add_argument("--reps", type=int, default=10)
-    p_fs.add_argument("--seed", type=int, default=1234)
-    p_fs.add_argument("--population", type=int, default=10)
-    p_fs.add_argument("--iterations", type=int, default=4)
-    p_fs.add_argument("--budgets", default="25,50", help="probing,fit budgets per iteration")
-    p_fs.add_argument("--trees", type=int, default=50)
-    p_fs.add_argument("--depth", type=int, default=12)
+    p_fs.add_argument("--reps", type=int, default=FselectPlan.repetitions)
+    p_fs.add_argument("--seed", type=int, default=FselectPlan.seed)
+    p_fs.add_argument("--population", type=int, default=FselectPlan.population_size)
+    p_fs.add_argument("--iterations", type=int, default=FselectPlan.iterations)
+    p_fs.add_argument("--budgets", type=_parse_budgets,
+                      default=(FselectPlan.maxfe_probing, FselectPlan.maxfe_fit),
+                      help="probing,fit budgets per iteration")
+    p_fs.add_argument("--trees", type=int, default=ForestParams.n_trees)
+    p_fs.add_argument("--depth", type=int, default=ForestParams.max_depth)
     p_fs.add_argument("--strict", action="store_true",
                       help="drop rows with non-numeric feature cells")
     p_fs.add_argument("--out", help="write the report under this directory")
     p_fs.add_argument("--format", choices=("table", "records"), default="table")
     return parser
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
 
 
 def _parse_budgets(text: str) -> tuple[int, int]:
@@ -151,18 +161,12 @@ def cmd_bench(args) -> int:
     if args.plan:
         try:
             plan = load_plan(args.plan)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise UsageError(f"cannot load plan {args.plan!r}: {exc}")
     else:
-        kwargs = {}
-        if args.functions:
-            kwargs["functions"] = tuple(args.functions.split(","))
-        if args.methods:
-            kwargs["methods"] = tuple(args.methods.split(","))
-        if args.budgets:
-            kwargs["budget_override"] = _parse_budgets(args.budgets)
-        plan = ExperimentPlan(name=args.name, repetitions=args.reps, base_seed=args.seed,
-                              **kwargs)
+        plan = ExperimentPlan(name=args.name, functions=args.functions, methods=args.methods,
+                              repetitions=args.reps, base_seed=args.seed,
+                              budget_override=args.budgets)
     if args.workers is not None:
         plan = dataclasses.replace(plan, workers=args.workers)
     out_root = _out_root(args.out)
@@ -177,19 +181,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fselect(args) -> int:
-    probing, fit = _parse_budgets(args.budgets)
     methods = (ALL_METHODS if args.method.strip().lower() == "all"
                else check_methods([args.method], hint=" or 'all'"))
-    forest_params = ForestParams(n_trees=args.trees, max_depth=args.depth)
+    plan = FselectPlan(methods, repetitions=args.reps, seed=args.seed,
+                       population_size=args.population, iterations=args.iterations,
+                       maxfe_probing=args.budgets[0], maxfe_fit=args.budgets[1],
+                       forest_params=ForestParams(n_trees=args.trees, max_depth=args.depth))
     dataset = load_csv(args.csv, args.label, strict=args.strict)
     if dataset.dropped_rows:
         print(f"note: dropped {dataset.dropped_rows} of "
               f"{dataset.n_rows + dataset.dropped_rows} data rows "
               f"(missing or unparseable cells)", file=sys.stderr)
-    report = run_feature_selection(dataset, methods, repetitions=args.reps, seed=args.seed,
-                                   population_size=args.population,
-                                   iterations=args.iterations, maxfe_probing=probing,
-                                   maxfe_fit=fit, forest_params=forest_params)
+    report = run_feature_selection(dataset, plan)
     if args.format == "records":
         for record in report.to_records():
             print(json.dumps(record, sort_keys=True))
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # after the clause above: a DatasetError is a ValueError, and exits 2
-    except (UsageError, ValueError, benchmarks.UnknownBenchmark) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

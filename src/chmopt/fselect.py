@@ -74,7 +74,7 @@ def _encode_first_appearance(values):
 
 def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     """Ingest a UTF-8 CSV (byte-order mark optional) with a header row that
-    names the label column once.
+    names each column, the label column among them, once.
 
     Rows with missing cells are dropped (and counted). Feature columns where
     every retained value parses as a number become numeric and must hold no
@@ -108,11 +108,14 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
         raise DatasetError(
             f"{path}: label column {label_column!r} not found; "
             f"available columns: {', '.join(header)}")
-    if header.count(label_column) > 1:
-        raise DatasetError(f"{path}: label column {label_column!r} appears more than "
-                           f"once in the header")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DatasetError(f"{path}: column {repeated[0]!r} appears more than once "
+                           f"in the header")
     if not data:
         raise DatasetError(f"{path}: no data rows")
+    if len(header) < 3:
+        raise DatasetError(f"{path}: need at least 2 feature columns")
     label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
@@ -166,8 +169,6 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     )
     if dataset.n_rows < 10:
         raise DatasetError(f"{path}: need at least 10 usable rows, got {dataset.n_rows}")
-    if dataset.n_features < 2:
-        raise DatasetError(f"{path}: need at least 2 feature columns")
     counts = Counter(columns[label_idx])
     for value, count in counts.items():
         if count < 3:
@@ -428,13 +429,36 @@ class FsReport:
         return format_table(rows)
 
 
-def run_feature_selection(dataset: Dataset, methods, *,
-                          repetitions: int = 10, seed: int = 1234,
-                          population_size: int = 10, iterations: int = 4,
-                          maxfe_probing: int = 25, maxfe_fit: int = 50,
-                          forest_params: ForestParams | None = None,
-                          report_forest_params: ForestParams | None = None) -> FsReport:
-    """Search feature masks with each of ``methods``, report held-out test errors.
+@dataclass(frozen=True)
+class FselectPlan:
+    """Settings of one feature-selection call, checked on construction.
+    ``config`` is the one ``ChmConfig`` that every search shares.
+    ``report_forest_params`` (None: ``forest_params``) sets the forest behind
+    the reported test errors, so the search can use a cheaper one."""
+
+    methods: tuple[str, ...]
+    repetitions: int = 10
+    seed: int = 1234
+    population_size: int = 10
+    iterations: int = 4
+    maxfe_probing: int = 25
+    maxfe_fit: int = 50
+    forest_params: ForestParams = ForestParams()
+    report_forest_params: ForestParams | None = None
+    config: ChmConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "methods", check_methods(self.methods))
+        check_fields(vars(self), {"repetitions": 1, "seed": None})
+        if self.report_forest_params is None:
+            object.__setattr__(self, "report_forest_params", self.forest_params)
+        object.__setattr__(self, "config", ChmConfig(
+            iterations=self.iterations, population_size=self.population_size,
+            maxfe_probing=self.maxfe_probing, maxfe_fit=self.maxfe_fit))
+
+
+def run_feature_selection(dataset: Dataset, plan: FselectPlan) -> FsReport:
+    """Search feature masks with each of ``plan.methods``, report held-out test errors.
 
     The test split is fixed for the whole call, and the baseline row (method
     ``none``) is one all-features evaluation on it. Each repetition draws its
@@ -446,39 +470,28 @@ def run_feature_selection(dataset: Dataset, methods, *,
     and the baseline once per call. No seed depends on the method and no cost
     on the pass that fitted it, so a method's results do not depend on which
     methods run beside it. Repetitions run one after another. Rows follow
-    ``methods``, then ``none``.
-    ``iterations``, ``population_size`` and the two budgets make one
-    ``ChmConfig``, shared by every search; it, ``repetitions`` and ``seed``
-    are checked before any split.
-    ``forest_params`` sets the search-time classifier; ``report_forest_params``
-    (default: same) sets the classifier for the reported test errors, so the
-    search can use a cheaper forest than the final evaluation.
+    ``plan.methods``, then ``none``.
     """
-    methods = check_methods(methods)
-    check_fields({"repetitions": repetitions, "seed": seed}, {"repetitions": 1, "seed": None})
-    config = ChmConfig(iterations=iterations, population_size=population_size,
-                       maxfe_probing=maxfe_probing, maxfe_fit=maxfe_fit)
-    params = forest_params or ForestParams()
-    report_params = report_forest_params or params
     d = dataset.n_features
     bounds = tuple((0.0, 1.0) for _ in range(d))
 
-    train_all, test = split_dataset(dataset, SPLIT_FRACTION, seed=mix_seed(seed, "test-split"))
-    report = FsReport(runs={method: [] for method in methods})
-    for rep in range(repetitions):
-        rep_seed = mix_seed(seed, "rep", rep)
+    train_all, test = split_dataset(dataset, SPLIT_FRACTION,
+                                    seed=mix_seed(plan.seed, "test-split"))
+    report = FsReport(runs={method: [] for method in plan.methods})
+    for rep in range(plan.repetitions):
+        rep_seed = mix_seed(plan.seed, "rep", rep)
         fit_train, validation = split_dataset(
             train_all, SPLIT_FRACTION, seed=mix_seed(rep_seed, "val-split"))
-        objective = _CachedMaskObjective(fit_train, validation, params, rep_seed)
+        objective = _CachedMaskObjective(fit_train, validation, plan.forest_params, rep_seed)
         bests = _search_in_lockstep(objective, {
             method: functools.partial(run_method, method, bounds=bounds, seed=rep_seed,
-                                      config=config)
-            for method in methods})
+                                      config=plan.config)
+            for method in plan.methods})
         test_errors = {}
         for method, (best, _) in bests.items():
             mask = decode_mask(best.position)
             if mask not in test_errors:
-                test_errors[mask] = fs_cost(mask, train_all, test, report_params,
+                test_errors[mask] = fs_cost(mask, train_all, test, plan.report_forest_params,
                                             mix_seed(rep_seed, "final"))
             report.runs[method].append({
                 "repetition": rep,
@@ -500,8 +513,8 @@ def run_feature_selection(dataset: Dataset, methods, *,
             median_features=float(statistics.median(feature_counts)),
             std_features=population_std(feature_counts),
         ))
-    baseline_error = fs_cost((True,) * d, train_all, test, report_params,
-                             mix_seed(seed, "baseline"))
+    baseline_error = fs_cost((True,) * d, train_all, test, plan.report_forest_params,
+                             mix_seed(plan.seed, "baseline"))
     report.rows.append(FsRow(
         method=BASELINE_METHOD,
         avg_cost=baseline_error,
@@ -514,9 +527,9 @@ def run_feature_selection(dataset: Dataset, methods, *,
 
 
 def run_feature_selection_all(dataset: Dataset, methods=ALL_METHODS,
-                              **kwargs) -> FsReport:
-    """``run_feature_selection`` over every method by default."""
-    return run_feature_selection(dataset, methods, **kwargs)
+                              **settings) -> FsReport:
+    """``run_feature_selection`` of ``FselectPlan(methods, **settings)``."""
+    return run_feature_selection(dataset, FselectPlan(methods, **settings))
 
 
 def make_synthetic_dataset(n_rows: int = 300, n_noise: int = 9,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from chmopt.chm import ChmConfig
 from chmopt.core import BudgetedObjective
 from chmopt.forest import ForestParams
+from chmopt.fselect import FselectPlan
 from chmopt.harness import ExperimentPlan
 from chmopt.optimizers import BfoParams, DeParams, GaParams, PsoParams, SaParams
 
@@ -100,6 +101,10 @@ def small_plan(**kwargs):
                              "repetitions": 1, **kwargs})
 
 
+def small_fselect_plan(**kwargs):
+    return FselectPlan(("de",), **kwargs)
+
+
 def budgeted(cap):
     return BudgetedObjective(abs, cap)
 
@@ -127,6 +132,9 @@ RULES = {
     small_plan: {**RUN_COUNTS, "repetitions": Count(1), "base_seed": Count(), "workers": Count(1),
                  "convergence_epsilon": Real(-INF, INF), "skip_on_error": Flag(),
                  "distance_to_nearest": Flag()},
+    small_fselect_plan: {**dict.fromkeys(("repetitions", "population_size", "iterations",
+                                          "maxfe_probing", "maxfe_fit"), Count(1)),
+                         "seed": Count()},
     budgeted: {"cap": Count(0)},
 }
 

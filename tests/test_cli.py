@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chmopt.cli
 from chmopt.cli import main
@@ -212,6 +216,20 @@ class TestBench:
         assert err.startswith("error: ") and "must not repeat" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--functions", "functions must be non-empty"),
+        ("--methods", "methods must be non-empty"),
+        ("--budgets", "budgets must be two comma-separated integers, got ''"),
+    ])
+    def test_empty_list_flag_exits_one(self, tmp_path, capsys, flag, message):
+        # an empty value is refused, not read as the flag left out
+        args = {"--functions": "matyas", "--methods": "de", "--budgets": "10,20", flag: ""}
+        code, out, err = run_cli(capsys, "bench", "--reps", "1", "--out", str(tmp_path),
+                                 *[v for pair in args.items() for v in pair])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["../../escape", "..", ".", "", "a/b", "a\x00b"])
     def test_name_outside_out_exits_one(self, tmp_path, capsys, name):
         out_root = tmp_path / "a" / "b" / "r"
@@ -419,6 +437,22 @@ class TestFselect:
         assert out == ""
         assert err == f"error: {field} must be an integer >= 1, got 0\n"
 
+    def test_bad_setting_exits_before_the_csv_is_read(self, synth_csv, capsys, monkeypatch):
+        with open(synth_csv, "a") as fh:
+            fh.write("0.5,0.5,,0.5,0.5,1\n")  # a row load_csv would drop, with a note
+        loads, real = [], chmopt.cli.load_csv
+
+        def spy(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chmopt.cli, "load_csv", spy)
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--reps", "0")
+        assert code == 1 and out == ""
+        assert err == "error: repetitions must be an integer >= 1, got 0\n"
+        assert loads == []
+
     def test_ratio_warning_is_one_line(self, synth_csv, capsys):
         code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
                                  "--method", "de", "--reps", "1", "--budgets", "1,100",
@@ -465,3 +499,57 @@ def test_zero_budget_reads_the_same_in_every_command(tmp_path, capsys, command):
     assert out == ""
     assert err == "error: maxfe_probing must be an integer >= 1, got 0\n"
     assert not out_root.exists()
+
+
+CSV_CELLS = {
+    "number": st.integers(-5, 5).map(str) | st.floats(-1e3, 1e3).map(repr),
+    "word": st.sampled_from(["u", "v", "w"]),
+    "odd": st.sampled_from(["1", "nan", "inf", "-inf", "1e400", "", " ", "x", '"x', "\xe9"]),
+}
+# at most one fault in the header or the bytes; a bytes fault is inserted anywhere
+CSV_FAULTS = [None] * 4 + ["repeated feature", "repeated label", "no label",
+                           b"\x00", b"\xff", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def hostile_csv(draw) -> bytes:
+    """CSV bytes with a repeated column, no label column, a NUL, a byte that is
+    not UTF-8 or a byte-order mark, or none of these; its rows may be ragged,
+    hold non-finite or blank cells, and have one class or classes under 3 rows."""
+    fault = draw(st.sampled_from(CSV_FAULTS))
+    names = list("abcd"[:draw(st.integers(1, 4))])
+    if fault == "repeated feature":
+        names.append(draw(st.sampled_from(names)))
+    for _ in range({"repeated label": 2, "no label": 0}.get(fault, 1)):
+        names.insert(draw(st.integers(0, len(names))), "y")
+    n_rows = draw(st.integers(0, 30))
+    n_classes = draw(st.integers(1, 4))
+    columns = []
+    for name in names:
+        cells = (st.integers(0, n_classes - 1).map(str) if name == "y"
+                 else CSV_CELLS[draw(st.sampled_from(["number"] * 3 + ["word", "odd"]))])
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    rows = [names] + [list(row) for row in zip(*columns)]
+    for i in draw(st.sets(st.integers(1, max(n_rows, 1)), max_size=min(n_rows, 3))):
+        rows[i] = rows[i][:draw(st.integers(0, len(rows[i])))] + ["1"] * draw(st.integers(0, 1))
+    data = ("\n".join(",".join(row) for row in rows) + "\n").encode()
+    if isinstance(fault, bytes):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + fault + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hostile_csv())
+def test_hostile_csv_exits_with_one_error_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "hostile.csv"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fselect", str(path), "--label", "y", "--reps", "1", "--population", "2",
+                     "--iterations", "1", "--budgets", "1,4", "--trees", "1", "--depth", "1"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in lines) <= 1
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

@@ -15,6 +15,7 @@ from chmopt.forest import ForestParams
 from chmopt.fselect import (
     Dataset,
     DatasetError,
+    FselectPlan,
     _CachedMaskObjective,
     _search_in_lockstep,
     decode_mask,
@@ -55,6 +56,23 @@ class TestLoadCsv:
         rows = ["label,b,label"] + [f"{i % 2},{i},{i % 2}" for i in range(12)]
         with pytest.raises(DatasetError, match="'label' appears more than once"):
             load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "label")
+
+    @pytest.mark.parametrize("header, name", [("a,a,y", "a"), ("y,b,b,c", "b"),
+                                              ("a,,,y", "")])
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        # two columns of one name would make a selected-feature list ambiguous
+        width = header.count(",") + 1
+        rows = [header] + [",".join([str(i % 2)] * width) for i in range(12)]
+        with pytest.raises(DatasetError, match=f"^.*: column {re.escape(repr(name))} "
+                                               f"appears more than once in the header$"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
+
+    @pytest.mark.parametrize("header", ["y", "a,y"])
+    def test_fewer_than_two_feature_columns_rejected(self, tmp_path, header):
+        # checked before the feature matrix is built, which a label-only file breaks
+        rows = [header] + [",".join([str(i % 2)] * (header.count(",") + 1)) for i in range(12)]
+        with pytest.raises(DatasetError, match="need at least 2 feature columns$"):
+            load_csv(write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"), "y")
 
     def test_non_utf8_header_names_byte_offset(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -287,9 +305,9 @@ def test_adding_informative_feature_never_hurts_median():
 class TestRunFeatureSelection:
     def test_single_repetition_report_shape(self):
         ds = make_synthetic_dataset(n_rows=80, n_noise=4, seed=20)
-        report = run_feature_selection(
-            ds, ("de",), repetitions=1, seed=3, population_size=6, iterations=2,
-            maxfe_probing=8, maxfe_fit=16, forest_params=FAST_FOREST)
+        report = run_feature_selection(ds, FselectPlan(
+            ("de",), repetitions=1, seed=3, population_size=6, iterations=2,
+            maxfe_probing=8, maxfe_fit=16, forest_params=FAST_FOREST))
         row = report_row(report, "de")
         assert row.std_cost == 0.0
         assert 0.0 <= row.avg_cost <= 1.0
@@ -299,9 +317,9 @@ class TestRunFeatureSelection:
 
     def test_finds_informative_feature_cheaply(self):
         ds = make_synthetic_dataset(n_rows=150, n_noise=5, seed=21)
-        report = run_feature_selection(
-            ds, ("chm",), repetitions=2, seed=4, population_size=6, iterations=2,
-            maxfe_probing=10, maxfe_fit=20, forest_params=FAST_FOREST)
+        report = run_feature_selection(ds, FselectPlan(
+            ("chm",), repetitions=2, seed=4, population_size=6, iterations=2,
+            maxfe_probing=10, maxfe_fit=20, forest_params=FAST_FOREST))
         runs = report.runs["chm"]
         assert all(r["mask"][0] for r in runs)  # signal feature kept
         baseline = report_row(report, "none")
@@ -310,18 +328,18 @@ class TestRunFeatureSelection:
     def test_unknown_method_rejected(self):
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError):
-            run_feature_selection(ds, ("cma",))
+            run_feature_selection(ds, FselectPlan(("cma",)))
 
     @pytest.mark.parametrize("methods", [(), ("de", "de"), "de"])
     def test_empty_repeated_or_string_methods_rejected(self, methods):
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError):
-            run_feature_selection(ds, methods)
+            run_feature_selection(ds, FselectPlan(methods))
 
     def test_zero_repetitions_rejected(self):
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError, match="repetitions"):
-            run_feature_selection(ds, ("de",), repetitions=0)
+            run_feature_selection(ds, FselectPlan(("de",), repetitions=0))
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"repetitions": 1.5}, "repetitions must be an integer >= 1, got 1.5"),
@@ -342,13 +360,13 @@ class TestRunFeatureSelection:
         monkeypatch.setattr(fselect, "split_dataset", no_split)
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_feature_selection(ds, ["de"], **kwargs)
+            run_feature_selection(ds, FselectPlan(["de"], **kwargs))
 
     def test_table_format_contains_columns(self):
         ds = make_synthetic_dataset(n_rows=60, n_noise=3, seed=23)
-        report = run_feature_selection(
-            ds, ("pso",), repetitions=1, seed=5, population_size=5, iterations=1,
-            maxfe_probing=6, maxfe_fit=12, forest_params=FAST_FOREST)
+        report = run_feature_selection(ds, FselectPlan(
+            ("pso",), repetitions=1, seed=5, population_size=5, iterations=1,
+            maxfe_probing=6, maxfe_fit=12, forest_params=FAST_FOREST))
         table = report.format_table()
         assert "meta_name" in table and "avg_cost" in table
         assert "none" in table
@@ -404,12 +422,12 @@ def test_lockstep_method_equals_its_run_alone(order, count, seed):
     the runs and row it gets alone."""
     dataset = make_synthetic_dataset(40, 3, seed=7)
     methods = order[:count]
-    report = run_feature_selection(dataset, methods, seed=seed, **LOCKSTEP_KWARGS)
+    report = run_feature_selection(dataset, FselectPlan(methods, seed=seed, **LOCKSTEP_KWARGS))
     assert list(report.runs) == list(methods)
     for method in methods:
         if (method, seed) not in _alone_runs:
             _alone_runs[method, seed] = run_feature_selection(
-                dataset, (method,), seed=seed, **LOCKSTEP_KWARGS)
+                dataset, FselectPlan((method,), seed=seed, **LOCKSTEP_KWARGS))
         alone = _alone_runs[method, seed]
         assert report.runs[method] == alone.runs[method]
         assert report_row(report, method) == report_row(alone, method)
@@ -520,7 +538,7 @@ def test_optimizer_error_mid_search_propagates_and_ends_every_thread(monkeypatch
     _raising_evolve(monkeypatch, SimulatedAnnealing, "sa failed")
     before = threading.active_count()
     error = _raised_by(lambda: run_feature_selection(
-        _pin_dataset(), ("pso",) + methods + ("bfo",), **PIN_KWARGS))
+        _pin_dataset(), FselectPlan(("pso",) + methods + ("bfo",), **PIN_KWARGS)))
     assert isinstance(error, RuntimeError) and str(error) == f"{methods[0]} failed"
     assert threading.active_count() == before
 
