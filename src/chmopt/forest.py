@@ -5,18 +5,21 @@ each, so the same (data, seed) pair always yields the same predictions. Scope
 is what the feature-selection cost function needs, nothing more.
 
 The trees of one fit grow together, and ``fit_forests`` grows the trees of
-several forests (each on its own subset of the columns) together too. A tree
-draws one candidate permutation per node it tries to split, in pre-order, so
-each tree grows depth-first; but trees are independent, so every step takes
-each tree's next node that tries to split, recording the leaves that come
-before it in pre-order on the way, and scores all of their candidate columns
-in batched numpy passes. Leaves take no step; the rows of all trees share one
-buffer that splits reorder in place, so the per-node work of a step is array
-operations over its trees (`_Grower`), and scoring adds up class shares
-class-major in numpy's own summation order (`_gini`). A fitted forest is a
-set of flat pre-order node arrays (feature, threshold, left, right,
-prediction), and ``predict`` walks every tree for every row at once, one level
-per step.
+several forests (each on its own subset of the columns and of the rows)
+together too. A tree draws one candidate permutation per node it tries to
+split, in pre-order, so each tree grows depth-first; but trees are
+independent, so every step takes each tree's next node that tries to split,
+recording the leaves that come before it in pre-order on the way, and scores
+all of their candidate columns in batched numpy passes. Leaves take no step;
+the rows of the trees growing at once share one buffer that splits reorder in
+place, so the per-node work of a step is array operations over its trees
+(`_Grower`), and scoring adds up class shares class-major in numpy's own
+summation order (`_gini`). A tree is set up (generators, candidate
+permutations, bootstrap rows) only when it starts to grow, so a pass of
+thousands of trees holds the state of the few hundred growing. A fitted
+forest is a set of flat pre-order node arrays (feature, threshold, left,
+right, prediction), and ``predict`` walks every tree for every row at once,
+one level per step.
 """
 from __future__ import annotations
 
@@ -189,7 +192,7 @@ def _best_splits(key, n_segments, n_ranks, n_classes, values):
 
 class _Words:
     """A seed sequence that hands a PCG64 the state words worked out for it;
-    `_generators` registers it as numpy's ISeedSequence, so that importing
+    `_seed_words` registers it as numpy's ISeedSequence, so that importing
     this module does not load ``numpy.random``."""
 
     def __init__(self, words):
@@ -199,8 +202,9 @@ class _Words:
         return self.words  # the 4 uint64 words a PCG64 asks for
 
 
-def _generators(seeds):
-    """``np.random.default_rng(seed)`` for each seed below 2**64, seeded together.
+def _seed_words(seeds):
+    """The PCG64 state words of ``np.random.default_rng(seed)`` for each seed
+    below 2**64, worked out together, one row of 4 uint64 words per seed.
 
     Such a generator is a PCG64 whose state ``SeedSequence(seed)`` makes: it
     hashes the seed's two 32-bit words into a pool of 4, mixes the pool, and
@@ -232,8 +236,12 @@ def _generators(seeds):
                  - np.uint32(0x4973f715) * hashed(pool[i], mix_steps[4 + 3 * i:8 + 3 * i]))
         pool[others] = value ^ value >> np.uint32(16)
     words = hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], draw_steps).T.astype("<u4", order="C")
-    return [np.random.Generator(np.random.PCG64(_Words(w)))
-            for w in words.view("<u8").astype(np.uint64)]
+    return words.view("<u8").astype(np.uint64)
+
+
+def _pcg64(words):
+    """The PCG64 of one row of `_seed_words`."""
+    return np.random.PCG64(_Words(words))
 
 
 def _validated(X, y):
@@ -278,7 +286,7 @@ class RandomForest:
 
     def fit(self, X, y):
         X, y = _validated(X, y)
-        _Grower([self], X, y, [np.arange(X.shape[1])]).grow()
+        _Grower([self], X, y, [np.arange(X.shape[1])], [np.arange(len(X))]).grow()
         return self
 
     def predict(self, X):
@@ -310,11 +318,17 @@ class RandomForest:
         return float(np.mean(predicted == y))
 
 
-def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[RandomForest]:
+def fit_forests(params: ForestParams, X, y, column_subsets, seeds,
+                rows=None) -> list[RandomForest]:
     """One forest per (column subset, seed), all grown in one pass.
 
-    Forest ``i`` is node for node ``RandomForest(params, seeds[i]).fit(X[:,
-    column_subsets[i]], y)``: its features index its own subset.
+    Forest ``i`` is node for node ``RandomForest(params, seeds[i]).fit(X[r][:,
+    column_subsets[i]], y[r])`` for its rows ``r = rows[i]``, indices into
+    ``X`` in any order and possibly repeated (every row when ``rows`` is
+    None): its features index its own subset, and a bootstrap draw picks a
+    position in its rows. The forests of a pass share their class count, one
+    more than the highest label of all their rows, so a forest whose rows
+    lack that label is refused; fit it alone.
     """
     X, y = _validated(X, y)
     subsets = [np.asarray(s) for s in column_subsets]
@@ -325,9 +339,21 @@ def fit_forests(params: ForestParams, X, y, column_subsets, seeds) -> list[Rando
                 or s.max() >= X.shape[1] or len(np.unique(s)) < len(s)):
             raise ValueError(f"a column subset must list distinct column indices below "
                              f"{X.shape[1]}, got {s.tolist()!r}")
+    rows = [np.arange(len(X))] * len(subsets) if rows is None else [np.asarray(r) for r in rows]
+    if len(rows) != len(subsets):
+        raise ValueError(f"{len(rows)} row subsets for {len(subsets)} column subsets")
+    for r in rows:
+        if (r.ndim != 1 or len(r) == 0 or r.dtype.kind not in "iu" or r.min() < 0
+                or r.max() >= len(X)):
+            raise ValueError(f"a row subset must list row indices below {len(X)}, "
+                             f"got {r.tolist()!r}")
+    tops = [int(y.take(r).max()) for r in rows]
+    if tops and min(tops) < max(tops):
+        raise ValueError(f"the rows of forest {tops.index(min(tops))} lack class {max(tops)}, "
+                         f"which other forests of the pass hold; fit it alone")
     forests = [RandomForest(params, seed) for seed in seeds]
     if forests:
-        _Grower(forests, X, y, subsets).grow()
+        _Grower(forests, X, y, subsets, rows).grow()
     return forests
 
 
@@ -335,44 +361,47 @@ class _Grower:
     """The trees of one or more forests, grown together one split-trying node
     per tree per step.
 
-    The rows of every tree lie in one flat ``samples`` buffer, tree ``t``'s
-    root from ``t * n`` to ``(t + 1) * n`` for ``n`` rows, and a node is a
-    segment of its tree's part. Splitting a node reorders its segment in
-    place, stably, left rows first, so its children are the two halves (the
-    layout of scikit-learn's splitter). A tree's pending nodes are disjoint
-    segments, so the buffer never holds more than the roots.
+    A tree grows in one of the grower's slots from its admission to its last
+    node; then the next tree in order takes the slot over. Its rows lie in
+    the slot's part of one flat ``samples`` buffer, from ``s * cap`` for slot
+    ``s`` and ``cap`` rows in the largest forest, as indices into ``X``, and
+    a node is a segment of that part. Splitting a node reorders its segment
+    in place, stably, left rows first, so its children are the two halves
+    (the layout of scikit-learn's splitter). A tree's pending nodes are
+    disjoint segments, so the buffer never holds more than the roots.
 
     A node's prediction, and whether it tries to split (below the depth limit,
     at least ``min_samples_split`` rows, impure), are worked out when it is
-    pushed: for the roots in ``__init__``, for the children of a step's split
-    nodes in ``partition``. A node that does not try is a leaf, and its
-    segment is empty. Each tree's pending nodes are a stack of rows of
-    ``pending``: (segment start, segment size, depth, parent id if a right
-    child else -1, prediction). Each step pops, for every active tree, the
-    run of leaves on top of its stack, then its next split-trying node; a
-    tree whose stack holds only leaves takes just its leaf run and finishes.
-    Each tree numbers its nodes as they are popped, so in pre-order: a split
-    node's left child is popped next, and the right child's entry carries
-    its parent's node id. The pops and pushes of a step are array operations
-    over its trees.
+    pushed: for a root in ``admit``, for the children of a step's split nodes
+    in ``partition``. A node that does not try is a leaf, and its segment is
+    empty. Each slot's pending nodes are a stack of rows of ``pending``:
+    (segment start, segment size, depth, parent id if a right child else -1,
+    prediction). Each step pops, for every active slot, the run of leaves on
+    top of its stack, then its next split-trying node; a tree whose stack
+    holds only leaves takes just its leaf run and finishes. Each tree numbers
+    its nodes as they are popped, so in pre-order: a split node's left child
+    is popped next, and the right child's entry carries its parent's node id.
+    The pops and pushes of a step are array operations over its slots.
 
-    Trees are admitted in order while their roots' (row, class) counts stay
-    within ``_PASS_COUNTS``, at least one; when one finishes, the next starts.
-    A node holds at most its root's rows, so a step holds at most
-    max(``_PASS_COUNTS``, rows x classes) (row, class) counts, and scoring
-    its candidates a few columns per pass keeps each pass within that. Each
-    tree keeps its forest's column map and candidate count and its own
-    generators; a split-trying node takes its tree's next candidate
-    permutation, so every tree draws in pre-order as if grown alone.
-    Candidates are columns of ``X`` until ``assemble`` maps them back to each
-    forest's own; candidate lists shorter than the longest are padded with -1,
-    which no pass scores.
+    There are as many slots as roots of ``cap`` rows whose (row, class) counts
+    stay within ``_PASS_COUNTS``, at least one. A node holds at most its
+    root's rows, so a step holds at most max(``_PASS_COUNTS``, cap x classes)
+    (row, class) counts, and scoring its candidates a few columns per pass
+    keeps each pass within that. A tree's generators, candidate permutations
+    and bootstrap rows are made when it is admitted, and its generator is
+    dropped when it finishes, so what a grower holds grows with its slots,
+    not its trees. Each tree keeps its forest's column map and candidate
+    count; a split-trying node takes its tree's next candidate permutation,
+    so every tree draws in pre-order as if grown alone. Candidates are
+    columns of ``X`` until ``assemble`` maps them back to each forest's own;
+    candidate lists shorter than the longest are padded with -1, which no
+    pass scores.
     """
 
-    def __init__(self, forests, X, y, subsets):
-        self.forests, self.subsets, self.X, self.y = forests, subsets, X, y
+    def __init__(self, forests, X, y, subsets, rows):
+        self.forests, self.subsets, self.rows, self.X, self.y = forests, subsets, rows, X, y
         self.params = params = forests[0].params
-        self.n_classes = C = int(y.max()) + 1
+        self.n_classes = C = max(int(y.take(r).max()) for r in rows) + 1
         # each used column's values as dense ranks into one table of sorted
         # distinct values, flat and shifted to their place in a sort key
         ranks = np.zeros(X.shape, dtype=np.int64)
@@ -396,30 +425,45 @@ class _Grower:
             self.own_index[f, s] = np.arange(len(s))
         self.tiles = [np.tile(np.arange(len(s)), (_DRAWS, 1)) for s in subsets]
         self.forest = np.arange(len(forests)).repeat(n_trees)  # of each tree
+        n_all = len(self.forest)
         streams = ("tree", "bootstrap") if params.bootstrap else ("tree",)
-        rngs = _generators([mix_seed(forest.seed, stream, t) for stream in streams
-                            for forest in forests for t in range(n_trees)])
-        self.rngs = rngs[:len(forests) * n_trees]
-        self.perms = np.full((len(self.rngs), _DRAWS, self.k), -1, dtype=np.int64)
-        for t in range(len(self.rngs)):
-            self.refill(t)
-        self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
-        n, n_all = len(X), len(self.rngs)
-        if params.bootstrap:
-            self.samples = np.concatenate([rng.integers(0, n, size=n) for rng in rngs[n_all:]])
-        else:
-            self.samples = np.tile(np.arange(n), n_all)
-        counts = np.bincount(y.take(self.samples) * n_all + np.arange(n_all).repeat(n),
-                             minlength=C * n_all).reshape(C, -1)
-        tries, prediction = self.tries_and_prediction(counts, 0)
-        # one root per stack; `partition` widens the stacks when a push needs it
-        self.pending = np.zeros((n_all, 2, 5), dtype=np.int64)
-        self.pending[:, 0, 0] = np.arange(n_all) * n
-        self.pending[:, 0, 1] = n * tries
-        self.pending[:, 0, 3] = -1
-        self.pending[:, 0, 4] = prediction
-        self.height = np.ones(n_all, dtype=np.int64)  # of each tree's stack
+        self.words = _seed_words([mix_seed(forest.seed, stream, t) for stream in streams
+                                  for forest in forests for t in range(n_trees)])
         self.popped = np.zeros(n_all, dtype=np.int64)  # nodes each tree has numbered
+        self.n_rows = np.array([len(r) for r in rows])  # of each forest
+        self.cap = self.n_rows.max()
+        slots = min(n_all, max(1, _PASS_COUNTS // (self.cap * C)))
+        self.tree = np.full(slots, -1, dtype=np.int64)  # in each slot
+        self.rngs = [None] * slots
+        self.perms = np.full((slots, _DRAWS, self.k), -1, dtype=np.int64)
+        self.drawn = np.zeros(slots, dtype=np.int64)
+        self.samples = np.empty(slots * self.cap, dtype=np.int64)
+        # one root per stack; `partition` widens the stacks when a push needs it
+        self.pending = np.zeros((slots, 2, 5), dtype=np.int64)
+        self.height = np.zeros(slots, dtype=np.int64)  # of each slot's stack
+
+    def admit(self, slots, trees):
+        """Set trees up in free slots: generators, candidate permutations,
+        rows and root."""
+        self.tree[slots], self.drawn[slots], self.height[slots] = trees, 0, 1
+        start = slots * self.cap
+        for s, t, first in zip(slots.tolist(), trees.tolist(), start.tolist()):
+            self.rngs[s] = np.random.Generator(_pcg64(self.words[t]))
+            self.refill(s)
+            rows = self.rows[self.forest[t]]
+            if self.params.bootstrap:  # the tree's generator of the second stream
+                draw = np.random.Generator(_pcg64(self.words[len(self.forest) + t]))
+                rows = rows.take(draw.integers(0, len(rows), size=len(rows)))
+            self.samples[first:first + len(rows)] = rows
+        sizes = self.n_rows[self.forest[trees]]
+        at = (start - (sizes.cumsum() - sizes)).repeat(sizes) + np.arange(sizes.sum())
+        counts = np.bincount(self.y.take(self.samples.take(at)) * len(trees)
+                             + np.arange(len(trees)).repeat(sizes),
+                             minlength=self.n_classes * len(trees)).reshape(self.n_classes, -1)
+        tries, prediction = self.tries_and_prediction(counts, 0)
+        # (segment start, size, depth, parent if a right child, prediction)
+        self.pending[slots, 0] = np.column_stack((start, sizes * tries, np.zeros_like(start),
+                                                  np.full_like(start, -1), prediction))
 
     def tries_and_prediction(self, counts, depth):
         """Whether each node tries to split (below the depth limit, large
@@ -432,27 +476,28 @@ class _Grower:
         # ties resolve to the lowest class index
         return tries, counts.argmax(axis=0)
 
-    def refill(self, t):
-        """A fresh batch of candidate permutations for tree ``t``: the first
-        ``k`` columns of each."""
-        f = self.forest[t]
+    def refill(self, s):
+        """A fresh batch of candidate permutations for the tree in slot ``s``:
+        the first ``k`` columns of each."""
+        f = self.forest[self.tree[s]]
         k = self.forest_k[f]
-        self.perms[t, :, :k] = self.subsets[f][self.rngs[t].permuted(self.tiles[f], axis=1)[:, :k]]
+        self.perms[s, :, :k] = self.subsets[f][self.rngs[s].permuted(self.tiles[f], axis=1)[:, :k]]
+        self.perms[s, :, k:] = -1  # the slot's previous tree may have drawn more candidates
 
-    def candidates(self, trees):
-        """Next candidate features (first ``k`` of a fresh permutation) of each tree."""
-        cand = self.perms[trees, self.drawn[trees]]
-        self.drawn[trees] += 1
-        for t in trees[self.drawn[trees] == _DRAWS]:
-            self.refill(t)
-            self.drawn[t] = 0
+    def candidates(self, slots):
+        """Next candidate features (first ``k`` of a fresh permutation) of each slot's tree."""
+        cand = self.perms[slots, self.drawn[slots]]
+        self.drawn[slots] += 1
+        for s in slots[self.drawn[slots] == _DRAWS]:
+            self.refill(s)
+            self.drawn[s] = 0
         return cand
 
     def grow(self):
-        n_all = len(self.rngs)
-        width = max(1, _PASS_COUNTS // (len(self.X) * self.n_classes))
-        active = np.arange(min(width, n_all))
-        admitted = len(active)
+        n_all = len(self.forest)
+        active = free = np.arange(len(self.tree))
+        admitted = min(len(free), n_all)
+        self.admit(free, np.arange(admitted))
         popped, steps = [], []  # popped: (tree, node id, parent id, prediction) rows
         while len(active):
             height, size = self.height[active], self.pending[active, :, 1]
@@ -463,84 +508,90 @@ class _Grower:
             # the whole stack when it holds only leaves
             top = np.where(splits, levels - 1 - trying[:, ::-1].argmax(axis=1), 0)
             count = height - top
-            tree = active.repeat(count)
-            k = np.arange(len(tree)) - (count.cumsum() - count).repeat(count)
-            nodes = np.empty((len(tree), 4), dtype=np.int32)
-            nodes[:, 0], nodes[:, 1] = tree, self.popped[tree] + k
-            nodes[:, 2:] = self.pending[tree, height.repeat(count) - 1 - k, 3:]
+            slot = active.repeat(count)
+            tree = self.tree[active]
+            k = np.arange(len(slot)) - (count.cumsum() - count).repeat(count)
+            nodes = np.empty((len(slot), 4), dtype=np.int32)
+            nodes[:, 0], nodes[:, 1] = tree.repeat(count), self.popped[tree].repeat(count) + k
+            nodes[:, 2:] = self.pending[slot, height.repeat(count) - 1 - k, 3:]
             popped.append(nodes)
-            self.popped[active] += count
+            self.popped[tree] += count
             self.height[active] = top
             if splits.any():
-                trees, level = active[splits], top[splits]
-                first, depth = self.pending[trees, level, 0], self.pending[trees, level, 2]
-                steps.append(self.step(trees, self.popped[trees] - 1, depth, first,
+                slots, level = active[splits], top[splits]
+                first, depth = self.pending[slots, level, 0], self.pending[slots, level, 2]
+                steps.append(self.step(slots, self.popped[tree[splits]] - 1, depth, first,
                                        size[splits, level]))
-            active = active[self.height[active] > 0]
-            admit = min(width - len(active), n_all - admitted)
+            done = self.height[active] == 0
+            for s in active[done].tolist():
+                self.rngs[s] = None
+            free, active = active[done], active[~done]
+            admit = min(len(free), n_all - admitted)
             if admit > 0:
-                active = np.concatenate((active, np.arange(admitted, admitted + admit)))
+                self.admit(free[:admit], np.arange(admitted, admitted + admit))
+                active = np.concatenate((active, free[:admit]))
                 admitted += admit
         self.assemble(popped, steps)
 
-    def step(self, trees, node_id, depth, start, size):
-        """Split each tree's split-trying node, ``size`` rows from ``start`` in
-        the sample buffer, on its best candidate, if any has two sides:
-        (tree, node id, depth, feature, threshold) per node."""
+    def step(self, slots, node_id, depth, start, size):
+        """Split the split-trying node of each slot's tree, ``size`` rows from
+        ``start`` in the sample buffer, on its best candidate, if any has two
+        sides: (tree, node id, depth, feature, threshold) per node."""
         C = self.n_classes
         at = (start - (size.cumsum() - size)).repeat(size) + np.arange(size.sum())
         rows = self.samples.take(at)
-        node = np.arange(len(trees)).repeat(size)
+        node = np.arange(len(slots)).repeat(size)
         label = self.y.take(rows)
-        cand = self.candidates(trees)
+        cand = self.candidates(slots)
         padded = (cand < 0).any()
-        row_start = rows * self.X.shape[1]
-        gini, thr = np.empty(cand.shape), np.empty(cand.shape)
+        n = len(slots)
+        cols = cand.T.take(node, axis=1)  # (candidate, row)
+        rank = self.ranks.take(rows * self.X.shape[1] + cols)
+        lead = node << self.segment_shift | label
+        gini, thr = np.empty((self.k, n)), np.empty((self.k, n))
         width = max(1, _PASS_COUNTS // (len(rows) * C))  # candidates per pass
         for j in range(0, self.k, width):
-            cols = cand[:, j:j + width].repeat(size, axis=0)
-            w = cols.shape[1]
-            # segment j of a node is its j-th candidate of the pass
-            dtype = np.int32 if _bits(len(trees) * w) + self.segment_shift < 32 else np.int64
-            key = self.ranks.take(row_start[:, None] + cols).astype(dtype, copy=False)
-            key += ((node * w << self.segment_shift) | label).astype(dtype)[:, None]
-            key += np.arange(w, dtype=dtype) << self.segment_shift
-            key = key[cols >= 0] if padded else key.ravel()
-            g, t = _best_splits(key, len(trees) * w, self.n_ranks, C, self.values)
-            gini[:, j:j + w], thr[:, j:j + w] = g.reshape(-1, w), t.reshape(-1, w)
-        pick = gini.argmin(axis=1)  # the first minimal candidate in permutation order
-        each = np.arange(len(trees))
-        ok = np.isfinite(gini[each, pick])
+            # segment i * n + node of a pass is candidate j + i of the node
+            w = min(width, self.k - j)
+            dtype = np.int32 if _bits(n * w) + self.segment_shift < 32 else np.int64
+            key = np.add(rank[j:j + w], lead, dtype=dtype)
+            if w > 1:
+                key += (np.arange(w, dtype=dtype) * n << self.segment_shift)[:, None]
+            key = key[cols[j:j + w] >= 0] if padded else key.ravel()
+            g, t = _best_splits(key, n * w, self.n_ranks, C, self.values)
+            gini[j:j + w], thr[j:j + w] = g.reshape(w, n), t.reshape(w, n)
+        pick = gini.argmin(axis=0)  # the first minimal candidate in permutation order
+        each = np.arange(n)
+        ok = np.isfinite(gini[pick, each])
         feature = np.where(ok, cand[each, pick], -1)
-        threshold = np.where(ok, thr[each, pick], np.nan)
+        threshold = np.where(ok, thr[pick, each], np.nan)
         if ok.any():
-            self.partition(trees, node_id, depth, start, at, rows, node, label, feature,
+            self.partition(slots, node_id, depth, start, at, rows, node, label, feature,
                            threshold)
-        return trees, node_id, depth, feature, threshold
+        return self.tree[slots], node_id, depth, feature, threshold
 
-    def partition(self, trees, node_id, depth, start, at, rows, node, label, feature, threshold):
+    def partition(self, slots, node_id, depth, start, at, rows, node, label, feature, threshold):
         """Reorder every split node's segment, left rows first, and push its
         two children; the left one is popped next.
 
         ``at`` is the buffer position of each of the step's ``rows``, which
         hold each node's segment in one run. One bincount keyed by (node,
         side, label) gives every child's class counts, so its prediction and
-        whether it tries to split, and one cumsum over the sides gives every
-        row its new position. Rows of a node that does not split are sent
-        right, which leaves its segment as it was.
+        whether it tries to split, and one stable sort of the rows by (node,
+        side) lays the children out. Rows of a node that does not split are
+        sent right, which leaves its segment as it was.
         """
         C = self.n_classes
         go_right = ~(self.X.ravel().take(rows * self.X.shape[1] + feature.take(node))
                      <= threshold.take(node))
-        counts = np.bincount(label * (2 * len(trees)) + node * 2 + go_right,
-                             minlength=C * 2 * len(trees)).reshape(C, -1)
+        side = node * 2 + go_right  # of each row: its node's left or right child
+        counts = np.bincount(label * (2 * len(slots)) + side,
+                             minlength=C * 2 * len(slots)).reshape(C, -1)
         tries, prediction = self.tries_and_prediction(counts, depth.repeat(2) + 1)
         sizes = counts.sum(axis=0).reshape(-1, 2)  # (left, right) of each node
-        right_before = go_right.cumsum() - go_right  # of each row, over the whole step
-        left_end = sizes[:, 0].cumsum()
-        right_start = sizes[:, 1].cumsum() - sizes[:, 1]
-        self.samples[at[np.where(go_right, left_end[node] + right_before,
-                                 right_start[node] + np.arange(len(rows)) - right_before)]] = rows
+        # stably by (node, side), in the narrowest type, which numpy radix-sorts
+        self.samples[at] = rows.take(side.astype(np.min_scalar_type(2 * len(slots)))
+                                     .argsort(kind="stable"))
         split = (feature >= 0).nonzero()[0]
         child = np.empty((len(split), 2, 5), dtype=np.int64)  # the right child, then the left
         child[:, 1, 0] = start[split]
@@ -549,13 +600,13 @@ class _Grower:
         child[:, :, 2] = depth[split, None] + 1
         child[:, 0, 3], child[:, 1, 3] = node_id[split], -1
         child[:, :, 4] = prediction.reshape(-1, 2)[split, ::-1]
-        trees = trees[split]
-        height = self.height[trees]
+        slots = slots[split]
+        height = self.height[slots]
         if height.max() + 2 > self.pending.shape[1]:
             self.pending = np.concatenate((self.pending, np.zeros((len(self.pending), 2, 5),
                                                                   dtype=np.int64)), axis=1)
-        self.pending[trees[:, None], height[:, None] + (0, 1)] = child
-        self.height[trees] += 2
+        self.pending[slots[:, None], height[:, None] + (0, 1)] = child
+        self.height[slots] += 2
 
     def assemble(self, popped, steps):
         """Set each forest's flat node arrays from the popped nodes and the steps' splits."""

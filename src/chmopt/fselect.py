@@ -6,16 +6,19 @@ search masks unchanged. The cost of a mask is the error rate of the built-in
 random forest trained on the selected features, measured on an inner
 validation split; reported errors come from a held-out test split.
 
-The methods of a repetition search in lockstep: each runs in its own thread,
-used only to suspend its search, and the new masks they ask for in one round
-grow their forests in one pass. A mask's cost does not depend on which masks
-share its pass, so every search is what it would be alone.
+The searches of every method and repetition run in lockstep: each runs in
+its own thread, used only to suspend it, and the new masks they all ask for
+in one round grow their forests together, in passes of at most
+``_PASS_TREES`` trees, each on its repetition's training rows. A mask's cost
+does not depend on which masks share its pass, so every search is what it
+would be alone.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import io
+import itertools
 import math
 import queue
 import statistics
@@ -34,6 +37,12 @@ from .harness import ALL_METHODS, check_methods, run_method
 
 BASELINE_METHOD = "none"
 SPLIT_FRACTION = 0.30  # of the rows held out for test, and of the rest for validation
+# searches in flight, each in its own thread: all six methods of ten repetitions
+_IN_FLIGHT = 64
+# trees one fit pass grows at most: every node of a pass is held until its
+# forests' costs are read (about 8 MB for 1024 trees of depth 12 on 150
+# rows), while a step grows at most a few hundred trees at once
+_PASS_TREES = 1024
 
 
 class DatasetError(ValueError):
@@ -182,6 +191,12 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
 def split_dataset(dataset: Dataset, test_fraction: float,
                   seed: int) -> tuple[Dataset, Dataset]:
     """Stratified-by-label random split into (train, test)."""
+    train_rows, test_rows = _split_rows(dataset, test_fraction, seed)
+    return dataset.subset(train_rows), dataset.subset(test_rows)
+
+
+def _split_rows(dataset: Dataset, test_fraction: float, seed: int):
+    """The sorted (train, test) row indices of `split_dataset`."""
     check_fields({"test_fraction": test_fraction}, reals={"test_fraction": "(0, 1)"})
     rng = SeededRng(seed)
     labels = dataset.labels
@@ -215,7 +230,7 @@ def split_dataset(dataset: Dataset, test_fraction: float,
         test_idx.extend(idx[:alloc[c]])
     test_set = set(test_idx)
     train_idx = [i for i in range(dataset.n_rows) if i not in test_set]
-    return dataset.subset(sorted(train_idx)), dataset.subset(sorted(test_idx))
+    return np.array(train_idx, dtype=np.int64), np.array(sorted(test_idx), dtype=np.int64)
 
 
 def decode_mask(position) -> tuple[bool, ...]:
@@ -258,21 +273,22 @@ def _forest_cost(forest: RandomForest, columns, validation: Dataset) -> float:
 class _CachedMaskObjective:
     """Search-time costs of masks, cached per mask, for one repetition's searches.
 
-    The search space has 2^d distinct masks; repeated evaluations of the same
-    mask return the cached error without retraining, while the optimizer's
-    budget accounting (which wraps each method's ``_Search``) still counts
-    every call. ``new_masks`` caches the masks that train no forest and
-    returns the ones that need one; ``fit`` grows their forests in one
-    ``fit_forests`` pass, each exactly as ``fs_cost`` would fit it, and fits a
-    lone one by ``fs_cost``.
+    A mask's forest trains on the repetition's ``rows`` of ``train``, the
+    rows outside its ``validation`` split. The search space has 2^d distinct
+    masks; repeated evaluations of the same mask return the cached error
+    without retraining, while the optimizer's budget accounting (which wraps
+    each method's ``_Search``) still counts every call. ``new_masks`` caches
+    the masks that train no forest and returns the ones that need one, which
+    `_fit_round` fits.
     """
 
-    def __init__(self, train, validation, params, seed):
+    def __init__(self, train, rows, validation, params, seed):
         self.train = train
+        self.rows = rows
         self.validation = validation
         self.params = params
         self.seed = seed
-        self.classes = np.unique(train.labels)
+        self.classes = np.unique(train.labels[rows])
         self.cache: dict[tuple[bool, ...], float] = {}
 
     def new_masks(self, masks) -> list[tuple[bool, ...]]:
@@ -287,17 +303,53 @@ class _CachedMaskObjective:
                     self.cache[mask] = cost
         return grown
 
-    def fit(self, grown):
-        """Cache the cost of each of the distinct masks ``grown``."""
-        if len(grown) == 1:  # through fs_cost, which perfbench's tracer wraps
-            self.cache[grown[0]] = fs_cost(grown[0], self.train, self.validation,
-                                           self.params, mix_seed(self.seed, *grown[0]))
-        elif grown:
-            forests = fit_forests(self.params, self.train.features, self.train.labels,
-                                  [_columns(m) for m in grown],
-                                  [mix_seed(self.seed, *m) for m in grown])
-            for mask, forest in zip(grown, forests):
-                self.cache[mask] = _forest_cost(forest, _columns(mask), self.validation)
+
+def _cache_fits(jobs):
+    """Cache in each ``(objective, mask, seed)`` of ``jobs`` the cost of the
+    forest ``fs_cost`` fits for the mask on the objective's rows at that seed.
+
+    The objectives share their ``train`` and forest parameters. The forests
+    grow in ``fit_forests`` passes of at most ``_PASS_TREES`` trees (at least
+    one forest), and a pass's forests are dropped once its costs are read.
+    """
+    if not jobs:
+        return
+    first = jobs[0][0]
+    chunk = max(1, _PASS_TREES // first.params.n_trees)
+    for i in range(0, len(jobs), chunk):
+        part = jobs[i:i + chunk]
+        forests = fit_forests(first.params, first.train.features, first.train.labels,
+                              [_columns(mask) for _, mask, _ in part],
+                              [seed for _, _, seed in part], [o.rows for o, _, _ in part])
+        for (objective, mask, _), forest in zip(part, forests):
+            objective.cache[mask] = _forest_cost(forest, _columns(mask), objective.validation)
+
+
+def _fit_round(posted):
+    """Cache the cost of each distinct (objective, mask) pair of ``posted``.
+
+    Every forest is exactly the one ``fs_cost`` fits for its mask on its
+    objective's rows, at the seed its mask mixes into the objective's. They
+    grow together (`_cache_fits`); a lone one is fitted by ``fs_cost``,
+    which perfbench's tracer wraps.
+    """
+    posted = list(dict.fromkeys(posted))
+    if len(posted) == 1:
+        objective, mask = posted[0]
+        objective.cache[mask] = fs_cost(mask, objective.train.subset(objective.rows),
+                                        objective.validation, objective.params,
+                                        mix_seed(objective.seed, *mask))
+    else:
+        _cache_fits([(objective, mask, mix_seed(objective.seed, *mask))
+                     for objective, mask in posted])
+
+
+def _test_errors(masks, train: Dataset, test: Dataset, params: ForestParams, seed: int) -> dict:
+    """``fs_cost`` of each distinct mask of ``masks`` on (train, test) at one
+    seed, the forests grown together (`_cache_fits`)."""
+    errors = _CachedMaskObjective(train, np.arange(train.n_rows), test, params, seed)
+    _cache_fits([(errors, mask, seed) for mask in errors.new_masks(masks)])
+    return errors.cache
 
 
 class _Cancelled(BaseException):
@@ -344,6 +396,8 @@ class _Search:
             self._turns.put(go)
         if go:
             post = self._posts.get()
+            if not isinstance(post, list):  # the thread has ended, or is about to
+                self.thread.join()
             if isinstance(post, BaseException):
                 raise post
             return post
@@ -357,35 +411,41 @@ class _Search:
             self._posts.put(exc)
 
 
-def _search_in_lockstep(objective: _CachedMaskObjective, runs: dict) -> dict:
-    """Run each ``runs[name](search_objective)`` in lockstep; their results by name.
+def _search_in_lockstep(searches) -> dict:
+    """Run each ``(key, objective, run)`` of ``searches`` as
+    ``run(search_objective)`` in lockstep; their results by key.
 
-    Each round resumes every live search in order until it posts new masks or
-    ends, then fits the union of the posted masks, in order, in one pass. Only
-    this coordinator fits, and only between rounds, so the rounds do not depend
-    on thread timing. The first error, in order, propagates; every thread has
-    ended when this returns or raises.
+    Each round first starts searches, in order, while fewer than
+    ``_IN_FLIGHT`` are in flight, so ``searches`` may be a generator that
+    sets each one up when it starts. Then it resumes every search in flight,
+    in order, until it posts new masks or ends, and fits every posted mask in
+    one pass (`_fit_round`). Only this coordinator fits, and only between
+    rounds, so the rounds do not depend on thread timing. The first error, in
+    order, propagates; every thread has ended when this returns or raises.
     """
-    searches = {name: _Search(objective, name, run) for name, run in runs.items()}
-    results = {}
+    searches = iter(searches)
+    flight, results = {}, {}  # flight: key -> _Search, in the order they started
     try:
-        while len(results) < len(searches):
+        while True:
+            for key, objective, run in itertools.islice(searches, _IN_FLIGHT - len(flight)):
+                flight[key] = _Search(objective, key, run)
+            if not flight:
+                return results
             posted = []
-            for name, search in searches.items():
-                if name not in results:
-                    post = search.resume()
-                    if isinstance(post, tuple):
-                        results[name] = post[0]
-                    else:
-                        posted += post
-            objective.fit(list(dict.fromkeys(posted)))
+            for key, search in list(flight.items()):
+                post = search.resume()
+                if isinstance(post, tuple):
+                    results[key] = post[0]
+                    del flight[key]
+                else:
+                    posted += [(search.objective, mask) for mask in post]
+            _fit_round(posted)
     finally:
-        for search in searches.values():
+        for search in flight.values():
             search.resume(go=False)
-        for search in searches.values():
+        for search in flight.values():
             if search.thread.ident is not None:
                 search.thread.join()
-    return {name: results[name] for name in runs}
 
 
 @dataclass(frozen=True)
@@ -464,12 +524,15 @@ def run_feature_selection(dataset: Dataset, plan: FselectPlan) -> FsReport:
     ``none``) is one all-features evaluation on it. Each repetition draws its
     inner validation split and all optimizer/forest randomness from its own
     seed. All methods of a repetition search that one split through one mask
-    cache, in lockstep: the new masks they ask for in one round grow their
-    forests in one pass. After the searches, each distinct mask they found gets
-    one test error, in method order, so a mask is fitted once per repetition
-    and the baseline once per call. No seed depends on the method and no cost
-    on the pass that fitted it, so a method's results do not depend on which
-    methods run beside it. Repetitions run one after another. Rows follow
+    cache. The searches of all repetitions run in lockstep, up to
+    ``_IN_FLIGHT`` at a time, later ones starting as earlier ones end: the new
+    masks they all ask for in one round grow their forests together, each
+    on its own repetition's training rows. After the searches, each distinct
+    mask a repetition found gets one test error, grown together per
+    repetition, so a mask is fitted once per repetition and the baseline once
+    per call. No seed depends on the method or on the other repetitions, and
+    no cost on the pass that fitted it, so a method's results do not depend on
+    which methods or how many repetitions run beside it. Rows follow
     ``plan.methods``, then ``none``.
     """
     d = dataset.n_features
@@ -477,28 +540,31 @@ def run_feature_selection(dataset: Dataset, plan: FselectPlan) -> FsReport:
 
     train_all, test = split_dataset(dataset, SPLIT_FRACTION,
                                     seed=mix_seed(plan.seed, "test-split"))
+    rep_seeds = [mix_seed(plan.seed, "rep", rep) for rep in range(plan.repetitions)]
+
+    def searches():
+        for rep, rep_seed in enumerate(rep_seeds):
+            fit_rows, val_rows = _split_rows(train_all, SPLIT_FRACTION,
+                                             seed=mix_seed(rep_seed, "val-split"))
+            objective = _CachedMaskObjective(train_all, fit_rows, train_all.subset(val_rows),
+                                             plan.forest_params, rep_seed)
+            for method in plan.methods:
+                yield (rep, method), objective, functools.partial(
+                    run_method, method, bounds=bounds, seed=rep_seed, config=plan.config)
+
+    bests = _search_in_lockstep(searches())
     report = FsReport(runs={method: [] for method in plan.methods})
-    for rep in range(plan.repetitions):
-        rep_seed = mix_seed(plan.seed, "rep", rep)
-        fit_train, validation = split_dataset(
-            train_all, SPLIT_FRACTION, seed=mix_seed(rep_seed, "val-split"))
-        objective = _CachedMaskObjective(fit_train, validation, plan.forest_params, rep_seed)
-        bests = _search_in_lockstep(objective, {
-            method: functools.partial(run_method, method, bounds=bounds, seed=rep_seed,
-                                      config=plan.config)
-            for method in plan.methods})
-        test_errors = {}
-        for method, (best, _) in bests.items():
-            mask = decode_mask(best.position)
-            if mask not in test_errors:
-                test_errors[mask] = fs_cost(mask, train_all, test, plan.report_forest_params,
-                                            mix_seed(rep_seed, "final"))
+    for rep, rep_seed in enumerate(rep_seeds):
+        masks = {method: decode_mask(bests[rep, method][0].position) for method in plan.methods}
+        test_errors = _test_errors(masks.values(), train_all, test, plan.report_forest_params,
+                                   mix_seed(rep_seed, "final"))
+        for method, mask in masks.items():
             report.runs[method].append({
                 "repetition": rep,
                 "mask": mask,
                 "selected": [dataset.feature_names[i] for i, keep in enumerate(mask) if keep],
                 "n_features": sum(mask),
-                "search_cost": best.cost,
+                "search_cost": bests[rep, method][0].cost,
                 "test_error": test_errors[mask],
             })
 

@@ -14,7 +14,8 @@ from chmopt.forest import (
     _best_splits,
     _bits,
     _class_sum,
-    _generators,
+    _pcg64,
+    _seed_words,
     fit_forests,
 )
 
@@ -301,7 +302,8 @@ def test_class_sum_matches_numpy_row_sum(n_classes, n_columns, two_sides, seed):
 @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
                 min_size=1, max_size=20))
 def test_generators_match_default_rng(seeds):
-    for rng, seed in zip(_generators(seeds), seeds, strict=True):
+    for words, seed in zip(_seed_words(seeds), seeds, strict=True):
+        rng = np.random.Generator(_pcg64(words))
         expected = np.random.default_rng(seed)
         assert np.array_equal(rng.integers(0, 2**63, size=6), expected.integers(0, 2**63, size=6))
         assert np.array_equal(rng.permuted(np.tile(np.arange(7), (3, 1)), axis=1),
@@ -476,6 +478,70 @@ def test_fit_forests_matches_separate_fits(case, pass_counts):
             assert np.array_equal(forest.predict(rows[:, subset]), want.predict(rows[:, subset]))
 
 
+@st.composite
+def row_subset_case(draw):
+    n_rows = draw(st.integers(2, 30))
+    n_features = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 9))
+    if draw(st.booleans()):  # few distinct values: many ties
+        cell = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+    else:
+        cell = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    params = ForestParams(n_trees=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 6)),
+                          min_samples_split=draw(st.integers(2, 5)),
+                          feature_rule=draw(st.sampled_from(["sqrt", "all"])),
+                          bootstrap=draw(st.booleans()))
+    subset = st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features,
+                      unique=True)
+    subsets = draw(st.lists(subset, min_size=1, max_size=4))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(subsets), max_size=len(subsets)))
+    # unsorted and repeated indices, a different count per forest
+    rows = [draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=2 * n_rows))
+            for _ in subsets]
+    if draw(st.booleans()):  # every forest holds the highest label: the pass fits them all
+        top = int(np.flatnonzero(y == y.max())[0])
+        rows = [r + [top] for r in rows]
+    return X, y, params, subsets, seeds, rows
+
+
+# X, y and parameters shared by the explicit row-subset cases below
+ROWS_X = np.arange(24.0).reshape(12, 2) % 7
+ROWS_Y = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3])
+ROWS_PARAMS = ForestParams(n_trees=3, max_depth=4, feature_rule="all")
+
+
+@settings(max_examples=150, deadline=10_000)
+@given(row_subset_case(), st.sampled_from([1, 300, 65536]))
+# a forest lacks a middle class: its lone fit has the pass's class count
+@example((ROWS_X, ROWS_Y, ROWS_PARAMS, [[0, 1], [1]], [3, 4],
+          [[0, 3, 3, 11, 4], [5, 2, 7, 3, 3, 1, 0]]), 1)
+# the only forest lacks y's highest class: it fits with one class fewer
+@example((ROWS_X, ROWS_Y, ROWS_PARAMS, [[0, 1]], [5], [[0, 1, 2, 4, 5, 6, 9, 2]]), 300)
+# one forest lacks the highest class the other holds: refused
+@example((ROWS_X, ROWS_Y, ROWS_PARAMS, [[0], [1]], [6, 7], [[0, 1, 2], [3, 0, 1]]), 65536)
+def test_fit_forests_on_row_subsets_matches_lone_fits(case, pass_counts):
+    """Forest i of a pass over row subsets is node for node the lone fit on
+    X[rows[i]][:, subsets[i]], its class count included, unless its rows lack
+    the highest label of the pass, which refuses the pass."""
+    X, y, params, subsets, seeds, rows = case
+    tops = [y[r].max() for r in rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "_PASS_COUNTS", pass_counts)
+        if min(tops) < max(tops):
+            with pytest.raises(ValueError, match=f"lack class {max(tops)},"):
+                fit_forests(params, X, y, subsets, seeds, rows)
+            return
+        forests = fit_forests(params, X, y, subsets, seeds, rows)
+    for forest, subset, seed, r in zip(forests, subsets, seeds, rows, strict=True):
+        want = RandomForest(params, seed=seed).fit(X[r][:, subset], y[r])
+        same_forest(forest, want)
+        assert np.array_equal(forest.predict(X[:, subset]), want.predict(X[:, subset]))
+
+
 class TestFitForests:
     def test_golden_pin_cases_in_one_batch(self):
         # the pin cases that share a dataset and parameters, fitted together
@@ -505,6 +571,19 @@ class TestFitForests:
         X, y = separable_data()
         with pytest.raises(ValueError, match=message):
             fit_forests(ForestParams(n_trees=2), X, y, subsets, seeds)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], [2, 3]], "2 row subsets for 1 column subsets"),
+        ([[]], "row subset"),
+        ([[-1, 2]], "row subset"),
+        ([[0, 80]], "row subset"),
+        ([[0.5]], "row subset"),
+        ([[[0, 1]]], "row subset"),
+    ])
+    def test_bad_rows_rejected(self, rows, message):
+        X, y = separable_data()
+        with pytest.raises(ValueError, match=message):
+            fit_forests(ForestParams(n_trees=2), X, y, [[0]], [1], rows)
 
 
 # bytes a grower may hold between the steps of the fit below; with numpy 2.4

@@ -18,6 +18,8 @@ from chmopt.fselect import (
     FselectPlan,
     _CachedMaskObjective,
     _search_in_lockstep,
+    _split_rows,
+    _test_errors,
     decode_mask,
     fs_cost,
     load_csv,
@@ -269,25 +271,28 @@ class TestFsCost:
 def test_mask_objective_costs_match_fs_cost(single_class):
     """Alone, in a batch with empty, repeated and cached masks, in a round
     with another search's masks, or one call at a time, a position costs what
-    fs_cost gives its mask at its seed."""
+    fs_cost gives its mask at its seed, trained on the objective's rows."""
     ds = make_synthetic_dataset(n_rows=90, n_noise=3, seed=21)
-    train, val = split_dataset(ds, 0.3, 22)
+    rows, val_rows = _split_rows(ds, 0.3, 22)
     if single_class:
-        train = Dataset(train.features, np.zeros_like(train.labels),
-                        train.feature_names, train.label_name)
+        labels = ds.labels.copy()
+        labels[rows] = 0
+        ds = Dataset(ds.features, labels, ds.feature_names, ds.label_name)
+    train, val = ds.subset(rows), ds.subset(val_rows)
     positions = [(0.9, 0.1, 0.6, 0.2), (0.0, 0.3, 0.1, 0.4), (0.7, 0.3, 0.9, 0.0),
                  (0.1, 0.8, 0.2, 0.5), (0.6, 0.6, 0.6, 0.6), (0.2, 0.9, 0.0, 0.1)]
     expected = [fs_cost(decode_mask(p), train, val, FAST_FOREST, mix_seed(23, *decode_mask(p)))
                 for p in positions]
-    objective = _CachedMaskObjective(train, val, FAST_FOREST, 23)
-    costs = _search_in_lockstep(objective, {
-        "batch": lambda search: [search.evaluate_many(positions[:1]),
-                                 search.evaluate_many(positions)],
-        "reversed": lambda search: search.evaluate_many(positions[::-1])})
+    objective = _CachedMaskObjective(ds, rows, val, FAST_FOREST, 23)
+    costs = _search_in_lockstep([
+        ("batch", objective, lambda search: [search.evaluate_many(positions[:1]),
+                                             search.evaluate_many(positions)]),
+        ("reversed", objective, lambda search: search.evaluate_many(positions[::-1]))])
     assert costs == {"batch": [expected[:1], expected], "reversed": expected[::-1]}
-    fresh = _CachedMaskObjective(train, val, FAST_FOREST, 23)
-    costs = _search_in_lockstep(fresh, {"each": lambda search: [search(p) for p in positions]})
+    fresh = _CachedMaskObjective(ds, rows, val, FAST_FOREST, 23)
+    costs = _search_in_lockstep([("each", fresh, lambda search: [search(p) for p in positions])])
     assert costs == {"each": expected}
+
 
 def test_adding_informative_feature_never_hurts_median():
     ds = make_synthetic_dataset(n_rows=200, n_noise=5, seed=12)
@@ -357,7 +362,7 @@ class TestRunFeatureSelection:
         def no_split(*args, **kwargs):
             raise AssertionError("split before the settings were checked")
 
-        monkeypatch.setattr(fselect, "split_dataset", no_split)
+        monkeypatch.setattr(fselect, "_split_rows", no_split)
         ds = make_synthetic_dataset(n_rows=60, seed=22)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_feature_selection(ds, FselectPlan(["de"], **kwargs))
@@ -408,6 +413,117 @@ def test_feature_selection_results_do_not_depend_on_method_set():
         assert report_row(other, "none") == report_row(first, "none")
 
 
+def test_adding_a_repetition_changes_no_earlier_one():
+    """A repetition's searches share their rounds with the next repetition's,
+    and its results stay what they are without it."""
+    two = run_feature_selection_all(_pin_dataset(), **PIN_KWARGS)
+    three = run_feature_selection_all(_pin_dataset(), **dict(PIN_KWARGS, repetitions=3))
+    for method in ALL_METHODS:
+        assert three.runs[method][:2] == two.runs[method]
+    assert report_row(three, "none") == report_row(two, "none")
+
+
+@pytest.mark.parametrize("pass_trees", [1024, 2 * FAST_FOREST.n_trees])
+def test_lone_new_mask_of_a_round_goes_through_fs_cost(monkeypatch, pass_trees):
+    """A round that posts masks of two repetitions fits them in one pass, each
+    on its own repetition's rows, or in passes of at most ``_PASS_TREES``
+    trees; a later round whose only new mask is one repetition's fits it by
+    fs_cost. Every cost is fs_cost's."""
+    import chmopt.fselect as fselect
+
+    monkeypatch.setattr(fselect, "_PASS_TREES", pass_trees)
+
+    ds = make_synthetic_dataset(n_rows=90, n_noise=3, seed=21)
+    objectives, expected = [], []
+    for rep in range(2):
+        rows, val_rows = _split_rows(ds, 0.3, 30 + rep)
+        objectives.append(_CachedMaskObjective(ds, rows, ds.subset(val_rows), FAST_FOREST, rep))
+        expected.append(lambda p, rows=rows, val=ds.subset(val_rows), rep=rep: fs_cost(
+            decode_mask(p), ds.subset(rows), val, FAST_FOREST, mix_seed(rep, *decode_mask(p))))
+    first, second, third = (0.9, 0.1, 0.6, 0.2), (0.1, 0.8, 0.6, 0.9), (0.6, 0.2, 0.1, 0.5)
+    lone, passes = [], []
+    real_cost, real_fit_forests = fselect.fs_cost, fselect.fit_forests
+
+    def counting_cost(mask, train, validation, params, seed):
+        lone.append((mask, train.n_rows, seed))
+        return real_cost(mask, train, validation, params, seed)
+
+    def counting_fit_forests(params, X, y, column_subsets, seeds, rows=None):
+        passes.append([len(r) for r in rows])
+        return real_fit_forests(params, X, y, column_subsets, seeds, rows)
+
+    monkeypatch.setattr(fselect, "fs_cost", counting_cost)
+    monkeypatch.setattr(fselect, "fit_forests", counting_fit_forests)
+    costs = _search_in_lockstep([
+        (0, objectives[0], lambda search: [search.evaluate_many([first, second]),
+                                           search(third)]),
+        (1, objectives[1], lambda search: search(first))])
+    sizes = [len(objectives[0].rows)] * 2 + [len(objectives[1].rows)]
+    assert passes == ([sizes] if pass_trees == 1024 else [sizes[:2], sizes[2:]])
+    assert lone == [(decode_mask(third), len(objectives[0].rows),
+                     mix_seed(0, *decode_mask(third)))]
+    assert costs == {0: [[expected[0](first), expected[0](second)], expected[0](third)],
+                     1: expected[1](first)}
+
+
+@pytest.mark.parametrize("pass_trees", [1024, 2 * FAST_FOREST.n_trees])
+def test_report_errors_fit_in_passes_within_the_bound(monkeypatch, pass_trees):
+    """A repetition's report masks grow in one pass, or in passes of at most
+    ``_PASS_TREES`` trees, each distinct mask once; a mask that trains no
+    forest grows none. Every error is fs_cost's."""
+    import chmopt.fselect as fselect
+
+    monkeypatch.setattr(fselect, "_PASS_TREES", pass_trees)
+    train, test = split_dataset(make_synthetic_dataset(n_rows=90, n_noise=3, seed=21), 0.3, 5)
+    masks = [decode_mask(p) for p in ((0.9, 0.1, 0.6, 0.2), (0.1, 0.8, 0.6, 0.9),
+                                      (0.1, 0.1, 0.1, 0.1), (0.9, 0.1, 0.6, 0.2),
+                                      (0.6, 0.2, 0.1, 0.5))]
+    passes, real_fit_forests = [], fselect.fit_forests
+
+    def counting_fit_forests(params, X, y, column_subsets, seeds, rows=None):
+        passes.append(len(column_subsets))
+        return real_fit_forests(params, X, y, column_subsets, seeds, rows)
+
+    monkeypatch.setattr(fselect, "fit_forests", counting_fit_forests)
+    errors = _test_errors(masks, train, test, FAST_FOREST, 11)
+    assert passes == ([3] if pass_trees == 1024 else [2, 1])
+    assert errors == {mask: fs_cost(mask, train, test, FAST_FOREST, 11) for mask in masks}
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_search_threads_in_flight_stay_within_the_bound(monkeypatch, failing):
+    """With more searches than the bound, later ones start as earlier ones
+    end, at most the bound of threads is ever alive, and none is left after
+    the call, whether it ends or raises."""
+    import chmopt.fselect as fselect
+    from chmopt.optimizers import DifferentialEvolution
+
+    monkeypatch.setattr(fselect, "_IN_FLIGHT", 4)
+    alive, real_resume = [], fselect._Search.resume
+
+    def live_threads():
+        return sum(t.name.startswith("fselect-") for t in threading.enumerate())
+
+    def resume(search, go=True):
+        alive.append(live_threads())
+        try:
+            return real_resume(search, go)
+        finally:
+            alive.append(live_threads())
+
+    monkeypatch.setattr(fselect._Search, "resume", resume)
+    if failing:
+        _raising_evolve(monkeypatch, DifferentialEvolution, "de failed", calls_before=3)
+    plan = FselectPlan(("pso", "de", "sa"), **dict(PIN_KWARGS, repetitions=3))  # 9 searches
+    error = _raised_by(lambda: run_feature_selection(_pin_dataset(), plan))
+    assert max(alive) == 4
+    assert live_threads() == 0
+    if failing:
+        assert isinstance(error, RuntimeError) and str(error) == "de failed"
+    else:
+        assert error is None
+
+
 LOCKSTEP_KWARGS = dict(repetitions=1, population_size=4, iterations=1, maxfe_probing=4,
                        maxfe_fit=8, forest_params=ForestParams(3, 3),
                        report_forest_params=ForestParams(3, 3))
@@ -437,8 +553,10 @@ def test_lockstep_method_equals_its_run_alone(order, count, seed):
 # forests, 5 for the test errors of the masks found and the baseline
 PIN_FORESTS = 25
 # _Grower passes of the pin run: 19 with the methods searching one after
-# another, 12 in lockstep
-PIN_GROWERS = 12
+# another, 12 with the methods of each repetition in lockstep, 7 with both
+# repetitions' searches in one lockstep (4 rounds), one report pass per
+# repetition and the baseline
+PIN_GROWERS = 7
 
 
 def _counted_pin_run(monkeypatch):
@@ -455,10 +573,10 @@ def _counted_pin_run(monkeypatch):
             keys.append((tuple(mask), seed))
         return real_cost(mask, train, validation, params, seed)
 
-    def counting_fit_forests(params, X, y, column_subsets, seeds):
+    def counting_fit_forests(params, X, y, column_subsets, seeds, rows=None):
         keys.extend((tuple(i in subset for i in range(X.shape[1])), seed)
                     for subset, seed in zip(column_subsets, seeds))
-        return real_fit_forests(params, X, y, column_subsets, seeds)
+        return real_fit_forests(params, X, y, column_subsets, seeds, rows)
 
     class CountingGrower(grower):
         def __init__(self, forests, *args):
@@ -549,11 +667,11 @@ def test_fit_error_in_a_round_propagates_and_ends_every_thread(monkeypatch, erro
 
     real, calls = fselect.fit_forests, []
 
-    def failing_fit_forests(*args):
+    def failing_fit_forests(params, X, y, column_subsets, seeds, rows=None):
         calls.append(1)
         if len(calls) == 2:
             raise error_type("fit failed")
-        return real(*args)
+        return real(params, X, y, column_subsets, seeds, rows)
 
     monkeypatch.setattr(fselect, "fit_forests", failing_fit_forests)
     before = threading.active_count()
