@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except (DatasetError, EvaluationAborted, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:  # a count too large to allocate
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     # after the clause above: a DatasetError is a ValueError, and exits 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,15 +164,19 @@ class Population:
 
 
 class BudgetedObjective:
-    """Wraps a cost function with an evaluation counter and a hard cap."""
+    """Wraps a cost function with an evaluation counter and a hard cap, and
+    keeps the first lowest point it evaluates: ``best_cost`` (inf until then)
+    and a copy of the point, ``best_position``."""
 
-    __slots__ = ("fn", "cap", "used")
+    __slots__ = ("fn", "cap", "used", "best_cost", "best_position")
 
     def __init__(self, fn: Callable[[Vector], float], cap: int):
         check_fields({"cap": cap}, {"cap": 0})
         self.fn = fn
         self.cap = cap
         self.used = 0
+        self.best_cost = math.inf
+        self.best_position = None
 
     @property
     def remaining(self) -> int:
@@ -185,6 +189,9 @@ class BudgetedObjective:
         value = self.fn(x)
         if not math.isfinite(value):
             raise NonFiniteValue(x, value)
+        if value < self.best_cost:
+            self.best_cost = value
+            self.best_position = list(x)
         return value
 
     __call__ = evaluate
@@ -194,8 +201,9 @@ class BudgetedObjective:
 
         Counts as a loop of ``evaluate`` over that prefix would: on a
         non-finite value, ``used`` stops at that point and NonFiniteValue names
-        it. An objective with an ``evaluate_many`` method gets the prefix in
-        one call; a plain callable is called point by point.
+        it. The best point is recorded as that loop would record it. An
+        objective with an ``evaluate_many`` method gets the prefix in one call;
+        a plain callable is called point by point.
         """
         points = points[:self.cap - self.used]
         batch = getattr(self.fn, "evaluate_many", None)
@@ -209,6 +217,9 @@ class BudgetedObjective:
             if not math.isfinite(value):
                 self.used = start + i + 1
                 raise NonFiniteValue(points[i], value)
+            if value < self.best_cost:
+                self.best_cost = value
+                self.best_position = list(points[i])
         return values
 
 

@@ -126,7 +126,10 @@ class ExperimentPlan:
 
 def load_plan(path: str) -> ExperimentPlan:
     with open(path) as fh:
-        return ExperimentPlan(**json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"plan must be a JSON object, got {type(data).__name__}")
+    return ExperimentPlan(**data)
 
 
 def save_plan(plan: ExperimentPlan, path: str):

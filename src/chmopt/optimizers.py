@@ -2,13 +2,13 @@
 
 Every optimizer runs through ``InnerOptimizer.run``: it takes a Population
 and a BudgetedObjective, evolves until the budget is exhausted, and returns
-a Population of the same size. The base ``run`` owns the budget guard, the
-best-so-far tracking and the elitist finalize; a method only writes
-``_evolve(members, tracker, obj, bounds, rng)``, which records every
-evaluation in the tracker and leaves in ``members`` the population to return
-(PSO its personal bests, SA its chain bests). The hot loops inline the
-tracker's update and the clamp to the box, and bind the RNG and objective
-methods they call to locals. Where a method draws a whole batch of points
+a Population of the same size. The objective keeps the best point it
+evaluates; the base ``run`` owns the budget guard, starts that best at the
+incoming population's and does the elitist finalize. A method only writes
+``_evolve(members, obj, bounds, rng)``, which leaves in ``members`` the
+population to return (PSO its personal bests, SA its chain bests). The hot
+loops inline the clamp to the box, and bind the RNG and objective methods
+they call to locals. Where a method draws a whole batch of points
 before it reads any of their costs (an SA sweep, a GA generation, BFO
 dispersal), it draws the batch first and evaluates it with one
 ``evaluate_many``; PSO, DE and BFO chemotaxis read each cost before the next
@@ -168,48 +168,12 @@ def bfo_reproduce(members: list[Individual]) -> list[Individual]:
 # shared run plumbing
 
 
-class _BestTracker:
-    """Tracks the best (position, cost) over every evaluation an optimizer makes.
-
-    The ``_evolve`` hot loops inline its update: an improvement stores a
-    copy of the position and its cost."""
-
-    __slots__ = ("best_position", "best_cost")
-
-    def __init__(self, members):
-        best = min(members, key=lambda m: m.cost)
-        self.best_position = list(best.position)
-        self.best_cost = best.cost
-
-    def evaluate_many(self, obj: BudgetedObjective, points) -> list[float]:
-        """``obj.evaluate_many(points)``, recording each value in order."""
-        values = obj.evaluate_many(points)
-        for x, value in zip(points, values):
-            if value < self.best_cost:
-                self.best_cost = value
-                self.best_position = list(x)
-        return values
-
-    def finalize(self, members) -> Population:
-        # elitist guarantee: the best-so-far individual is never lost
-        worst_i = 0
-        best_cost = members[0].cost
-        for i, m in enumerate(members):
-            if m.cost > members[worst_i].cost:
-                worst_i = i
-            if m.cost < best_cost:
-                best_cost = m.cost
-        if self.best_cost < best_cost:
-            members[worst_i] = Individual(self.best_position, self.best_cost)
-        return Population(members)
-
-
 def _widths(bounds: Bounds) -> list[float]:
     return [hi - lo for lo, hi in bounds]
 
 
 class InnerOptimizer:
-    """Base class: budget guard, best tracking, elitist finalization.
+    """Base class: budget guard, elitist finalization.
 
     A subclass sets ``name`` and ``params`` (its default parameter record)
     and writes ``_evolve``."""
@@ -228,7 +192,8 @@ class InnerOptimizer:
         The returned population is fixed by the inputs and the state of
         ``rng`` on entry. The state ``rng`` is left in is not: a batch drawn
         in full may be evaluated only in part. Callers derive a fresh stream
-        for every run.
+        for every run. ``obj``'s best point on entry is replaced by the
+        first lowest member of ``pop``.
         """
         if obj.remaining <= 0:
             return pop.copy()
@@ -237,14 +202,20 @@ class InnerOptimizer:
         if len(bounds) != pop.dimension:  # the loops pair coordinates and bounds by zip
             raise ValueError(f"dimension mismatch: {pop.dimension} vs {len(bounds)} bounds")
         members = [m.copy() for m in pop.members]
-        tracker = _BestTracker(members)
+        best = min(members, key=lambda m: m.cost)
+        obj.best_cost, obj.best_position = best.cost, list(best.position)
         try:
-            self._evolve(members, tracker, obj, bounds, rng)
+            self._evolve(members, obj, bounds, rng)
         except BudgetExhausted:
             pass
-        return tracker.finalize(members)
+        # elitism: the best point evaluated replaces the first worst member
+        # when no member is as good
+        if obj.best_cost < min(m.cost for m in members):
+            worst = max(range(len(members)), key=lambda i: members[i].cost)
+            members[worst] = Individual(obj.best_position, obj.best_cost)
+        return Population(members)
 
-    def _evolve(self, members, tracker, obj, bounds, rng):  # pragma: no cover
+    def _evolve(self, members, obj, bounds, rng):  # pragma: no cover
         raise NotImplementedError
 
     def __repr__(self):
@@ -257,7 +228,7 @@ class ParticleSwarm(InnerOptimizer):
     name = "pso"
     params = PsoParams()
 
-    def _evolve(self, pbest, tracker, obj, bounds, rng):
+    def _evolve(self, pbest, obj, bounds, rng):
         p = self.params
         evaluate = obj.evaluate
         random = rng.random
@@ -277,9 +248,6 @@ class ParticleSwarm(InnerOptimizer):
                     xv += vv
                     moved.append(lo if xv < lo else hi if xv > hi else xv)
                 c = evaluate(moved)
-                if c < tracker.best_cost:
-                    tracker.best_cost = c
-                    tracker.best_position = list(moved)
                 x[i] = moved
                 if c < pbest[i].cost:
                     pbest[i] = Individual(moved, c)
@@ -297,7 +265,7 @@ class SimulatedAnnealing(InnerOptimizer):
     name = "sa"
     params = SaParams()
 
-    def _evolve(self, chain_best, tracker, obj, bounds, rng):
+    def _evolve(self, chain_best, obj, bounds, rng):
         p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
@@ -334,9 +302,6 @@ class SimulatedAnnealing(InnerOptimizer):
             costs = evaluate_many(candidates)
             for i, c in enumerate(costs):
                 candidate = candidates[i]
-                if c < tracker.best_cost:
-                    tracker.best_cost = c
-                    tracker.best_position = list(candidate)
                 if sa_accept(c - current[i].cost, temperature, draws[i]):
                     current[i] = Individual(candidate, c)
                 if c < chain_best[i].cost:
@@ -397,7 +362,7 @@ class GeneticAlgorithm(InnerOptimizer):
     name = "ga"
     params = GaParams()
 
-    def _evolve(self, members, tracker, obj, bounds, rng):
+    def _evolve(self, members, obj, bounds, rng):
         p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
@@ -459,9 +424,6 @@ class GeneticAlgorithm(InnerOptimizer):
                     c = next(paid, None)
                     if c is None:
                         break  # the budget ran out before this child
-                    if c < tracker.best_cost:
-                        tracker.best_cost = c
-                        tracker.best_position = list(child)
                 next_gen.append(Individual(child, c))
             if len(costs) < len(points):
                 # partial generation: fill remaining slots with the best parents
@@ -509,7 +471,7 @@ class DifferentialEvolution(InnerOptimizer):
     name = "de"
     params = DeParams()
 
-    def _evolve(self, members, tracker, obj, bounds, rng):
+    def _evolve(self, members, obj, bounds, rng):
         p = self.params
         evaluate = obj.evaluate
         random = rng.random
@@ -551,9 +513,6 @@ class DifferentialEvolution(InnerOptimizer):
                         v = base[d] + weight * (va[d] - vb[d])
                         trial[d] = lo if v < lo else hi if v > hi else v
                 c = evaluate(trial)
-                if c < tracker.best_cost:
-                    tracker.best_cost = c
-                    tracker.best_position = list(trial)
                 if c <= members[i].cost:
                     members[i] = Individual(trial, c)
 
@@ -566,7 +525,7 @@ class BacterialForaging(InnerOptimizer):
     name = "bfo"
     params = BfoParams()
 
-    def _evolve(self, members, tracker, obj, bounds, rng):
+    def _evolve(self, members, obj, bounds, rng):
         p = self.params
         step = [p.step_fraction * w for w in _widths(bounds)]
         while obj.remaining > 0:
@@ -574,12 +533,11 @@ class BacterialForaging(InnerOptimizer):
                 for _ in range(p.reproduction_steps):
                     for _ in range(p.chemotaxis_steps):
                         for i in range(len(members)):
-                            members[i] = self._chemotax(members[i], tracker, obj,
-                                                        bounds, rng, step)
+                            members[i] = self._chemotax(members[i], obj, bounds, rng, step)
                     members[:] = bfo_reproduce(members)
-                self._disperse(members, tracker, obj, bounds, rng)
+                self._disperse(members, obj, bounds, rng)
 
-    def _chemotax(self, bacterium, tracker, obj, bounds, rng, step):
+    def _chemotax(self, bacterium, obj, bounds, rng, step):
         """One tumble, then up to ``swim_length`` swims along the same direction
         while each move improves. The tumble is always kept; a swim only when
         it improves."""
@@ -614,9 +572,6 @@ class BacterialForaging(InnerOptimizer):
                 v += dv
                 moved.append(lo if v < lo else hi if v > hi else v)
             cost = evaluate(moved)
-            if cost < tracker.best_cost:
-                tracker.best_cost = cost
-                tracker.best_position = list(moved)
             if swim == 0 or cost < last_cost:
                 bacterium = Individual(moved, cost)
             if cost >= last_cost:
@@ -625,13 +580,13 @@ class BacterialForaging(InnerOptimizer):
             position = moved
         return bacterium
 
-    def _disperse(self, members, tracker, obj, bounds, rng) -> int:
+    def _disperse(self, members, obj, bounds, rng) -> int:
         """Move each bacterium with the dispersal probability to a uniform
         random point; all draws come first, then one batch evaluation."""
         random = rng.random
         p = self.params.dispersal_probability
         moves = [(i, random_position(bounds, rng)) for i in range(len(members)) if random() < p]
-        costs = tracker.evaluate_many(obj, [x for _, x in moves])
+        costs = obj.evaluate_many([x for _, x in moves])
         for (i, x), c in zip(moves, costs):
             members[i] = Individual(x, c)
         if len(costs) < len(moves):

@@ -5,10 +5,10 @@ These are the straightforward forms of the SA, GA, DE and BFO loops in
 call ``rng.gauss``, ``rng.sample``, ``rng._randbelow`` and ``rng.choice``
 where the library inlines the interpreter's ``gauss`` and
 ``_randbelow_with_getrandbits``. Each class only replaces the loop, so the
-budget guard, best tracking and elitist finalize are the library's. The
-inlined loops must reproduce every population, evaluation count and RNG
-state exactly; on an interpreter whose ``random.py`` draws differently the
-comparison fails.
+budget guard, the best point the objective keeps and the elitist finalize
+are the library's. The inlined loops must reproduce every population,
+evaluation count and RNG state exactly; on an interpreter whose
+``random.py`` draws differently the comparison fails.
 """
 import math
 
@@ -54,7 +54,7 @@ def pick_three(size, exclude, rng):
 
 
 class ReferenceSimulatedAnnealing(SimulatedAnnealing):
-    def _evolve(self, chain_best, tracker, obj, bounds, rng):
+    def _evolve(self, chain_best, obj, bounds, rng):
         p = self.params
         sigma = [p.step_fraction * w for w in _widths(bounds)]
         current = list(chain_best)
@@ -77,9 +77,6 @@ class ReferenceSimulatedAnnealing(SimulatedAnnealing):
             costs = obj.evaluate_many(candidates)
             for i, c in enumerate(costs):
                 candidate = candidates[i]
-                if c < tracker.best_cost:
-                    tracker.best_cost = c
-                    tracker.best_position = list(candidate)
                 if sa_accept(c - current[i].cost, temperature, draws[i]):
                     current[i] = Individual(candidate, c)
                 if c < chain_best[i].cost:
@@ -90,7 +87,7 @@ class ReferenceSimulatedAnnealing(SimulatedAnnealing):
 
 
 class ReferenceGeneticAlgorithm(GeneticAlgorithm):
-    def _evolve(self, members, tracker, obj, bounds, rng):
+    def _evolve(self, members, obj, bounds, rng):
         p = self.params
         size = len(members)
         dims = range(len(members[0].position))
@@ -132,9 +129,6 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
                     c = next(paid, None)
                     if c is None:
                         break
-                    if c < tracker.best_cost:
-                        tracker.best_cost = c
-                        tracker.best_position = list(child)
                 next_gen.append(Individual(child, c))
             if len(costs) < len(points):
                 i = 0
@@ -153,7 +147,7 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
 
 
 class ReferenceDifferentialEvolution(DifferentialEvolution):
-    def _evolve(self, members, tracker, obj, bounds, rng):
+    def _evolve(self, members, obj, bounds, rng):
         p = self.params
         size = len(members)
         dim = len(members[0].position)
@@ -171,15 +165,12 @@ class ReferenceDifferentialEvolution(DifferentialEvolution):
                         v = base[d] + p.weight * (va[d] - vb[d])
                         trial[d] = lo if v < lo else hi if v > hi else v
                 c = obj.evaluate(trial)
-                if c < tracker.best_cost:
-                    tracker.best_cost = c
-                    tracker.best_position = list(trial)
                 if c <= members[i].cost:
                     members[i] = Individual(trial, c)
 
 
 class ReferenceBacterialForaging(BacterialForaging):
-    def _chemotax(self, bacterium, tracker, obj, bounds, rng, step):
+    def _chemotax(self, bacterium, obj, bounds, rng, step):
         delta = [s * d for s, d in zip(step, tumble_direction(rng, len(step)))]
         position = bacterium.position
         last_cost = bacterium.cost
@@ -189,9 +180,6 @@ class ReferenceBacterialForaging(BacterialForaging):
                 v += dv
                 moved.append(lo if v < lo else hi if v > hi else v)
             cost = obj.evaluate(moved)
-            if cost < tracker.best_cost:
-                tracker.best_cost = cost
-                tracker.best_position = list(moved)
             if swim == 0 or cost < last_cost:
                 bacterium = Individual(moved, cost)
             if cost >= last_cost:

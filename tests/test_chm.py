@@ -20,7 +20,7 @@ from chmopt.core import (
     evaluate_population,
     random_population,
 )
-from chmopt.optimizers import InnerOptimizer, _BestTracker, make_optimizer
+from chmopt.optimizers import InnerOptimizer, make_optimizer
 
 from conftest import (best_fitness_history, config_budget, quiet_config, run_segmented_mirror,
                       sphere)
@@ -54,24 +54,14 @@ class StubOptimizer(InnerOptimizer):
 
 
 class DivergingOptimizer(InnerOptimizer):
-    """Worsens every member it can, but plays by the tracker rules."""
+    """Worsens every member it can, and leaves elitism to ``run``."""
 
     name = "worse"
 
-    def run(self, pop, obj, bounds, rng):
-        members = [m.copy() for m in pop.members]
-        tracker = _BestTracker(members)
-        try:
-            for i, m in enumerate(members):
-                moved = [min(hi, v + 0.5 * (hi - lo)) for v, (lo, hi) in
-                         zip(m.position, bounds)]
-                values = tracker.evaluate_many(obj, [moved])
-                if not values:
-                    break
-                members[i] = Individual(moved, values[0])
-        except Exception:
-            pass
-        return tracker.finalize(members)
+    def _evolve(self, members, obj, bounds, rng):
+        for i, m in enumerate(members):
+            moved = [min(hi, v + 0.5 * (hi - lo)) for v, (lo, hi) in zip(m.position, bounds)]
+            members[i] = Individual(moved, obj.evaluate(moved))
 
 
 def probe_winner(record) -> int:

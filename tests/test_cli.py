@@ -244,6 +244,16 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--plan", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"), (None, "NoneType"),
+                                            (5, "int")])
+    def test_plan_not_a_json_object_exits_one(self, tmp_path, capsys, data, kind):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "bench", "--plan", str(plan_path))
+        assert code == 1 and out == ""
+        assert err == (f"error: cannot load plan {str(plan_path)!r}: "
+                       f"plan must be a JSON object, got {kind}\n")
+
     def test_unknown_function_is_not_quoted(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"functions": ["nosuch"]}))
@@ -390,6 +400,13 @@ class TestFselect:
         code, _, _ = run_cli(capsys, "fselect", str(tmp_path / "nope.csv"),
                              "--label", "y")
         assert code == 2
+
+    def test_tree_count_past_the_int_range_exits_two(self, synth_csv, capsys):
+        code, out, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                                 "--method", "de", "--reps", "1", "--iterations", "1",
+                                 "--budgets", "4,10", "--trees", str(10**20))
+        assert code == 2 and out == ""
+        assert err.startswith("error: OverflowError: ") and len(err.splitlines()) == 1
 
     def test_bad_method_exits_one(self, synth_csv, capsys):
         code, _, err = run_cli(capsys, "fselect", synth_csv, "--label", "label",
@@ -539,17 +556,66 @@ def hostile_csv(draw) -> bytes:
     return data
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=hostile_csv())
-def test_hostile_csv_exits_with_one_error_line(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("csv") / "hostile.csv"
-    path.write_bytes(data)
+def assert_one_clean_exit(argv):
+    """``main(argv)`` exits 0, 1 or 2 with at most one ``error:`` line, no
+    traceback, and no output when it fails."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["fselect", str(path), "--label", "y", "--reps", "1", "--population", "2",
-                     "--iterations", "1", "--budgets", "1,4", "--trees", "1", "--depth", "1"])
+        code = main(argv)
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert sum(line.startswith("error:") for line in lines) <= 1
     assert "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hostile_csv())
+def test_hostile_csv_exits_with_one_error_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "hostile.csv"
+    path.write_bytes(data)
+    assert_one_clean_exit(["fselect", str(path), "--label", "y", "--reps", "1",
+                           "--population", "2", "--iterations", "1", "--budgets", "1,4",
+                           "--trees", "1", "--depth", "1"])
+
+
+# counts stay small: a large one runs for as long as it asks to
+SMALL = st.integers(-1, 50)
+SEEDS = st.integers(-10**30, 10**30)
+SIZES = st.sampled_from([-1, 0, 1, 10**20])
+# a pair of small counts, or text without digits, which never parses
+BUDGETS = (st.tuples(SMALL, SMALL).map(lambda p: f"{p[0]},{p[1]}")
+           | st.text(st.characters(blacklist_categories=("Nd",)), max_size=6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, reps=SMALL, budgets=BUDGETS,
+       workers=st.integers(-1, 10**20))
+def test_hostile_bench_flags_exit_with_one_error_line(tmp_path_factory, seed, reps, budgets,
+                                                      workers):
+    # one function and one method: a single group, so no worker pool starts
+    assert_one_clean_exit(["bench", "--functions", "matyas", "--methods", "de",
+                           "--reps", str(reps), "--seed", str(seed), "--budgets", budgets,
+                           "--workers", str(workers),
+                           "--out", str(tmp_path_factory.mktemp("bench"))])
+
+
+@settings(max_examples=10, deadline=None)  # each repetition runs the default budgets
+@given(seed=SEEDS, reps=SMALL)
+def test_hostile_run_flags_exit_with_one_error_line(tmp_path_factory, seed, reps):
+    assert_one_clean_exit(["run", "matyas", "de", "--seed", str(seed), "--reps", str(reps),
+                           "--out", str(tmp_path_factory.mktemp("run"))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, reps=SMALL, population=SMALL, budgets=BUDGETS,
+       trees=SIZES, depth=SIZES)
+def test_hostile_fselect_flags_exit_with_one_error_line(tmp_path_factory, seed, reps,
+                                                        population, budgets, trees, depth):
+    path = tmp_path_factory.getbasetemp() / "hostile_flags.csv"
+    if not path.exists():
+        write_dataset_csv(make_synthetic_dataset(n_rows=30, n_noise=2, seed=3), str(path))
+    assert_one_clean_exit(["fselect", str(path), "--label", "label", "--method", "de",
+                           "--reps", str(reps), "--seed", str(seed),
+                           "--population", str(population), "--iterations", "1",
+                           "--budgets", budgets, "--trees", str(trees), "--depth", str(depth)])

@@ -115,8 +115,7 @@ class TestBfoHelpers:
         opt = make_optimizer("bfo", dispersal_probability=0.0)
         members = [Individual([0.5, 0.5], cost=0.5) for _ in range(6)]
         obj = BudgetedObjective(sphere, 100)
-        count = opt._disperse(members, _tracker(members), obj, [(-1.0, 1.0)] * 2,
-                              SeededRng(3))
+        count = opt._disperse(members, obj, [(-1.0, 1.0)] * 2, SeededRng(3))
         assert count == 0
         assert obj.used == 0
 
@@ -124,8 +123,7 @@ class TestBfoHelpers:
         opt = make_optimizer("bfo", dispersal_probability=1.0)
         members = [Individual([0.5, 0.5], cost=0.5) for _ in range(6)]
         obj = BudgetedObjective(sphere, 100)
-        count = opt._disperse(members, _tracker(members), obj, [(-1.0, 1.0)] * 2,
-                              SeededRng(3))
+        count = opt._disperse(members, obj, [(-1.0, 1.0)] * 2, SeededRng(3))
         assert count == 6
         assert obj.used == 6
 
@@ -144,44 +142,57 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _tracker(members):
-    from chmopt.optimizers import _BestTracker
+class PlainTable:
+    """A TableObjective without ``evaluate_many``: called point by point."""
 
-    return _BestTracker(members)
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, x):
+        return self.values[x[0]]
 
 
 @settings(max_examples=300, deadline=None)
-@given(evaluation_batches(), st.floats(-1e6, 1e6))
-@example(([3.0, -1.0, -2.0, -5.0], 3, 0), 0.0)  # improvements, then the cap mid-batch
-@example(([-1.0, math.nan, -9.0], 5, 0), 0.0)  # a non-finite value after an improvement
-@example(([], 2, 0), 0.0)
-@example(([-4.0], 1, 1), 0.0)
-def test_tracker_evaluate_many_matches_sequential_loop(case, start_cost):
+@given(evaluation_batches(), st.floats(-1e6, 1e6), st.sampled_from([TableObjective, PlainTable]))
+@example(([3.0, -1.0, -2.0, -5.0], 3, 0), 0.0, TableObjective)  # the cap mid-batch
+@example(([-1.0, math.nan, -9.0], 5, 0), 0.0, TableObjective)  # non-finite after a best
+@example(([-1.0, math.nan, -9.0], 5, 0), 0.0, PlainTable)
+@example(([-2.0, -2.0], 2, 0), 0.0, TableObjective)  # a tie keeps the first point
+@example(([], 2, 0), 0.0, TableObjective)
+@example(([-4.0], 1, 1), 0.0, TableObjective)
+def test_evaluate_many_records_the_best_as_a_loop_of_evaluate(case, start_cost, table):
     values, cap, spent = case
     points = [[i] for i in range(len(values))]
-    expected_tracker = _tracker([Individual([-1], cost=start_cost)])
-    tracker = _tracker([Individual([-1], cost=start_cost)])
-    expected_obj = BudgetedObjective(TableObjective(values), cap)
-    obj = BudgetedObjective(TableObjective(values), cap)
-    expected_obj.used = obj.used = spent
-
-    def evaluate(x):  # the hot loops' inlined tracker update
-        value = expected_obj.evaluate(x)
-        if value < expected_tracker.best_cost:
-            expected_tracker.best_cost = value
-            expected_tracker.best_position = list(x)
-        return value
-
-    expected, failure = sequential_evaluations(evaluate, points)
+    expected_obj = BudgetedObjective(table(values), cap)
+    obj = BudgetedObjective(table(values), cap)
+    for o in (expected_obj, obj):
+        o.used = spent
+        o.best_cost, o.best_position = start_cost, [-1]
+    expected, failure = sequential_evaluations(expected_obj.evaluate, points)
     try:
-        got = tracker.evaluate_many(obj, points)
+        got = obj.evaluate_many(points)
     except NonFiniteValue as exc:
         assert (exc.position, repr(exc.value)) == failure
     else:
         assert failure is None and got == expected
-        assert (tracker.best_cost, tracker.best_position) == (
-            expected_tracker.best_cost, expected_tracker.best_position)
-    assert obj.used == expected_obj.used
+    assert (obj.used, obj.best_cost, obj.best_position) == (
+        expected_obj.used, expected_obj.best_cost, expected_obj.best_position)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_NAMES)
+def test_run_starts_the_best_at_the_incoming_population(kind):
+    """A point the objective evaluated before ``run`` cannot enter its result."""
+    def far_better_outside_the_box(x):
+        return -1e9 if x == [7.0, 7.0] else sphere(x)
+
+    bounds = [(-1.0, 1.0)] * 2
+    pop = evaluated_population(6, bounds, 40)
+    used = BudgetedObjective(far_better_outside_the_box, 61)
+    used.evaluate([7.0, 7.0])
+    fresh = BudgetedObjective(far_better_outside_the_box, 60)
+    outs = [make_optimizer(kind).run(pop, obj, bounds, SeededRng(41)) for obj in (used, fresh)]
+    assert [(m.position, m.cost) for m in outs[0]] == [(m.position, m.cost) for m in outs[1]]
+    assert used.used == used.cap and outs[0].best_cost() >= 0.0
 
 
 class TestGaBehaviour:
