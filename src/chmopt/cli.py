@@ -161,7 +161,7 @@ def cmd_bench(args) -> int:
     if args.plan:
         try:
             plan = load_plan(args.plan)
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise UsageError(f"cannot load plan {args.plan!r}: {exc}")
     else:
         plan = ExperimentPlan(name=args.name, functions=args.functions, methods=args.methods,
@@ -207,6 +207,9 @@ def cmd_fselect(args) -> int:
     return 0
 
 
+COMMANDS = {"list": cmd_list, "run": cmd_run, "bench": cmd_bench, "fselect": cmd_fselect}
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
@@ -217,15 +220,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             args = parser.parse_args(argv)
-            if args.command == "list":
-                return cmd_list(args)
-            if args.command == "run":
-                return cmd_run(args)
-            if args.command == "bench":
-                return cmd_bench(args)
-            if args.command == "fselect":
-                return cmd_fselect(args)
-            raise UsageError(f"unknown command {args.command!r}")
+            return COMMANDS[args.command](args)
     except (DatasetError, EvaluationAborted, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """The five population-based inner optimizers on one skeleton.
 
-Every optimizer runs through ``InnerOptimizer.run``: it takes a Population
-and a BudgetedObjective, evolves until the budget is exhausted, and returns
-a Population of the same size. The objective keeps the best point it
+An optimizer is its parameters: each class is a frozen dataclass whose
+fields are the method's settings, checked when it is built, and
+``make_optimizer(name, **overrides)`` builds one. Every optimizer runs
+through ``InnerOptimizer.run``: it takes a Population and a
+BudgetedObjective, evolves until the budget is exhausted, and returns a
+Population of the same size. The objective keeps the best point it
 evaluates; the base ``run`` owns the budget guard, starts that best at the
 incoming population's and does the elitist finalize. A method only writes
 ``_evolve(members, obj, bounds, rng)``, which leaves in ``members`` the
@@ -54,87 +57,17 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# parameter records
-
-
-@dataclass(frozen=True)
-class PsoParams:
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    v_max_fraction: float = 0.5
-
-    def __post_init__(self):
-        check_fields(vars(self), reals={"inertia": "(0, 1)", "cognitive": "(0, inf)",
-                                        "social": "(0, inf)", "v_max_fraction": "(0, inf)"})
-
-
-@dataclass(frozen=True)
-class SaParams:
-    cooling: float = 0.95
-    step_fraction: float = 0.1
-    t0: float | None = None  # None: initial population cost spread (floor 1e-3)
-    t0_floor: float = 1e-3
-
-    def __post_init__(self):
-        check_fields(vars(self), reals={"cooling": "(0, 1)", "step_fraction": "(0, inf)",
-                                        "t0": "(0, inf)", "t0_floor": "(0, inf)"},
-                     optional=("t0",))
-
-
-@dataclass(frozen=True)
-class GaParams:
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
-    blend_alpha: float = 0.5
-    mutation_rate: float | None = None  # None: 1/dimension
-    mutation_sigma_fraction: float = 0.1
-    elitism: int = 1
-
-    def __post_init__(self):
-        check_fields(vars(self), {"tournament_size": 2, "elitism": 0},
-                     reals={"crossover_rate": "[0, 1]", "blend_alpha": "[0, inf)",
-                            "mutation_rate": "[0, 1]", "mutation_sigma_fraction": "(0, inf)"},
-                     optional=("mutation_rate",))
-
-
-@dataclass(frozen=True)
-class DeParams:
-    weight: float = 0.5  # differential weight F
-    crossover_rate: float = 0.9  # CR
-
-    def __post_init__(self):
-        check_fields(vars(self), reals={"weight": "(0, 2]", "crossover_rate": "[0, 1]"})
-
-
-@dataclass(frozen=True)
-class BfoParams:
-    chemotaxis_steps: int = 4
-    swim_length: int = 4
-    reproduction_steps: int = 2
-    elimination_dispersal_steps: int = 1
-    dispersal_probability: float = 0.25
-    step_fraction: float = 0.05
-
-    def __post_init__(self):
-        check_fields(vars(self),
-                     dict.fromkeys(("chemotaxis_steps", "swim_length", "reproduction_steps",
-                                    "elimination_dispersal_steps"), 1),
-                     reals={"dispersal_probability": "[0, 1]", "step_fraction": "(0, inf)"})
-
-
-# ---------------------------------------------------------------------------
 # elemental update rules, exposed for direct testing
 
 
-def pso_velocity_update(v, x, pbest, gbest, params: PsoParams,
+def pso_velocity_update(v, x, pbest, gbest, swarm: ParticleSwarm,
                         r1: float, r2: float, v_max=None) -> list[float]:
     """Inertia + cognitive + social pull, clipped per dimension to +-v_max."""
     out = []
     for d in range(len(v)):
-        nv = (params.inertia * v[d]
-              + params.cognitive * r1 * (pbest[d] - x[d])
-              + params.social * r2 * (gbest[d] - x[d]))
+        nv = (swarm.inertia * v[d]
+              + swarm.cognitive * r1 * (pbest[d] - x[d])
+              + swarm.social * r2 * (gbest[d] - x[d]))
         if v_max is not None:
             cap = v_max[d]
             nv = -cap if nv < -cap else cap if nv > cap else nv
@@ -149,8 +82,9 @@ def sa_accept(delta_cost: float, temperature: float, u: float) -> bool:
     return u < math.exp(-delta_cost / temperature)
 
 
-def blend_crossover(p1, p2, alpha: float, draws) -> list[float]:
-    """Per-dimension interpolation child: p1 + u*(p2-p1) with u ~ U(-alpha, 1+alpha)."""
+def blend_crossover(p1, p2, draws) -> list[float]:
+    """Per-dimension interpolation child: p1 + u*(p2-p1), one draw u per
+    dimension (the GA draws u ~ U(-blend_alpha, 1 + blend_alpha))."""
     return [a + u * (b - a) for a, b, u in zip(p1, p2, draws)]
 
 
@@ -175,15 +109,11 @@ def _widths(bounds: Bounds) -> list[float]:
 class InnerOptimizer:
     """Base class: budget guard, elitist finalization.
 
-    A subclass sets ``name`` and ``params`` (its default parameter record)
-    and writes ``_evolve``."""
+    A subclass is a frozen dataclass whose fields are its parameters, each
+    rule checked by one ``check_fields`` call. It sets ``name`` (a plain
+    class attribute, not a field) and writes ``_evolve``."""
 
     name = "?"
-    params = None
-
-    def __init__(self, params=None):
-        if params is not None:
-            self.params = params
 
     def run(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
             rng: SeededRng) -> Population:
@@ -218,21 +148,25 @@ class InnerOptimizer:
     def _evolve(self, members, obj, bounds, rng):  # pragma: no cover
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.params!r})"
 
-
+@dataclass(frozen=True)
 class ParticleSwarm(InnerOptimizer):
     """Global-best PSO. Exports each particle's personal best."""
 
     name = "pso"
-    params = PsoParams()
+    inertia: float = 0.729
+    cognitive: float = 1.49445
+    social: float = 1.49445
+    v_max_fraction: float = 0.5
+
+    def __post_init__(self):
+        check_fields(vars(self), reals={"inertia": "(0, 1)", "cognitive": "(0, inf)",
+                                        "social": "(0, inf)", "v_max_fraction": "(0, inf)"})
 
     def _evolve(self, pbest, obj, bounds, rng):
-        p = self.params
         evaluate = obj.evaluate
         random = rng.random
-        v_max = [p.v_max_fraction * w for w in _widths(bounds)]
+        v_max = [self.v_max_fraction * w for w in _widths(bounds)]
         x = [list(m.position) for m in pbest]
         velocity = [[0.0] * len(x[0]) for _ in pbest]
         gbest = min(pbest, key=lambda m: m.cost)
@@ -241,7 +175,7 @@ class ParticleSwarm(InnerOptimizer):
                 r1 = random()
                 r2 = random()
                 velocity[i] = pso_velocity_update(
-                    velocity[i], x[i], pbest[i].position, gbest.position, p,
+                    velocity[i], x[i], pbest[i].position, gbest.position, self,
                     r1, r2, v_max)
                 moved = []
                 for xv, vv, (lo, hi) in zip(x[i], velocity[i], bounds):
@@ -255,6 +189,7 @@ class ParticleSwarm(InnerOptimizer):
                         gbest = pbest[i]
 
 
+@dataclass(frozen=True)
 class SimulatedAnnealing(InnerOptimizer):
     """Population of independent annealing chains, one per individual.
 
@@ -263,21 +198,28 @@ class SimulatedAnnealing(InnerOptimizer):
     """
 
     name = "sa"
-    params = SaParams()
+    cooling: float = 0.95
+    step_fraction: float = 0.1
+    t0: float | None = None  # None: initial population cost spread (floor 1e-3)
+    t0_floor: float = 1e-3
+
+    def __post_init__(self):
+        check_fields(vars(self), reals={"cooling": "(0, 1)", "step_fraction": "(0, inf)",
+                                        "t0": "(0, inf)", "t0_floor": "(0, inf)"},
+                     optional=("t0",))
 
     def _evolve(self, chain_best, obj, bounds, rng):
-        p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
-        sigma = [p.step_fraction * w for w in _widths(bounds)]
+        sigma = [self.step_fraction * w for w in _widths(bounds)]
         current = list(chain_best)
-        if p.t0 is not None:
-            temperature = p.t0
+        if self.t0 is not None:
+            temperature = self.t0
         else:
             costs = [m.cost for m in chain_best]
             mean = sum(costs) / len(costs)
             spread = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
-            temperature = max(spread, p.t0_floor)
+            temperature = max(spread, self.t0_floor)
         while obj.remaining > 0:
             # a sweep's steps and accept draws do not depend on its costs:
             # draw them all, in the order a chain-by-chain loop would
@@ -308,7 +250,7 @@ class SimulatedAnnealing(InnerOptimizer):
                     chain_best[i] = Individual(candidate, c)
             if len(costs) < len(candidates):
                 raise BudgetExhausted
-            temperature = max(temperature * p.cooling, 1e-12)
+            temperature = max(temperature * self.cooling, 1e-12)
 
 
 def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
@@ -356,27 +298,38 @@ def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
     return lowest
 
 
+@dataclass(frozen=True)
 class GeneticAlgorithm(InnerOptimizer):
     """Real-coded GA: tournament selection, blend crossover, Gaussian mutation."""
 
     name = "ga"
-    params = GaParams()
+    tournament_size: int = 2
+    crossover_rate: float = 0.9
+    blend_alpha: float = 0.5
+    mutation_rate: float | None = None  # None: 1/dimension
+    mutation_sigma_fraction: float = 0.1
+    elitism: int = 1
+
+    def __post_init__(self):
+        check_fields(vars(self), {"tournament_size": 2, "elitism": 0},
+                     reals={"crossover_rate": "[0, 1]", "blend_alpha": "[0, inf)",
+                            "mutation_rate": "[0, 1]", "mutation_sigma_fraction": "(0, inf)"},
+                     optional=("mutation_rate",))
 
     def _evolve(self, members, obj, bounds, rng):
-        p = self.params
         evaluate_many = obj.evaluate_many
         random = rng.random
         getrandbits = rng.getrandbits
         size = len(members)
         dims = range(len(members[0].position))
-        mutation_rate = p.mutation_rate if p.mutation_rate is not None else 1.0 / len(dims)
-        sigma = [p.mutation_sigma_fraction * w for w in _widths(bounds)]
-        n_pick = min(p.tournament_size, size)
-        n_elite = min(p.elitism, size)
-        crossover_rate = p.crossover_rate
+        mutation_rate = self.mutation_rate if self.mutation_rate is not None else 1.0 / len(dims)
+        sigma = [self.mutation_sigma_fraction * w for w in _widths(bounds)]
+        n_pick = min(self.tournament_size, size)
+        n_elite = min(self.elitism, size)
+        crossover_rate = self.crossover_rate
         # rng.uniform(low, high) is low + (high - low) * random()
-        draw_low = -p.blend_alpha
-        draw_span = (1.0 + p.blend_alpha) - draw_low
+        draw_low = -self.blend_alpha
+        draw_span = (1.0 + self.blend_alpha) - draw_low
         idle = 0  # children drawn since the last evaluation
         while obj.remaining > 0:
             used = obj.used
@@ -392,7 +345,6 @@ class GeneticAlgorithm(InnerOptimizer):
                 if random() < crossover_rate:
                     parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
                     child = blend_crossover(parent1.position, parent2.position,
-                                            p.blend_alpha,
                                             [draw_low + draw_span * random() for _ in dims])
                 else:
                     child = list(parent1.position)
@@ -450,34 +402,37 @@ class GeneticAlgorithm(InnerOptimizer):
         parent because crossover is off or every member a tournament can pick
         (ranks 0 to n - tournament size) shares one position. A generation
         that evaluates nothing keeps these conditions for the next one."""
-        p = self.params
         size = len(members)
-        if p.elitism >= size:
+        if self.elitism >= size:
             return True
-        if p.mutation_rate != 0.0:
+        if self.mutation_rate != 0.0:
             return False
         if any(clamp_to_bounds(m.position, bounds) != m.position for m in members):
             return False
-        if p.crossover_rate == 0.0:
+        if self.crossover_rate == 0.0:
             return True
         ranked = sorted(members, key=lambda m: m.cost)
-        pickable = ranked[:size - min(p.tournament_size, size) + 1]
+        pickable = ranked[:size - min(self.tournament_size, size) + 1]
         return all(m.position == pickable[0].position for m in pickable)
 
 
+@dataclass(frozen=True)
 class DifferentialEvolution(InnerOptimizer):
     """DE rand/1/bin with greedy one-to-one replacement."""
 
     name = "de"
-    params = DeParams()
+    weight: float = 0.5  # differential weight F
+    crossover_rate: float = 0.9  # CR
+
+    def __post_init__(self):
+        check_fields(vars(self), reals={"weight": "(0, 2]", "crossover_rate": "[0, 1]"})
 
     def _evolve(self, members, obj, bounds, rng):
-        p = self.params
         evaluate = obj.evaluate
         random = rng.random
         getrandbits = rng.getrandbits  # randbelow(n) draws n.bit_length() bits until < n
-        weight = p.weight
-        crossover_rate = p.crossover_rate
+        weight = self.weight
+        crossover_rate = self.crossover_rate
         size = len(members)
         dim = len(members[0].position)
         size_bits = size.bit_length()
@@ -517,21 +472,32 @@ class DifferentialEvolution(InnerOptimizer):
                     members[i] = Individual(trial, c)
 
 
+@dataclass(frozen=True)
 class BacterialForaging(InnerOptimizer):
     """Trimmed bacterial foraging: chemotaxis with swimming, reproduction,
     elimination-dispersal. Swarming attraction is omitted; at the evaluation
     budgets used here the full protocol cannot complete a single pass."""
 
     name = "bfo"
-    params = BfoParams()
+    chemotaxis_steps: int = 4
+    swim_length: int = 4
+    reproduction_steps: int = 2
+    elimination_dispersal_steps: int = 1
+    dispersal_probability: float = 0.25
+    step_fraction: float = 0.05
+
+    def __post_init__(self):
+        check_fields(vars(self),
+                     dict.fromkeys(("chemotaxis_steps", "swim_length", "reproduction_steps",
+                                    "elimination_dispersal_steps"), 1),
+                     reals={"dispersal_probability": "[0, 1]", "step_fraction": "(0, inf)"})
 
     def _evolve(self, members, obj, bounds, rng):
-        p = self.params
-        step = [p.step_fraction * w for w in _widths(bounds)]
+        step = [self.step_fraction * w for w in _widths(bounds)]
         while obj.remaining > 0:
-            for _ in range(p.elimination_dispersal_steps):
-                for _ in range(p.reproduction_steps):
-                    for _ in range(p.chemotaxis_steps):
+            for _ in range(self.elimination_dispersal_steps):
+                for _ in range(self.reproduction_steps):
+                    for _ in range(self.chemotaxis_steps):
                         for i in range(len(members)):
                             members[i] = self._chemotax(members[i], obj, bounds, rng, step)
                     members[:] = bfo_reproduce(members)
@@ -566,7 +532,7 @@ class BacterialForaging(InnerOptimizer):
         delta = [s * (g / norm) for s, g in zip(step, direction)]
         position = bacterium.position
         last_cost = bacterium.cost
-        for swim in range(self.params.swim_length + 1):
+        for swim in range(self.swim_length + 1):
             moved = []
             for v, dv, (lo, hi) in zip(position, delta, bounds):
                 v += dv
@@ -584,7 +550,7 @@ class BacterialForaging(InnerOptimizer):
         """Move each bacterium with the dispersal probability to a uniform
         random point; all draws come first, then one batch evaluation."""
         random = rng.random
-        p = self.params.dispersal_probability
+        p = self.dispersal_probability
         moves = [(i, random_position(bounds, rng)) for i in range(len(members)) if random() < p]
         costs = obj.evaluate_many([x for _, x in moves])
         for (i, x), c in zip(moves, costs):
@@ -610,8 +576,7 @@ def make_optimizer(kind: str, **overrides) -> InnerOptimizer:
     key = kind.strip().lower()
     if key not in OPTIMIZER_CLASSES:
         raise ValueError(f"unknown optimizer {kind!r}; valid kinds: {', '.join(OPTIMIZER_NAMES)}")
-    cls = OPTIMIZER_CLASSES[key]
-    return cls(type(cls.params)(**overrides))
+    return OPTIMIZER_CLASSES[key](**overrides)
 
 
 def default_portfolio(overrides: dict[str, dict] | None = None) -> tuple[InnerOptimizer, ...]:

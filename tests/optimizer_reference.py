@@ -4,11 +4,12 @@ These are the straightforward forms of the SA, GA, DE and BFO loops in
 ``chmopt.optimizers``, kept as the oracle their tests compare against. They
 call ``rng.gauss``, ``rng.sample``, ``rng._randbelow`` and ``rng.choice``
 where the library inlines the interpreter's ``gauss`` and
-``_randbelow_with_getrandbits``. Each class only replaces the loop, so the
-budget guard, the best point the objective keeps and the elitist finalize
-are the library's. The inlined loops must reproduce every population,
-evaluation count and RNG state exactly; on an interpreter whose
-``random.py`` draws differently the comparison fails.
+``_randbelow_with_getrandbits``. Each class subclasses the library's, so it
+takes the same parameter fields and reads them as ``self.<field>``; it only
+replaces the loop, so the budget guard, the best point the objective keeps
+and the elitist finalize are the library's. The inlined loops must
+reproduce every population, evaluation count and RNG state exactly; on an
+interpreter whose ``random.py`` draws differently the comparison fails.
 """
 import math
 
@@ -55,16 +56,15 @@ def pick_three(size, exclude, rng):
 
 class ReferenceSimulatedAnnealing(SimulatedAnnealing):
     def _evolve(self, chain_best, obj, bounds, rng):
-        p = self.params
-        sigma = [p.step_fraction * w for w in _widths(bounds)]
+        sigma = [self.step_fraction * w for w in _widths(bounds)]
         current = list(chain_best)
-        if p.t0 is not None:
-            temperature = p.t0
+        if self.t0 is not None:
+            temperature = self.t0
         else:
             costs = [m.cost for m in chain_best]
             mean = sum(costs) / len(costs)
             spread = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
-            temperature = max(spread, p.t0_floor)
+            temperature = max(spread, self.t0_floor)
         while obj.remaining > 0:
             candidates, draws = [], []
             for cur in current:
@@ -83,18 +83,17 @@ class ReferenceSimulatedAnnealing(SimulatedAnnealing):
                     chain_best[i] = Individual(candidate, c)
             if len(costs) < len(candidates):
                 raise BudgetExhausted
-            temperature = max(temperature * p.cooling, 1e-12)
+            temperature = max(temperature * self.cooling, 1e-12)
 
 
 class ReferenceGeneticAlgorithm(GeneticAlgorithm):
     def _evolve(self, members, obj, bounds, rng):
-        p = self.params
         size = len(members)
         dims = range(len(members[0].position))
-        mutation_rate = p.mutation_rate if p.mutation_rate is not None else 1.0 / len(dims)
-        sigma = [p.mutation_sigma_fraction * w for w in _widths(bounds)]
-        n_pick = min(p.tournament_size, size)
-        n_elite = min(p.elitism, size)
+        mutation_rate = self.mutation_rate if self.mutation_rate is not None else 1.0 / len(dims)
+        sigma = [self.mutation_sigma_fraction * w for w in _widths(bounds)]
+        n_pick = min(self.tournament_size, size)
+        n_elite = min(self.elitism, size)
         idle = 0  # children drawn since the last evaluation
         while obj.remaining > 0:
             used = obj.used
@@ -103,11 +102,11 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
             children, points = [], []
             for _ in range(size - n_elite):
                 parent1 = ranked[min(rng.sample(range(size), n_pick))]
-                if rng.random() < p.crossover_rate:
+                if rng.random() < self.crossover_rate:
                     parent2 = ranked[min(rng.sample(range(size), n_pick))]
                     child = blend_crossover(
-                        parent1.position, parent2.position, p.blend_alpha,
-                        [rng.uniform(-p.blend_alpha, 1.0 + p.blend_alpha) for _ in dims])
+                        parent1.position, parent2.position,
+                        [rng.uniform(-self.blend_alpha, 1.0 + self.blend_alpha) for _ in dims])
                 else:
                     child = list(parent1.position)
                 mutated = False
@@ -148,7 +147,6 @@ class ReferenceGeneticAlgorithm(GeneticAlgorithm):
 
 class ReferenceDifferentialEvolution(DifferentialEvolution):
     def _evolve(self, members, obj, bounds, rng):
-        p = self.params
         size = len(members)
         dim = len(members[0].position)
         while obj.remaining > 0:
@@ -160,9 +158,9 @@ class ReferenceDifferentialEvolution(DifferentialEvolution):
                 j_rand = rng._randbelow(dim)
                 trial = list(members[i].position)
                 for d in range(dim):
-                    if d == j_rand or rng.random() < p.crossover_rate:
+                    if d == j_rand or rng.random() < self.crossover_rate:
                         lo, hi = bounds[d]
-                        v = base[d] + p.weight * (va[d] - vb[d])
+                        v = base[d] + self.weight * (va[d] - vb[d])
                         trial[d] = lo if v < lo else hi if v > hi else v
                 c = obj.evaluate(trial)
                 if c <= members[i].cost:
@@ -174,7 +172,7 @@ class ReferenceBacterialForaging(BacterialForaging):
         delta = [s * d for s, d in zip(step, tumble_direction(rng, len(step)))]
         position = bacterium.position
         last_cost = bacterium.cost
-        for swim in range(self.params.swim_length + 1):
+        for swim in range(self.swim_length + 1):
             moved = []
             for v, dv, (lo, hi) in zip(position, delta, bounds):
                 v += dv

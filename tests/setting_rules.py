@@ -2,9 +2,10 @@
 checks it: the values each accepts, the message a rejected value gets, and
 the values on either side of each end of its range.
 
-``RULES`` maps a builder (a record, or a function that takes the setting by
-keyword) to its settings. The boundary values depend only on the accepted
-sets, so they hold for any version of the checks that accepts the same sets.
+``RULES`` maps a builder (a record, an optimizer class, or a function that
+takes the setting by keyword) to its settings. The boundary values depend
+only on the accepted sets, so they hold for any version of the checks that
+accepts the same sets.
 """
 import math
 import warnings
@@ -15,7 +16,14 @@ from chmopt.core import BudgetedObjective
 from chmopt.forest import ForestParams
 from chmopt.fselect import FselectPlan
 from chmopt.harness import ExperimentPlan
-from chmopt.optimizers import BfoParams, DeParams, GaParams, PsoParams, SaParams
+from chmopt.optimizers import (
+    BacterialForaging,
+    DifferentialEvolution,
+    GeneticAlgorithm,
+    InnerOptimizer,
+    ParticleSwarm,
+    SimulatedAnnealing,
+)
 
 INF = math.inf
 
@@ -114,17 +122,19 @@ UNIT = Real(0, 1, "[]")
 RUN_COUNTS = dict.fromkeys(("iterations", "population_size", "convergence_patience"), Count(1))
 
 RULES = {
-    PsoParams: {"inertia": Real(0, 1), "cognitive": POSITIVE, "social": POSITIVE,
-                "v_max_fraction": POSITIVE},
-    SaParams: {"cooling": Real(0, 1), "step_fraction": POSITIVE,
-               "t0": Real(0, INF, optional=True), "t0_floor": POSITIVE},
-    GaParams: {"tournament_size": Count(2), "crossover_rate": UNIT,
-               "blend_alpha": Real(0, INF, "[)"), "mutation_rate": Real(0, 1, "[]", True),
-               "mutation_sigma_fraction": POSITIVE, "elitism": Count(0)},
-    DeParams: {"weight": Real(0, 2, "(]"), "crossover_rate": UNIT},
-    BfoParams: {"chemotaxis_steps": Count(1), "swim_length": Count(1),
-                "reproduction_steps": Count(1), "elimination_dispersal_steps": Count(1),
-                "dispersal_probability": UNIT, "step_fraction": POSITIVE},
+    ParticleSwarm: {"inertia": Real(0, 1), "cognitive": POSITIVE, "social": POSITIVE,
+                    "v_max_fraction": POSITIVE},
+    SimulatedAnnealing: {"cooling": Real(0, 1), "step_fraction": POSITIVE,
+                         "t0": Real(0, INF, optional=True), "t0_floor": POSITIVE},
+    GeneticAlgorithm: {"tournament_size": Count(2), "crossover_rate": UNIT,
+                       "blend_alpha": Real(0, INF, "[)"),
+                       "mutation_rate": Real(0, 1, "[]", True),
+                       "mutation_sigma_fraction": POSITIVE, "elitism": Count(0)},
+    DifferentialEvolution: {"weight": Real(0, 2, "(]"), "crossover_rate": UNIT},
+    BacterialForaging: {"chemotaxis_steps": Count(1), "swim_length": Count(1),
+                        "reproduction_steps": Count(1),
+                        "elimination_dispersal_steps": Count(1),
+                        "dispersal_probability": UNIT, "step_fraction": POSITIVE},
     ForestParams: {"n_trees": Count(1), "max_depth": Count(1), "min_samples_split": Count(2),
                    "bootstrap": Flag()},
     ChmConfig: {**RUN_COUNTS, "maxfe_probing": Count(1), "maxfe_fit": Count(1),
@@ -154,5 +164,10 @@ def build(builder, name, value):
 
 
 def setting_id(setting) -> str:
+    """``<builder>.<setting>``. An optimizer class is labelled by its
+    parameter set, ``<Name>Params`` after its method ``name``, so each id
+    names the method and not the class that implements it."""
     builder, name, _ = setting
+    if isinstance(builder, type) and issubclass(builder, InnerOptimizer):
+        return f"{builder.name.capitalize()}Params.{name}"
     return f"{builder.__name__}.{name}"

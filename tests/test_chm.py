@@ -286,6 +286,20 @@ class TestErrorHandling:
         assert err.value.phase in ("initialization", "probing", "fit")
         assert err.value.position is not None
 
+    def test_non_finite_in_the_fit_names_the_fitted_method(self):
+        calls = {"n": 0}
+
+        def nan_from_the_fit_on(x):  # 4 initial and 5 x 5 probing calls pass
+            calls["n"] += 1
+            return float("nan") if calls["n"] >= 30 else sphere(x)
+
+        config = quiet_config(iterations=1, population_size=4,
+                              maxfe_probing=5, maxfe_fit=10)
+        with pytest.raises(EvaluationAborted) as err:
+            chm_run(config, nan_from_the_fit_on, [(-5.0, 5.0)] * 2, 3, reference_value=0.0)
+        assert (err.value.phase, err.value.method) == ("fit", "ga")
+        assert calls["n"] == 30
+
     def test_non_finite_at_init(self):
         config = quiet_config(iterations=1, population_size=4,
                               maxfe_probing=10, maxfe_fit=20)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import chmopt.cli
 from chmopt.cli import main
 from chmopt.fselect import make_synthetic_dataset
-from chmopt.optimizers import BfoParams, DeParams, GaParams, PsoParams, SaParams
+from chmopt.harness import ALL_METHODS
+from chmopt.optimizers import OPTIMIZER_CLASSES, OPTIMIZER_NAMES
 from dataset_csv import write_dataset_csv
 from setting_rules import RULES, small_plan
 
@@ -254,6 +256,14 @@ class TestBench:
         assert err == (f"error: cannot load plan {str(plan_path)!r}: "
                        f"plan must be a JSON object, got {kind}\n")
 
+    def test_plan_nested_too_deep_exits_one(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"functions": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, out, err = run_cli(capsys, "bench", "--plan", str(plan_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot load plan {str(plan_path)!r}: maximum recursion")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_function_is_not_quoted(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"functions": ["nosuch"]}))
@@ -298,11 +308,10 @@ def hostile_plans():
 
     cases = [(name, value, rule.message(name, value))
              for name, rule in RULES[small_plan].items() for value in bad_values(rule)]
-    for kind, record in (("pso", PsoParams), ("sa", SaParams), ("ga", GaParams),
-                         ("de", DeParams), ("bfo", BfoParams)):
+    for kind, cls in OPTIMIZER_CLASSES.items():
         cases += [(f"{kind}.{name}", value,
                    f"optimizer_overrides[{kind!r}]: {rule.message(name, value)}")
-                  for name, rule in RULES[record].items() for value in bad_values(rule)]
+                  for name, rule in RULES[cls].items() for value in bad_values(rule)]
     return cases + [
         ("budget_override", [0, 20], "maxfe_probing must be an integer >= 1, got 0"),
         ("budget_override", [10, 2.5], "maxfe_fit must be an integer >= 1, got 2.5"),
@@ -619,3 +628,52 @@ def test_hostile_fselect_flags_exit_with_one_error_line(tmp_path_factory, seed, 
                            "--reps", str(reps), "--seed", str(seed),
                            "--population", str(population), "--iterations", "1",
                            "--budgets", budgets, "--trees", str(trees), "--depth", str(depth)])
+
+
+# Plan fields that hold lists or objects, given values of any JSON shape: the
+# leaves include every scalar type, 10**400, and a stand-in for an array
+# nested 10**5 deep, which is written into the plan text as it is saved.
+DEEP = "<nested 10**5 deep>"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["matyas", "de", "chm", 10**400, DEEP]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8)
+PARAMETER_NAMES = sorted({f.name for cls in OPTIMIZER_CLASSES.values()
+                          for f in dataclasses.fields(cls)})
+
+
+def _valid_budgets_past_50(value) -> bool:
+    # such a plan runs for as long as its budgets ask
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and v >= 1 for v in value) and max(value) > 50)
+
+
+HOSTILE_PLAN_FIELDS = {
+    "functions": JSON_VALUES | st.lists(JSON_VALUES | st.just("matyas"), max_size=3),
+    "methods": JSON_VALUES | st.lists(JSON_VALUES | st.sampled_from(ALL_METHODS), max_size=3),
+    "budget_override": (JSON_VALUES | st.lists(JSON_VALUES, min_size=2, max_size=2)
+                        ).filter(lambda v: not _valid_budgets_past_50(v)),
+    "optimizer_overrides": JSON_VALUES | st.dictionaries(
+        st.sampled_from(OPTIMIZER_NAMES) | st.text(max_size=3),
+        JSON_VALUES | st.dictionaries(st.sampled_from(PARAMETER_NAMES) | st.text(max_size=3),
+                                      JSON_VALUES, max_size=3),
+        max_size=3),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), method=st.sampled_from(ALL_METHODS),
+       field=st.sampled_from(sorted(HOSTILE_PLAN_FIELDS)))
+def test_hostile_non_scalar_plan_field_exits_with_one_error_line(tmp_path_factory, data,
+                                                                 method, field):
+    plan = {"name": "hostile", "functions": ["matyas"], "methods": [method],
+            "repetitions": 1, "iterations": 1, "population_size": 4,
+            "budget_override": [2, 4]}
+    plan[field] = data.draw(HOSTILE_PLAN_FIELDS[field], label=field)
+    root = tmp_path_factory.mktemp("plan")
+    plan_path = root / "plan.json"
+    plan_path.write_text(json.dumps(plan).replace(json.dumps(DEEP),
+                                                  "[" * 10**5 + "]" * 10**5))
+    assert_one_clean_exit(["bench", "--plan", str(plan_path), "--out", str(root / "out")])

@@ -142,6 +142,10 @@ class TestClamp:
     def test_upper(self):
         assert clamp_to_bounds((3.0,), [(-2.0, 2.0)]) == [2.0]
 
+    def test_other_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            clamp_to_bounds((0.0, 0.0, 0.0), [(-2.0, 2.0)] * 2)
+
     def test_interior_fixed_point(self):
         assert clamp_to_bounds((0.5,), [(-2.0, 2.0)]) == [0.5]
 

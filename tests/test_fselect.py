@@ -199,6 +199,19 @@ class TestSplit:
         as_tuples = {tuple(r) for r in combined}
         assert len(as_tuples) == ds.n_rows
 
+    def test_rounding_up_to_one_per_class_gives_back_from_the_largest(self):
+        # 106 rows at 0.3 ask for 31: (1, 0, 30) rises to (1, 1, 30), and the
+        # largest class gives one back
+        train, test = split_dataset(self._dataset([0] * 3 + [1] * 3 + [2] * 100), 0.3, 1)
+        assert np.bincount(test.labels).tolist() == [1, 1, 29]
+        assert train.n_rows == 75
+
+    def test_one_test_row_per_class_outranks_the_fraction(self):
+        # 20 rows at 0.3 ask for 6, but each of ten classes keeps one test row
+        train, test = split_dataset(self._dataset(list(range(10)) * 2), 0.3, 1)
+        assert np.bincount(test.labels).tolist() == [1] * 10
+        assert np.bincount(train.labels).tolist() == [1] * 10
+
     def test_tiny_class_rejected(self):
         ds = self._dataset([0] * 9 + [1])
         with pytest.raises(ValueError, match="fewer than 2"):

@@ -178,7 +178,7 @@ class TestRunSettings:
         assert (config.iterations, config.population_size, config.maxfe_probing,
                 config.maxfe_fit, config.convergence_patience) == (2, 6, 30, 60, 2)
         assert [opt.name for opt in config.optimizers] == ["pso", "sa", "ga", "de", "bfo"]
-        assert config.optimizers[3].params.weight == 0.7
+        assert config.optimizers[3].weight == 0.7
 
 
 class TestRunExperiment:

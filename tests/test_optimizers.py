@@ -22,11 +22,11 @@ from chmopt.harness import ExperimentPlan, run_cell
 from chmopt.optimizers import (
     OPTIMIZER_CLASSES,
     OPTIMIZER_NAMES,
-    BfoParams,
-    DeParams,
-    GaParams,
-    PsoParams,
-    SaParams,
+    BacterialForaging,
+    DifferentialEvolution,
+    GeneticAlgorithm,
+    ParticleSwarm,
+    SimulatedAnnealing,
     _lowest_of_sample,
     bfo_reproduce,
     blend_crossover,
@@ -47,24 +47,24 @@ def evaluated_population(size, bounds, seed, fn=sphere):
 
 class TestPsoVelocityUpdate:
     def test_stationary_at_consensus(self):
-        params = PsoParams()
+        swarm = ParticleSwarm()
         x = (1.0, 2.0)
-        assert pso_velocity_update((0.0, 0.0), x, x, x, params, 0.3, 0.7) == [0.0, 0.0]
+        assert pso_velocity_update((0.0, 0.0), x, x, x, swarm, 0.3, 0.7) == [0.0, 0.0]
 
     def test_pure_inertia_decay(self):
-        params = PsoParams(inertia=0.5)
+        swarm = ParticleSwarm(inertia=0.5)
         x = (0.0, 0.0)
-        assert pso_velocity_update((2.0, 0.0), x, x, x, params, 0.9, 0.9) == [1.0, 0.0]
+        assert pso_velocity_update((2.0, 0.0), x, x, x, swarm, 0.9, 0.9) == [1.0, 0.0]
 
     def test_attraction_sum(self):
-        params = PsoParams(inertia=0.5, cognitive=1.0, social=1.0)
+        swarm = ParticleSwarm(inertia=0.5, cognitive=1.0, social=1.0)
         v = pso_velocity_update((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
-                                params, 1.0, 1.0)
+                                swarm, 1.0, 1.0)
         assert v == [1.0, 1.0]
 
     def test_velocity_clipping(self):
-        params = PsoParams(inertia=0.9, cognitive=2.0, social=2.0)
-        v = pso_velocity_update((0.0,), (0.0,), (10.0,), (10.0,), params,
+        swarm = ParticleSwarm(inertia=0.9, cognitive=2.0, social=2.0)
+        v = pso_velocity_update((0.0,), (0.0,), (10.0,), (10.0,), swarm,
                                 1.0, 1.0, v_max=(3.0,))
         assert v == [3.0]
 
@@ -85,11 +85,11 @@ class TestSaAccept:
 
 class TestBlendCrossover:
     def test_midpoint(self):
-        child = blend_crossover((0.0, 0.0), (1.0, 1.0), 0.5, (0.5, 0.5))
+        child = blend_crossover((0.0, 0.0), (1.0, 1.0), (0.5, 0.5))
         assert child == [0.5, 0.5]
 
     def test_extrapolation_range(self):
-        child = blend_crossover((0.0,), (1.0,), 0.5, (1.5,))
+        child = blend_crossover((0.0,), (1.0,), (1.5,))
         assert child == [1.5]
 
 
@@ -227,6 +227,15 @@ class TestGaBehaviour:
         assert out.best_cost() <= pop.best_cost()
         assert obj.used <= 200
 
+    def test_member_outside_the_box_is_not_stalled(self):
+        # with nothing mutating, clamping still moves a member outside the box,
+        # so a later generation can evaluate a new point
+        opt = make_optimizer("ga", mutation_rate=0.0)
+        members = [Individual([9.0, 0.0], cost=81.0), Individual([1.0, 1.0], cost=2.0),
+                   Individual([1.0, 1.0], cost=2.0)]
+        assert not opt._stalled(members, [(-5.0, 5.0)] * 2)
+        assert opt._stalled(members[1:], [(-5.0, 5.0)] * 2)
+
     def test_tiny_mutation_without_crossover_terminates(self):
         # no child differs from its parent, so no generation evaluates: the run
         # stops once it has drawn as many children in a row as the budget has left
@@ -272,33 +281,33 @@ class TestGaBehaviour:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            GaParams(tournament_size=1)
+            GeneticAlgorithm(tournament_size=1)
         with pytest.raises(ValueError):
-            GaParams(crossover_rate=1.5)
+            GeneticAlgorithm(crossover_rate=1.5)
 
 
 class TestParamValidation:
     def test_pso(self):
         with pytest.raises(ValueError):
-            PsoParams(inertia=1.5)
+            ParticleSwarm(inertia=1.5)
         with pytest.raises(ValueError):
-            PsoParams(cognitive=0.0)
+            ParticleSwarm(cognitive=0.0)
 
     def test_sa(self):
         with pytest.raises(ValueError):
-            SaParams(cooling=1.0)
+            SimulatedAnnealing(cooling=1.0)
         with pytest.raises(ValueError):
-            SaParams(t0=-1.0)
+            SimulatedAnnealing(t0=-1.0)
 
     def test_de(self):
         with pytest.raises(ValueError):
-            DeParams(weight=0.0)
+            DifferentialEvolution(weight=0.0)
 
     def test_bfo(self):
         with pytest.raises(ValueError):
-            BfoParams(chemotaxis_steps=0)
+            BacterialForaging(chemotaxis_steps=0)
         with pytest.raises(ValueError):
-            BfoParams(dispersal_probability=1.5)
+            BacterialForaging(dispersal_probability=1.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -361,6 +370,12 @@ class TestRunContracts:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 make_optimizer(kind).run(pop, BudgetedObjective(sphere, 10), bounds,
                                          SeededRng(5))
+
+    def test_unevaluated_population_rejected(self, kind):
+        pop = random_population(5, self.bounds, SeededRng(4))
+        with pytest.raises(ValueError, match="evaluated incoming population"):
+            make_optimizer(kind).run(pop, BudgetedObjective(sphere, 10), self.bounds,
+                                     SeededRng(5))
 
     def test_zero_budget_returns_population_unchanged(self, kind):
         pop = evaluated_population(5, self.bounds, 4)
@@ -463,7 +478,7 @@ def test_sa_rejects_zero_temperature_floor():
     # a zero floor on a collapsed population gives temperature 0 and a
     # division by zero in the Metropolis rule
     with pytest.raises(ValueError):
-        SaParams(t0_floor=0.0)
+        SimulatedAnnealing(t0_floor=0.0)
 
 
 def test_de_regression_anchor_on_matyas():
@@ -592,7 +607,7 @@ def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed,
     # every population, count and RNG state must be what the helpers give,
     # also when a non-finite cost ends the run early
     strategy = GA_PARAMS if kind == "ga" else PARAM_STRATEGIES[kind]
-    params = type(OPTIMIZER_CLASSES[kind].params)(**data.draw(strategy))
+    params = data.draw(strategy)
     init_rng = SeededRng(seed)
     bounds = [(lo, lo + init_rng.uniform(0.5, 20.0))
               for lo in (init_rng.uniform(-10.0, 0.0) for _ in range(dim))]
@@ -606,7 +621,7 @@ def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed,
         obj = BudgetedObjective(_ProbeObjective(coarse, poison), budget)
         try:
             with deadline(20):
-                out = cls(params).run(pop, obj, bounds, rng)
+                out = cls(**params).run(pop, obj, bounds, rng)
             result = repr([(m.position, m.cost) for m in out])
         except NonFiniteValue as exc:
             result = ("non-finite", repr(exc.position))
@@ -623,7 +638,7 @@ def test_inline_gauss_keeps_signed_zero(kind, overrides):
     for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
         rng = SeededRng(0)
         rng.gauss_next = -0.0
-        out = cls(cls.params.__class__(**overrides)).run(
+        out = cls(**overrides).run(
             pop, BudgetedObjective(sphere, 1), [(-1.0, 1.0)], rng)
         outcomes.append(repr([(m.position, m.cost) for m in out]))
     assert outcomes[0] == outcomes[1] == "[([0.0], 0.0)]"
