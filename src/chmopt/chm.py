@@ -22,8 +22,8 @@ from .core import (
     Bounds,
     Individual,
     NonFiniteValue,
-    Population,
     SeededRng,
+    best_of,
     check_fields,
     evaluate_population,
     fitness,
@@ -104,7 +104,7 @@ class ChmConfig:
 @dataclass(frozen=True)
 class ProbeResult:
     method: str
-    population: Population
+    population: list[Individual]
     best_cost: float
     fe_used: int
 
@@ -143,19 +143,19 @@ def check_convergence(best_history, epsilon: float, patience: int) -> bool:
     return False
 
 
-def probe_all(theta: Population, optimizers, objective_fn, maxfe_probing: int,
+def probe_all(theta: list[Individual], optimizers, objective_fn, maxfe_probing: int,
               bounds: Bounds, rng: SeededRng, iteration: int = 1) -> list[ProbeResult]:
-    """Run every optimizer on an identical copy of ``theta`` under its own
-    fresh budget. ``theta`` itself is never modified."""
+    """Run every optimizer on ``theta`` under its own fresh budget. Each run
+    evolves a copy of its own, so ``theta`` itself is never modified."""
     results = []
     for j, opt in enumerate(optimizers):
         obj = BudgetedObjective(objective_fn, maxfe_probing)
         stream = rng.derive(PROBE_STREAM, iteration, j)
         try:
-            evolved = opt.run(theta.copy(), obj, bounds, stream)
+            evolved = opt.run(theta, obj, bounds, stream)
         except NonFiniteValue as exc:
             raise EvaluationAborted("probing", opt.name, exc) from exc
-        results.append(ProbeResult(opt.name, evolved, evolved.best_cost(), obj.used))
+        results.append(ProbeResult(opt.name, evolved, best_of(evolved).cost, obj.used))
     return results
 
 
@@ -184,7 +184,7 @@ def _drive(config: ChmConfig, objective_fn, bounds: Bounds, seed: int | SeededRn
     except NonFiniteValue as exc:
         raise EvaluationAborted("initialization", init_method, exc) from exc
 
-    best = pop.best().copy()
+    best = best_of(pop).copy()
     best_fitness = _fitness_of(best.cost, reference_value)
     trace = RunTrace(dict(kind="init", iteration=0, fe_used=init_obj.used,
                           best_cost=best.cost, best_fitness=best_fitness),
@@ -193,8 +193,8 @@ def _drive(config: ChmConfig, objective_fn, bounds: Bounds, seed: int | SeededRn
 
     for index in range(1, config.iterations + 1):
         pop, scored, record = step(pop, index, rng, bounds)
-        if scored.best_cost() < best.cost:
-            best = scored.best().copy()
+        if best_of(scored).cost < best.cost:
+            best = best_of(scored).copy()
         trace.total_fe += record["fe_used"]
         best_fitness = _fitness_of(best.cost, reference_value)
         trace.iterations.append(dict(record, iteration=index, best_cost=best.cost,
@@ -230,7 +230,7 @@ def chm_run(config: ChmConfig, objective_fn, bounds: Bounds,
                                                      bounds, fit_stream)
         except NonFiniteValue as exc:
             raise EvaluationAborted("fit", winner.method, exc) from exc
-        fit_best = fitted.best_cost()
+        fit_best = best_of(fitted).cost
         carryover = fit_best < winner.best_cost
         # the best-so-far is read from the fitted population even when it is
         # not carried over: elitism guarantees fit_best <= pre-fit best <=

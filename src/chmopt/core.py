@@ -1,9 +1,9 @@
-"""Shared domain types: individuals, populations, budgeted objectives, metrics, RNG,
-and the aligned text-table formatter.
+"""Shared domain types: individuals, budgeted objectives, metrics, RNG, and the
+aligned text-table formatter.
 
-Positions are plain lists of floats. Keeping the evaluation path free of array
-machinery matters here: a full benchmark sweep makes tens of millions of
-two-dimensional objective calls.
+Positions are plain lists of floats, populations plain lists of individuals.
+Keeping the evaluation path free of array machinery matters here: a full
+benchmark sweep makes tens of millions of two-dimensional objective calls.
 """
 from __future__ import annotations
 
@@ -115,52 +115,9 @@ class Individual:
         return f"Individual({self.position!r}, cost={self.cost!r})"
 
 
-class Population:
-    """Fixed-size ordered collection of individuals sharing one dimension."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Sequence[Individual]):
-        members = list(members)
-        if not members:
-            raise ValueError("population cannot be empty")
-        dim = len(members[0].position)
-        for m in members:
-            if len(m.position) != dim:
-                raise ValueError("all members must share one dimension")
-        self.members = members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.members[0].position)
-
-    def best(self) -> Individual:
-        best = None
-        for m in self.members:
-            if m.cost is None:
-                raise ValueError("population has unevaluated members")
-            if best is None or m.cost < best.cost:
-                best = m
-        return best
-
-    def best_cost(self) -> float:
-        return self.best().cost
-
-    def copy(self) -> "Population":
-        return Population([m.copy() for m in self.members])
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
+def best_of(members: Sequence[Individual]) -> Individual:
+    """The first member of lowest cost; every member must be evaluated."""
+    return min(members, key=lambda m: m.cost)
 
 
 class BudgetedObjective:
@@ -238,7 +195,7 @@ def euclidean_distance(x: Vector, x0: Vector) -> float:
 
 
 def population_std(values) -> float:
-    """Population standard deviation of a non-empty sequence."""
+    """Standard deviation of a non-empty sequence, divided by its length."""
     n = len(values)
     mean = sum(values) / n
     return (sum((v - mean) ** 2 for v in values) / n) ** 0.5
@@ -266,15 +223,17 @@ def random_position(bounds: Bounds, rng: random.Random) -> list[float]:
     return [rng.uniform(lo, hi) for lo, hi in bounds]
 
 
-def random_population(size: int, bounds: Bounds, rng: random.Random) -> Population:
+def random_population(size: int, bounds: Bounds, rng: random.Random) -> list[Individual]:
     """Uniform random population within the box, costs unset."""
     check_fields({"size": size}, {"size": 1})
-    return Population([Individual(random_position(bounds, rng)) for _ in range(size)])
+    if not bounds:
+        raise ValueError("bounds must have at least one dimension")
+    return [Individual(random_position(bounds, rng)) for _ in range(size)]
 
 
-def evaluate_population(pop: Population, obj: BudgetedObjective) -> Population:
+def evaluate_population(pop: list[Individual], obj: BudgetedObjective) -> list[Individual]:
     """Fill in costs for members that do not have one yet, as one batch."""
-    pending = [m for m in pop.members if m.cost is None]
+    pending = [m for m in pop if m.cost is None]
     values = obj.evaluate_many([m.position for m in pending])
     for m, value in zip(pending, values):
         m.cost = value

@@ -3,10 +3,10 @@
 An optimizer is its parameters: each class is a frozen dataclass whose
 fields are the method's settings, checked when it is built, and
 ``make_optimizer(name, **overrides)`` builds one. Every optimizer runs
-through ``InnerOptimizer.run``: it takes a Population and a
-BudgetedObjective, evolves until the budget is exhausted, and returns a
-Population of the same size. The objective keeps the best point it
-evaluates; the base ``run`` owns the budget guard, starts that best at the
+through ``InnerOptimizer.run``: it takes a list of individuals and a
+BudgetedObjective, evolves a copy until the budget is exhausted, and returns a
+list of the same size. The objective keeps the best point it evaluates; the
+base ``run`` owns the shape checks and budget guard, starts that best at the
 incoming population's and does the elitist finalize. A method only writes
 ``_evolve(members, obj, bounds, rng)``, which leaves in ``members`` the
 population to return (PSO its personal bests, SA its chain bests). The hot
@@ -48,8 +48,8 @@ from .core import (
     BudgetedObjective,
     Bounds,
     Individual,
-    Population,
     SeededRng,
+    best_of,
     check_fields,
     clamp_to_bounds,
     random_position,
@@ -107,7 +107,7 @@ def _widths(bounds: Bounds) -> list[float]:
 
 
 class InnerOptimizer:
-    """Base class: budget guard, elitist finalization.
+    """Base class: shape checks, budget guard, elitist finalization.
 
     A subclass is a frozen dataclass whose fields are its parameters, each
     rule checked by one ``check_fields`` call. It sets ``name`` (a plain
@@ -115,24 +115,30 @@ class InnerOptimizer:
 
     name = "?"
 
-    def run(self, pop: Population, obj: BudgetedObjective, bounds: Bounds,
-            rng: SeededRng) -> Population:
-        """Evolve a copy of ``pop`` until ``obj``'s budget is spent.
+    def run(self, pop: list[Individual], obj: BudgetedObjective, bounds: Bounds,
+            rng: SeededRng) -> list[Individual]:
+        """Evolve a copy of ``pop`` until ``obj``'s budget is spent; ``pop``
+        itself is never modified.
 
         The returned population is fixed by the inputs and the state of
         ``rng`` on entry. The state ``rng`` is left in is not: a batch drawn
         in full may be evaluated only in part. Callers derive a fresh stream
-        for every run. ``obj``'s best point on entry is replaced by the
-        first lowest member of ``pop``.
+        for every run. ``obj``'s best point on entry is replaced by the first
+        lowest member of ``pop``.
         """
+        if not pop:
+            raise ValueError("population cannot be empty")
+        if not bounds:
+            raise ValueError("bounds must have at least one dimension")
+        for m in pop:  # the loops pair coordinates and bounds by zip
+            if len(m.position) != len(bounds):
+                raise ValueError(f"dimension mismatch: {len(m.position)} vs {len(bounds)} bounds")
+        members = [m.copy() for m in pop]
         if obj.remaining <= 0:
-            return pop.copy()
-        if any(m.cost is None for m in pop.members):
+            return members
+        if any(m.cost is None for m in members):
             raise ValueError("optimizers require an evaluated incoming population")
-        if len(bounds) != pop.dimension:  # the loops pair coordinates and bounds by zip
-            raise ValueError(f"dimension mismatch: {pop.dimension} vs {len(bounds)} bounds")
-        members = [m.copy() for m in pop.members]
-        best = min(members, key=lambda m: m.cost)
+        best = best_of(members)
         obj.best_cost, obj.best_position = best.cost, list(best.position)
         try:
             self._evolve(members, obj, bounds, rng)
@@ -143,7 +149,7 @@ class InnerOptimizer:
         if obj.best_cost < min(m.cost for m in members):
             worst = max(range(len(members)), key=lambda i: members[i].cost)
             members[worst] = Individual(obj.best_position, obj.best_cost)
-        return Population(members)
+        return members
 
     def _evolve(self, members, obj, bounds, rng):  # pragma: no cover
         raise NotImplementedError
@@ -169,7 +175,7 @@ class ParticleSwarm(InnerOptimizer):
         v_max = [self.v_max_fraction * w for w in _widths(bounds)]
         x = [list(m.position) for m in pbest]
         velocity = [[0.0] * len(x[0]) for _ in pbest]
-        gbest = min(pbest, key=lambda m: m.cost)
+        gbest = best_of(pbest)
         while obj.remaining > 0:
             for i in range(len(x)):
                 r1 = random()
@@ -191,7 +197,7 @@ class ParticleSwarm(InnerOptimizer):
 
 @dataclass(frozen=True)
 class SimulatedAnnealing(InnerOptimizer):
-    """Population of independent annealing chains, one per individual.
+    """Independent annealing chains, one per individual of the population.
 
     The initial temperature defaults to the incoming population's cost spread,
     cooling is geometric per sweep. Exports each chain's best visited point.

@@ -21,6 +21,7 @@ from chmopt.core import (  # noqa: E402
     BudgetedObjective,
     NonFiniteValue,
     SeededRng,
+    best_of,
     evaluate_population,
     random_population,
 )
@@ -57,21 +58,21 @@ def run_segmented_mirror(optimizer, objective_fn, bounds, seed, *, iterations,
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     pop = random_population(population_size, bounds, rng.derive(INIT_STREAM))
     evaluate_population(pop, BudgetedObjective(objective_fn, population_size))
-    best = pop.best().copy()
+    best = best_of(pop).copy()
     history = [abs(best.cost - reference_value)]
     best_costs = []
     for iteration in range(1, iterations + 1):
         probe_obj = BudgetedObjective(objective_fn, maxfe_probing)
-        probed = optimizer.run(pop.copy(), probe_obj, bounds,
+        probed = optimizer.run([m.copy() for m in pop], probe_obj, bounds,
                                rng.derive(PROBE_STREAM, iteration, 0))
-        pre_fit_best = probed.best_cost()
+        pre_fit_best = best_of(probed).cost
         fit_obj = BudgetedObjective(objective_fn, maxfe_fit)
         fitted = optimizer.run(probed, fit_obj, bounds,
                                rng.derive(FIT_STREAM, iteration))
-        fit_best = fitted.best_cost()
+        fit_best = best_of(fitted).cost
         pop = fitted if fit_best < pre_fit_best else probed
         if fit_best < best.cost:
-            best = fitted.best().copy()
+            best = best_of(fitted).copy()
         best_costs.append(best.cost)
         history.append(abs(best.cost - reference_value))
         if check_convergence(history, epsilon, patience):

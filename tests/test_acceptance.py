@@ -18,6 +18,7 @@ from chmopt.chm import ChmConfig, chm_run
 from chmopt.core import (
     BudgetedObjective,
     SeededRng,
+    best_of,
     evaluate_population,
     random_population,
 )
@@ -173,10 +174,10 @@ def test_criterion_6_elitism_monotonicity(full_results):
                 rng = SeededRng(seed)
                 pop = random_population(6, spec.bounds, rng.derive("init"))
                 evaluate_population(pop, BudgetedObjective(spec.formula, 6))
-                before = pop.best_cost()
+                before = best_of(pop).cost
                 out = optimizer.run(pop, BudgetedObjective(spec.formula, 150),
                                     spec.bounds, rng.derive("run"))
-                if out.best_cost() > before:
+                if best_of(out).cost > before:
                     violations += 1
     result, _, _ = full_results
     trace_violations = 0

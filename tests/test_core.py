@@ -9,7 +9,6 @@ from chmopt.core import (
     BudgetedObjective,
     Individual,
     NonFiniteValue,
-    Population,
     SeededRng,
     clamp_to_bounds,
     euclidean_distance,
@@ -181,28 +180,15 @@ class TestSeededRng:
 
 
 class TestPopulation:
-    def test_dimension_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Population([Individual([1.0]), Individual([1.0, 2.0])])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Population([])
-
     def test_copy_is_bit_exact_and_independent(self):
         rng = SeededRng(2)
         pop = random_population(8, [(-5.0, 5.0)] * 3, rng)
         evaluate_population(pop, BudgetedObjective(sphere, 8))
-        twin = pop.copy()
+        twin = [m.copy() for m in pop]
         assert [m.position for m in twin] == [m.position for m in pop]
         assert [m.cost for m in twin] == [m.cost for m in pop]
-        twin.members[0].position[0] = 123.0
-        assert pop.members[0].position[0] != 123.0
-
-    def test_best_requires_costs(self):
-        pop = random_population(3, [(-1.0, 1.0)], SeededRng(0))
-        with pytest.raises(ValueError):
-            pop.best()
+        twin[0].position[0] = 123.0
+        assert pop[0].position[0] != 123.0
 
     @pytest.mark.parametrize("size", [0, 2.5, True, "3"])
     def test_random_population_size_checked(self, size):
@@ -218,13 +204,13 @@ class TestPopulation:
                 assert lo <= v <= hi
 
     def test_evaluate_population_fills_what_the_budget_allows(self):
-        pop = Population([Individual([float(i)]) for i in range(4)])
+        pop = [Individual([float(i)]) for i in range(4)]
         with pytest.raises(BudgetExhausted):
             evaluate_population(pop, BudgetedObjective(sphere, 2))
         assert [m.cost for m in pop] == [0.0, 1.0, None, None]
 
     def test_evaluate_population_fills_missing_only(self):
-        pop = Population([Individual([1.0], cost=5.0), Individual([2.0])])
+        pop = [Individual([1.0], cost=5.0), Individual([2.0])]
         calls = []
 
         def fn(x):
@@ -233,8 +219,8 @@ class TestPopulation:
 
         evaluate_population(pop, BudgetedObjective(fn, 10))
         assert calls == [[2.0]]
-        assert pop.members[0].cost == 5.0
-        assert pop.members[1].cost == 4.0
+        assert pop[0].cost == 5.0
+        assert pop[1].cost == 4.0
 
 
 def test_deterministic_trajectories_same_seed():

@@ -13,12 +13,13 @@ from chmopt.core import (
     BudgetedObjective,
     Individual,
     NonFiniteValue,
-    Population,
     SeededRng,
+    best_of,
     evaluate_population,
     random_population,
 )
-from chmopt.harness import ExperimentPlan, run_cell
+from chmopt.chm import chm_run
+from chmopt.harness import ExperimentPlan, run_cell, run_method
 from chmopt.optimizers import (
     OPTIMIZER_CLASSES,
     OPTIMIZER_NAMES,
@@ -35,7 +36,8 @@ from chmopt.optimizers import (
     sa_accept,
 )
 
-from conftest import TableObjective, evaluation_batches, sequential_evaluations, sphere
+from conftest import (TableObjective, evaluation_batches, quiet_config, sequential_evaluations,
+                      sphere)
 from optimizer_reference import REFERENCE_CLASSES, tumble_direction
 
 
@@ -192,7 +194,7 @@ def test_run_starts_the_best_at_the_incoming_population(kind):
     fresh = BudgetedObjective(far_better_outside_the_box, 60)
     outs = [make_optimizer(kind).run(pop, obj, bounds, SeededRng(41)) for obj in (used, fresh)]
     assert [(m.position, m.cost) for m in outs[0]] == [(m.position, m.cost) for m in outs[1]]
-    assert used.used == used.cap and outs[0].best_cost() >= 0.0
+    assert used.used == used.cap and best_of(outs[0]).cost >= 0.0
 
 
 class TestGaBehaviour:
@@ -205,7 +207,7 @@ class TestGaBehaviour:
 
     def test_two_member_tournament_prefers_better(self):
         bounds = [(-5.0, 5.0)]
-        pop = Population([Individual([2.0], cost=4.0), Individual([1.0], cost=1.0)])
+        pop = [Individual([2.0], cost=4.0), Individual([1.0], cost=1.0)]
         opt = make_optimizer("ga", mutation_rate=0.0, crossover_rate=0.0, elitism=0)
         out = opt.run(pop, BudgetedObjective(sphere, 100), bounds, SeededRng(5))
         # without crossover or mutation every child is the tournament winner
@@ -220,11 +222,11 @@ class TestGaBehaviour:
         bounds = [(-5.0, 5.0)] * 2
         pop = evaluated_population(6, bounds, 4)
         if collapsed:
-            pop = Population([pop.best().copy() for _ in range(6)])
+            pop = [best_of(pop).copy() for _ in range(6)]
         obj = BudgetedObjective(sphere, 200)
         with deadline(10):
             out = make_optimizer("ga", **overrides).run(pop, obj, bounds, SeededRng(9))
-        assert out.best_cost() <= pop.best_cost()
+        assert best_of(out).cost <= best_of(pop).cost
         assert obj.used <= 200
 
     def test_member_outside_the_box_is_not_stalled(self):
@@ -246,7 +248,7 @@ class TestGaBehaviour:
         with deadline(10):
             out = opt.run(pop, obj, bounds, SeededRng(9))
         assert obj.used == 0
-        assert out.best_cost() <= pop.best_cost()
+        assert best_of(out).cost <= best_of(pop).cost
 
     @settings(max_examples=150, deadline=None)
     @given(size=st.integers(1, 8), collapsed=st.booleans(),
@@ -260,7 +262,7 @@ class TestGaBehaviour:
         bounds = [(-5.0, 5.0)] * 2
         pop = evaluated_population(size, bounds, seed)
         if collapsed:
-            pop = Population([pop.best().copy() for _ in range(size)])
+            pop = [best_of(pop).copy() for _ in range(size)]
         opt = make_optimizer("ga", tournament_size=tournament_size, elitism=elitism,
                              crossover_rate=crossover_rate, mutation_rate=mutation_rate)
         obj = BudgetedObjective(sphere, budget)
@@ -268,7 +270,7 @@ class TestGaBehaviour:
             out = opt.run(pop, obj, bounds, SeededRng(seed))
         assert obj.used <= budget
         assert len(out) == size
-        assert out.best_cost() <= pop.best_cost()
+        assert best_of(out).cost <= best_of(pop).cost
 
     def test_plan_override_without_new_points_terminates(self):
         plan = ExperimentPlan(functions=("matyas",), methods=("ga",), repetitions=1,
@@ -353,10 +355,10 @@ class TestRunContracts:
     bounds = [(-4.0, 4.0)] * 2
 
     def test_already_at_optimum_stays(self, kind):
-        pop = Population([Individual([0.0, 0.0], cost=0.0) for _ in range(6)])
+        pop = [Individual([0.0, 0.0], cost=0.0) for _ in range(6)]
         out = make_optimizer(kind).run(pop, BudgetedObjective(sphere, 120),
                                        self.bounds, SeededRng(1))
-        assert out.best_cost() == 0.0
+        assert best_of(out).cost == 0.0
 
     def test_used_equals_cap_when_budget_small(self, kind):
         pop = evaluated_population(8, self.bounds, 2)
@@ -366,10 +368,17 @@ class TestRunContracts:
 
     def test_bounds_of_another_dimension_rejected(self, kind):
         pop = evaluated_population(5, self.bounds, 4)
-        for bounds in (self.bounds[:1], self.bounds * 2):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                make_optimizer(kind).run(pop, BudgetedObjective(sphere, 10), bounds,
-                                         SeededRng(5))
+        # every member is checked, not only the first
+        ragged = pop[:-1] + [Individual([1.0, 1.0, 1.0], cost=3.0)]
+        cases = [(pop, self.bounds[:1], "dimension mismatch: 2 vs 1 bounds"),
+                 (pop, self.bounds * 2, "dimension mismatch: 2 vs 4 bounds"),
+                 (ragged, self.bounds, "dimension mismatch: 3 vs 2 bounds"),
+                 ([], self.bounds, "population cannot be empty")]
+        for members, bounds, message in cases:
+            for cap in (10, 0):  # also before the zero-budget return
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    make_optimizer(kind).run(members, BudgetedObjective(sphere, cap), bounds,
+                                             SeededRng(5))
 
     def test_unevaluated_population_rejected(self, kind):
         pop = random_population(5, self.bounds, SeededRng(4))
@@ -390,13 +399,13 @@ class TestRunContracts:
             for seed in range(10):
                 pop = random_population(6, spec.bounds, SeededRng(seed))
                 evaluate_population(pop, BudgetedObjective(spec.formula, 6))
-                before = pop.best_cost()
+                before = best_of(pop).cost
                 obj = BudgetedObjective(spec.formula, 90)
                 out = make_optimizer(kind).run(pop, obj, spec.bounds,
                                                SeededRng(seed + 1000))
-                assert out.best_cost() <= before
+                assert best_of(out).cost <= before
                 assert obj.used <= obj.cap
-                assert out.size == pop.size
+                assert len(out) == len(pop)
 
     def test_outputs_within_bounds(self, kind):
         spec = get_benchmark("eggcrate")
@@ -423,6 +432,28 @@ class TestRunContracts:
         make_optimizer(kind).run(pop, BudgetedObjective(sphere, 80),
                                  self.bounds, SeededRng(31))
         assert [(tuple(m.position), m.cost) for m in pop] == snapshot
+
+
+@pytest.mark.parametrize("entry", [*OPTIMIZER_NAMES, "chm_run", "run_method"])
+def test_bounds_with_no_dimension_rejected(entry):
+    # with no dimension DE's j_rand redraw and BFO's tumble never ended, GA
+    # divided by zero, and chm_run evaluated empty points before it failed
+    calls = []
+
+    def fn(x):
+        calls.append(list(x))
+        return 0.0
+
+    with deadline(5), pytest.raises(ValueError,
+                                    match="^bounds must have at least one dimension$"):
+        if entry == "chm_run":
+            chm_run(quiet_config(), fn, [], 1)
+        elif entry == "run_method":
+            run_method("de", fn, [], 1, quiet_config())
+        else:
+            pop = [Individual([], cost=0.0) for _ in range(4)]
+            make_optimizer(entry).run(pop, BudgetedObjective(fn, 50), [], SeededRng(1))
+    assert calls == []
 
 
 def _open_unit(**kw):
@@ -459,7 +490,7 @@ def test_any_params_keep_run_contracts(kind, data, size, collapsed, budget, seed
     bounds = [(-5.0, 5.0)] * 2
     pop = evaluated_population(size, bounds, seed)
     if collapsed:
-        pop = Population([pop.best().copy() for _ in range(size)])
+        pop = [best_of(pop).copy() for _ in range(size)]
     snapshot = [(tuple(m.position), m.cost) for m in pop]
     opt = make_optimizer(kind, **data.draw(PARAM_STRATEGIES[kind]))
     obj = BudgetedObjective(sphere, budget)
@@ -467,7 +498,7 @@ def test_any_params_keep_run_contracts(kind, data, size, collapsed, budget, seed
         out = opt.run(pop, obj, bounds, SeededRng(seed))
     assert obj.used <= budget
     assert len(out) == size
-    assert out.best_cost() <= pop.best_cost()
+    assert best_of(out).cost <= best_of(pop).cost
     for m in out:
         assert all(lo <= v <= hi for v, (lo, hi) in zip(m.position, bounds))
         assert m.cost == sphere(m.position)
@@ -489,16 +520,16 @@ def test_de_regression_anchor_on_matyas():
     evaluate_population(pop, BudgetedObjective(spec.formula, 20))
     obj = BudgetedObjective(spec.formula, 600)
     out = make_optimizer("de").run(pop, obj, spec.bounds, rng.derive("run"))
-    best_fitness = abs(out.best_cost() - spec.reference_value)
+    best_fitness = abs(best_of(out).cost - spec.reference_value)
     assert best_fitness < 1e-3
-    assert out.best_cost() == pytest.approx(3.291408095344954e-09, rel=1e-9)
+    assert best_of(out).cost == pytest.approx(3.291408095344954e-09, rel=1e-9)
     assert obj.used == 600
 
 
 def test_population_transfer_round_trip():
     # export -> import preserves positions bit-exactly and order
     pop = evaluated_population(9, [(-2.0, 2.0)] * 2, 77)
-    transferred = Population([m.copy() for m in pop.members])
+    transferred = [m.copy() for m in pop]
     assert [m.position for m in transferred] == [m.position for m in pop]
     assert [m.cost for m in transferred] == [m.cost for m in pop]
 
@@ -613,7 +644,7 @@ def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed,
               for lo in (init_rng.uniform(-10.0, 0.0) for _ in range(dim))]
     pop = evaluated_population(size, bounds, seed + 1, _ProbeObjective(coarse))
     if collapsed:
-        pop = Population([pop.best().copy() for _ in range(size)])
+        pop = [best_of(pop).copy() for _ in range(size)]
     outcomes = []
     for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
         rng = SeededRng(seed + 2)
@@ -633,7 +664,7 @@ def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed,
 def test_inline_gauss_keeps_signed_zero(kind, overrides):
     # gauss returns mu + z * sigma: with mu = 0.0 a step of z = -0.0 moves -0.0
     # to 0.0, which a bare z * sigma would not
-    pop = Population([Individual([-0.0], cost=1.0)])
+    pop = [Individual([-0.0], cost=1.0)]
     outcomes = []
     for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
         rng = SeededRng(0)
