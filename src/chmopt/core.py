@@ -11,6 +11,7 @@ import hashlib
 import math
 import numbers
 import random
+from math import isfinite
 from typing import Callable, Sequence
 
 Vector = Sequence[float]
@@ -144,7 +145,7 @@ class BudgetedObjective:
             raise BudgetExhausted(f"evaluation budget of {self.cap} exhausted")
         self.used += 1
         value = self.fn(x)
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise NonFiniteValue(x, value)
         if value < self.best_cost:
             self.best_cost = value
@@ -164,9 +165,24 @@ class BudgetedObjective:
         """
         points = points[:self.cap - self.used]
         batch = getattr(self.fn, "evaluate_many", None)
-        if batch is None:
-            evaluate = self.evaluate
-            return [evaluate(x) for x in points]
+        if batch is None:  # the body of evaluate, without a call per point
+            fn = self.fn
+            used = self.used
+            best = self.best_cost
+            values = []
+            try:  # used counts every call made, one that raises included
+                for x in points:
+                    used += 1
+                    value = fn(x)
+                    if not isfinite(value):
+                        raise NonFiniteValue(x, value)
+                    if value < best:
+                        self.best_cost = best = value
+                        self.best_position = list(x)
+                    values.append(value)
+            finally:
+                self.used = used
+            return values
         start = self.used
         self.used += len(points)
         values = batch(points) if points else []
@@ -223,11 +239,20 @@ def random_position(bounds: Bounds, rng: random.Random) -> list[float]:
     return [rng.uniform(lo, hi) for lo, hi in bounds]
 
 
+def check_bounds(bounds: Bounds) -> None:
+    """Raises a ValueError unless ``bounds`` has at least one dimension and
+    each (low, high) pair is finite with low <= high (a zero width is fine)."""
+    if not bounds:
+        raise ValueError("bounds must have at least one dimension")
+    for i, (lo, hi) in enumerate(bounds):
+        if not (isfinite(lo) and isfinite(hi) and lo <= hi):
+            raise ValueError(f"bounds[{i}] must be finite with low <= high, got {(lo, hi)!r}")
+
+
 def random_population(size: int, bounds: Bounds, rng: random.Random) -> list[Individual]:
     """Uniform random population within the box, costs unset."""
     check_fields({"size": size}, {"size": 1})
-    if not bounds:
-        raise ValueError("bounds must have at least one dimension")
+    check_bounds(bounds)
     return [Individual(random_position(bounds, rng)) for _ in range(size)]
 
 

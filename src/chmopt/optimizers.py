@@ -26,11 +26,17 @@ and ``getrandbits(n.bit_length())`` calls in the same order without a Python
 frame per draw. A loop holding ``gauss``'s cached second value in a local
 ``spare`` writes it back to ``rng.gauss_next`` before it evaluates or raises,
 so the generator's state is ``rng.gauss``'s at every point a caller can see.
-``tests/optimizer_reference.py`` keeps the loops that call the helpers, and a
-test holds the two to identical populations, counts and RNG states. Auxiliary
-state (velocities, temperatures, bacterial health) is rebuilt from the
-incoming population and the RNG on every call, so populations transfer
-between methods without hidden baggage.
+The updates are written into the loops too, with no call per particle, child
+or bacterium: the PSO velocity update, the GA's two-pick tournament over at
+most 21 members (``_lowest_of_sample`` draws any other) and its blend
+crossover, and BFO chemotaxis. Their short per-child lists are built by
+append loops, as a comprehension costs a frame on 3.11.
+``tests/optimizer_reference.py`` keeps the loops that call the helpers,
+``pso_velocity_update``, ``blend_crossover`` and ``tumble_direction`` among
+them, and a test holds the two to identical populations, counts and RNG
+states. Auxiliary state (velocities, temperatures, bacterial health) is
+rebuilt from the incoming population and the RNG on every call, so
+populations transfer between methods without hidden baggage.
 
 Two guarantees hold for all five methods:
   * budget: the objective's counter never exceeds its cap;
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import cos, log, sin, sqrt, tau
+from operator import attrgetter
 
 from .core import (
     BudgetExhausted,
@@ -50,6 +57,7 @@ from .core import (
     Individual,
     SeededRng,
     best_of,
+    check_bounds,
     check_fields,
     clamp_to_bounds,
     random_position,
@@ -57,22 +65,8 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# elemental update rules, exposed for direct testing
-
-
-def pso_velocity_update(v, x, pbest, gbest, swarm: ParticleSwarm,
-                        r1: float, r2: float, v_max=None) -> list[float]:
-    """Inertia + cognitive + social pull, clipped per dimension to +-v_max."""
-    out = []
-    for d in range(len(v)):
-        nv = (swarm.inertia * v[d]
-              + swarm.cognitive * r1 * (pbest[d] - x[d])
-              + swarm.social * r2 * (gbest[d] - x[d]))
-        if v_max is not None:
-            cap = v_max[d]
-            nv = -cap if nv < -cap else cap if nv > cap else nv
-        out.append(nv)
-    return out
+# update rules the loops call, exposed for direct testing; the loops inline
+# the PSO velocity update and the GA blend (tests/optimizer_reference.py)
 
 
 def sa_accept(delta_cost: float, temperature: float, u: float) -> bool:
@@ -80,12 +74,6 @@ def sa_accept(delta_cost: float, temperature: float, u: float) -> bool:
     if delta_cost <= 0.0:
         return True
     return u < math.exp(-delta_cost / temperature)
-
-
-def blend_crossover(p1, p2, draws) -> list[float]:
-    """Per-dimension interpolation child: p1 + u*(p2-p1), one draw u per
-    dimension (the GA draws u ~ U(-blend_alpha, 1 + blend_alpha))."""
-    return [a + u * (b - a) for a, b, u in zip(p1, p2, draws)]
 
 
 def bfo_reproduce(members: list[Individual]) -> list[Individual]:
@@ -128,8 +116,7 @@ class InnerOptimizer:
         """
         if not pop:
             raise ValueError("population cannot be empty")
-        if not bounds:
-            raise ValueError("bounds must have at least one dimension")
+        check_bounds(bounds)
         for m in pop:  # the loops pair coordinates and bounds by zip
             if len(m.position) != len(bounds):
                 raise ValueError(f"dimension mismatch: {len(m.position)} vs {len(bounds)} bounds")
@@ -172,6 +159,7 @@ class ParticleSwarm(InnerOptimizer):
     def _evolve(self, pbest, obj, bounds, rng):
         evaluate = obj.evaluate
         random = rng.random
+        inertia, cognitive, social = self.inertia, self.cognitive, self.social
         v_max = [self.v_max_fraction * w for w in _widths(bounds)]
         x = [list(m.position) for m in pbest]
         velocity = [[0.0] * len(x[0]) for _ in pbest]
@@ -180,13 +168,17 @@ class ParticleSwarm(InnerOptimizer):
             for i in range(len(x)):
                 r1 = random()
                 r2 = random()
-                velocity[i] = pso_velocity_update(
-                    velocity[i], x[i], pbest[i].position, gbest.position, self,
-                    r1, r2, v_max)
-                moved = []
-                for xv, vv, (lo, hi) in zip(x[i], velocity[i], bounds):
+                # inertia + cognitive + social pull, clipped per dimension to
+                # +-v_max, then the move, clamped to the box
+                v_new, moved = [], []
+                for xv, vv, p, g, cap, (lo, hi) in zip(x[i], velocity[i], pbest[i].position,
+                                                       gbest.position, v_max, bounds):
+                    vv = inertia * vv + cognitive * r1 * (p - xv) + social * r2 * (g - xv)
+                    vv = -cap if vv < -cap else cap if vv > cap else vv
+                    v_new.append(vv)
                     xv += vv
                     moved.append(lo if xv < lo else hi if xv > hi else xv)
+                velocity[i] = v_new
                 c = evaluate(moved)
                 x[i] = moved
                 if c < pbest[i].cost:
@@ -259,11 +251,14 @@ class SimulatedAnnealing(InnerOptimizer):
             temperature = max(temperature * self.cooling, 1e-12)
 
 
+_SAMPLE_POOL = 21  # random.sample's set size for up to 5 picks
+
+
 def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
     """``min(random.sample(range(n), k))``, drawn with exactly the ``getrandbits``
     calls ``random.sample`` makes: each ``randbelow(m)`` draws
     ``m.bit_length()`` bits until the value is below ``m``."""
-    setsize = 21
+    setsize = _SAMPLE_POOL
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n > setsize:
@@ -278,18 +273,6 @@ def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
         return min(selected)
     # pool path: draw i picks slot j of the n - i unpicked indices, and the
     # index in the last unpicked slot moves into slot j
-    if k == 2:
-        # the default tournament: the second pick is j1, or n - 1 when j1 is
-        # the first pick's slot; either way the lower draw is the lowest pick
-        bits = n.bit_length()
-        first = getrandbits(bits)
-        while first >= n:
-            first = getrandbits(bits)
-        bits = (n - 1).bit_length()
-        second = getrandbits(bits)
-        while second >= n - 1:
-            second = getrandbits(bits)
-        return first if first < second else second
     pool = list(range(n))
     lowest = n
     for i in range(k):
@@ -327,38 +310,65 @@ class GeneticAlgorithm(InnerOptimizer):
         random = rng.random
         getrandbits = rng.getrandbits
         size = len(members)
-        dims = range(len(members[0].position))
-        mutation_rate = self.mutation_rate if self.mutation_rate is not None else 1.0 / len(dims)
+        mutation_rate = self.mutation_rate if self.mutation_rate is not None else 1.0 / len(bounds)
         sigma = [self.mutation_sigma_fraction * w for w in _widths(bounds)]
         n_pick = min(self.tournament_size, size)
+        # the default tournament over a pool-sized population draws inline
+        pair_pool = n_pick == 2 and size <= _SAMPLE_POOL
+        first_bits, second_bits, last = size.bit_length(), (size - 1).bit_length(), size - 1
         n_elite = min(self.elitism, size)
         crossover_rate = self.crossover_rate
+        by_cost = attrgetter("cost")
         # rng.uniform(low, high) is low + (high - low) * random()
         draw_low = -self.blend_alpha
         draw_span = (1.0 + self.blend_alpha) - draw_low
         idle = 0  # children drawn since the last evaluation
         while obj.remaining > 0:
             used = obj.used
-            ranked = sorted(members, key=lambda m: m.cost)
+            ranked = sorted(members, key=by_cost)
             next_gen = [ranked[i].copy() for i in range(n_elite)]
             # a generation's draws do not depend on its children's costs: draw
             # every child first; an untouched clone keeps its parent's cost
             children, points = [], []
             spare = rng.gauss_next
             for _ in range(size - n_elite):
-                # ranked is sorted by cost: the lowest index wins a tournament
-                parent1 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
-                if random() < crossover_rate:
-                    parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
-                    child = blend_crossover(parent1.position, parent2.position,
-                                            [draw_low + draw_span * random() for _ in dims])
+                # ranked is sorted by cost: the lowest index wins a tournament.
+                # Two picks from the pool: the second is slot j1, or size - 1
+                # when j1 is the first pick's slot; either way the lower draw
+                # is the lowest pick
+                if pair_pool:  # _lowest_of_sample(getrandbits, size, 2), inline
+                    first = getrandbits(first_bits)
+                    while first >= size:
+                        first = getrandbits(first_bits)
+                    second = getrandbits(second_bits)
+                    while second >= last:
+                        second = getrandbits(second_bits)
+                    parent1 = ranked[first if first < second else second]
                 else:
-                    child = list(parent1.position)
+                    parent1 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
+                if random() < crossover_rate:
+                    if pair_pool:
+                        first = getrandbits(first_bits)
+                        while first >= size:
+                            first = getrandbits(first_bits)
+                        second = getrandbits(second_bits)
+                        while second >= last:
+                            second = getrandbits(second_bits)
+                        parent2 = ranked[first if first < second else second]
+                    else:
+                        parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
+                    # blend: one draw u ~ U(-blend_alpha, 1 + blend_alpha) per
+                    # dimension, the child p1 + u * (p2 - p1)
+                    genes = []
+                    for a, b in zip(parent1.position, parent2.position):
+                        genes.append(a + (draw_low + draw_span * random()) * (b - a))
+                else:
+                    genes = parent1.position
+                child = []
                 mutated = False
-                for d, (lo, hi) in enumerate(bounds):
-                    v = child[d]
+                for v, s, (lo, hi) in zip(genes, sigma, bounds):
                     if random() < mutation_rate:
-                        if spare is None:  # rng.gauss(0.0, sigma[d]), inline
+                        if spare is None:  # rng.gauss(0.0, s), inline
                             x2pi = random() * tau
                             g2rad = sqrt(-2.0 * log(1.0 - random()))
                             z = cos(x2pi) * g2rad
@@ -366,9 +376,9 @@ class GeneticAlgorithm(InnerOptimizer):
                         else:
                             z = spare
                             spare = None
-                        v += 0.0 + z * sigma[d]
+                        v += 0.0 + z * s
                         mutated = True
-                    child[d] = lo if v < lo else hi if v > hi else v
+                    child.append(lo if v < lo else hi if v > hi else v)
                 if not mutated and child == parent1.position:
                     children.append((child, parent1.cost))  # no budget spent
                 else:
@@ -499,58 +509,60 @@ class BacterialForaging(InnerOptimizer):
                      reals={"dispersal_probability": "[0, 1]", "step_fraction": "(0, inf)"})
 
     def _evolve(self, members, obj, bounds, rng):
+        evaluate = obj.evaluate
+        random = rng.random
         step = [self.step_fraction * w for w in _widths(bounds)]
+        swims = range(self.swim_length + 1)
+        # chemotaxis_steps passes over the bacteria, in order
+        chemotaxis = [*range(len(members))] * self.chemotaxis_steps
         while obj.remaining > 0:
             for _ in range(self.elimination_dispersal_steps):
                 for _ in range(self.reproduction_steps):
-                    for _ in range(self.chemotaxis_steps):
-                        for i in range(len(members)):
-                            members[i] = self._chemotax(members[i], obj, bounds, rng, step)
+                    for i in chemotaxis:
+                        # one tumble, then up to swim_length swims along the
+                        # same direction while each move improves. The tumble
+                        # is always kept; a swim only when it improves
+                        spare = rng.gauss_next
+                        while True:  # tumble: a uniform random unit vector
+                            direction = []
+                            squares = 0.0  # accumulated left to right: the pins fix this order
+                            for _ in step:
+                                if spare is None:  # rng.gauss(0.0, 1.0), inline
+                                    x2pi = random() * tau
+                                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                                    z = cos(x2pi) * g2rad
+                                    spare = sin(x2pi) * g2rad
+                                else:
+                                    z = spare
+                                    spare = None
+                                g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
+                                direction.append(g)
+                                squares += g * g
+                            norm = sqrt(squares)
+                            if norm > 0.0:
+                                break
+                        rng.gauss_next = spare
+                        delta = []
+                        for s, g in zip(step, direction):
+                            delta.append(s * (g / norm))
+                        bacterium = members[i]
+                        position = bacterium.position
+                        last_cost = bacterium.cost
+                        for swim in swims:
+                            moved = []
+                            for v, dv, (lo, hi) in zip(position, delta, bounds):
+                                v += dv
+                                moved.append(lo if v < lo else hi if v > hi else v)
+                            cost = evaluate(moved)
+                            if swim == 0 or cost < last_cost:
+                                bacterium = Individual(moved, cost)
+                            if cost >= last_cost:
+                                break
+                            last_cost = cost
+                            position = moved
+                        members[i] = bacterium
                     members[:] = bfo_reproduce(members)
                 self._disperse(members, obj, bounds, rng)
-
-    def _chemotax(self, bacterium, obj, bounds, rng, step):
-        """One tumble, then up to ``swim_length`` swims along the same direction
-        while each move improves. The tumble is always kept; a swim only when
-        it improves."""
-        evaluate = obj.evaluate
-        random = rng.random
-        spare = rng.gauss_next
-        while True:  # tumble: a uniform random unit vector
-            direction = []
-            squares = 0.0  # accumulated left to right: the pins fix this order
-            for _ in step:
-                if spare is None:  # rng.gauss(0.0, 1.0), inline
-                    x2pi = random() * tau
-                    g2rad = sqrt(-2.0 * log(1.0 - random()))
-                    z = cos(x2pi) * g2rad
-                    spare = sin(x2pi) * g2rad
-                else:
-                    z = spare
-                    spare = None
-                g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
-                direction.append(g)
-                squares += g * g
-            norm = sqrt(squares)
-            if norm > 0.0:
-                break
-        rng.gauss_next = spare
-        delta = [s * (g / norm) for s, g in zip(step, direction)]
-        position = bacterium.position
-        last_cost = bacterium.cost
-        for swim in range(self.swim_length + 1):
-            moved = []
-            for v, dv, (lo, hi) in zip(position, delta, bounds):
-                v += dv
-                moved.append(lo if v < lo else hi if v > hi else v)
-            cost = evaluate(moved)
-            if swim == 0 or cost < last_cost:
-                bacterium = Individual(moved, cost)
-            if cost >= last_cost:
-                break
-            last_cost = cost
-            position = moved
-        return bacterium
 
     def _disperse(self, members, obj, bounds, rng) -> int:
         """Move each bacterium with the dispersal probability to a uniform

@@ -1,28 +1,52 @@
-"""Reference optimizer loops: every draw through the ``random.Random`` helpers.
+"""Reference optimizer loops: every draw and update through a helper call.
 
-These are the straightforward forms of the SA, GA, DE and BFO loops in
+These are the straightforward forms of the PSO, SA, GA, DE and BFO loops in
 ``chmopt.optimizers``, kept as the oracle their tests compare against. They
 call ``rng.gauss``, ``rng.sample``, ``rng._randbelow`` and ``rng.choice``
 where the library inlines the interpreter's ``gauss`` and
-``_randbelow_with_getrandbits``. Each class subclasses the library's, so it
-takes the same parameter fields and reads them as ``self.<field>``; it only
-replaces the loop, so the budget guard, the best point the objective keeps
-and the elitist finalize are the library's. The inlined loops must
-reproduce every population, evaluation count and RNG state exactly; on an
-interpreter whose ``random.py`` draws differently the comparison fails.
+``_randbelow_with_getrandbits``, and ``pso_velocity_update``,
+``blend_crossover`` and ``tumble_direction`` where the library writes the
+update into its loop. Each class subclasses the library's, so it takes the
+same parameter fields and reads them as ``self.<field>``; it only replaces
+the loop, so the budget guard, the best point the objective keeps and the
+elitist finalize are the library's. The inlined loops must reproduce every
+population, evaluation count and RNG state exactly; on an interpreter whose
+``random.py`` draws differently the comparison fails.
 """
 import math
 
-from chmopt.core import BudgetExhausted, Individual
+from chmopt.core import BudgetExhausted, Individual, best_of, clamp_to_bounds
 from chmopt.optimizers import (
     BacterialForaging,
     DifferentialEvolution,
     GeneticAlgorithm,
+    ParticleSwarm,
     SimulatedAnnealing,
     _widths,
-    blend_crossover,
+    bfo_reproduce,
     sa_accept,
 )
+
+
+def pso_velocity_update(v, x, pbest, gbest, swarm: ParticleSwarm,
+                        r1: float, r2: float, v_max=None) -> list[float]:
+    """Inertia + cognitive + social pull, clipped per dimension to +-v_max."""
+    out = []
+    for d in range(len(v)):
+        nv = (swarm.inertia * v[d]
+              + swarm.cognitive * r1 * (pbest[d] - x[d])
+              + swarm.social * r2 * (gbest[d] - x[d]))
+        if v_max is not None:
+            cap = v_max[d]
+            nv = -cap if nv < -cap else cap if nv > cap else nv
+        out.append(nv)
+    return out
+
+
+def blend_crossover(p1, p2, draws) -> list[float]:
+    """Per-dimension interpolation child: p1 + u*(p2-p1), one draw u per
+    dimension (the GA draws u ~ U(-blend_alpha, 1 + blend_alpha))."""
+    return [a + u * (b - a) for a, b, u in zip(p1, p2, draws)]
 
 
 def tumble_direction(rng, dim: int) -> list[float]:
@@ -52,6 +76,28 @@ def pick_three(size, exclude, rng):
         if j != exclude and j not in picks:
             picks.append(j)
     return picks
+
+
+class ReferenceParticleSwarm(ParticleSwarm):
+    def _evolve(self, pbest, obj, bounds, rng):
+        v_max = [self.v_max_fraction * w for w in _widths(bounds)]
+        x = [list(m.position) for m in pbest]
+        velocity = [[0.0] * len(x[0]) for _ in pbest]
+        gbest = best_of(pbest)
+        while obj.remaining > 0:
+            for i in range(len(x)):
+                r1 = rng.random()
+                r2 = rng.random()
+                velocity[i] = pso_velocity_update(
+                    velocity[i], x[i], pbest[i].position, gbest.position, self,
+                    r1, r2, v_max)
+                moved = clamp_to_bounds([xv + vv for xv, vv in zip(x[i], velocity[i])], bounds)
+                c = obj.evaluate(moved)
+                x[i] = moved
+                if c < pbest[i].cost:
+                    pbest[i] = Individual(moved, c)
+                    if c < gbest.cost:
+                        gbest = pbest[i]
 
 
 class ReferenceSimulatedAnnealing(SimulatedAnnealing):
@@ -168,15 +214,23 @@ class ReferenceDifferentialEvolution(DifferentialEvolution):
 
 
 class ReferenceBacterialForaging(BacterialForaging):
+    def _evolve(self, members, obj, bounds, rng):
+        step = [self.step_fraction * w for w in _widths(bounds)]
+        while obj.remaining > 0:
+            for _ in range(self.elimination_dispersal_steps):
+                for _ in range(self.reproduction_steps):
+                    for _ in range(self.chemotaxis_steps):
+                        for i in range(len(members)):
+                            members[i] = self._chemotax(members[i], obj, bounds, rng, step)
+                    members[:] = bfo_reproduce(members)
+                self._disperse(members, obj, bounds, rng)
+
     def _chemotax(self, bacterium, obj, bounds, rng, step):
         delta = [s * d for s, d in zip(step, tumble_direction(rng, len(step)))]
         position = bacterium.position
         last_cost = bacterium.cost
         for swim in range(self.swim_length + 1):
-            moved = []
-            for v, dv, (lo, hi) in zip(position, delta, bounds):
-                v += dv
-                moved.append(lo if v < lo else hi if v > hi else v)
+            moved = clamp_to_bounds([v + dv for v, dv in zip(position, delta)], bounds)
             cost = obj.evaluate(moved)
             if swim == 0 or cost < last_cost:
                 bacterium = Individual(moved, cost)
@@ -188,6 +242,7 @@ class ReferenceBacterialForaging(BacterialForaging):
 
 
 REFERENCE_CLASSES = {
+    "pso": ReferenceParticleSwarm,
     "sa": ReferenceSimulatedAnnealing,
     "ga": ReferenceGeneticAlgorithm,
     "de": ReferenceDifferentialEvolution,

@@ -137,6 +137,20 @@ def test_evaluate_many_matches_sequential_loop(case):
             assert table.batches == ([prefix] if prefix else [])
 
 
+def test_evaluate_many_counts_a_call_that_raises():
+    # a plain callable's batch counts the call that raised, as evaluate does,
+    # and keeps the best point of the calls before it
+    def fn(x):
+        if x[0] == 2.0:
+            raise ZeroDivisionError
+        return x[0]
+
+    obj = BudgetedObjective(fn, 10)
+    with pytest.raises(ZeroDivisionError):
+        obj.evaluate_many([[3.0], [1.0], [2.0], [0.0]])
+    assert (obj.used, obj.best_cost, obj.best_position) == (3, 1.0, [1.0])
+
+
 class TestClamp:
     def test_upper(self):
         assert clamp_to_bounds((3.0,), [(-2.0, 2.0)]) == [2.0]

@@ -30,15 +30,14 @@ from chmopt.optimizers import (
     SimulatedAnnealing,
     _lowest_of_sample,
     bfo_reproduce,
-    blend_crossover,
     make_optimizer,
-    pso_velocity_update,
     sa_accept,
 )
 
 from conftest import (TableObjective, evaluation_batches, quiet_config, sequential_evaluations,
                       sphere)
-from optimizer_reference import REFERENCE_CLASSES, tumble_direction
+from optimizer_reference import (REFERENCE_CLASSES, blend_crossover, pso_velocity_update,
+                                 tumble_direction)
 
 
 def evaluated_population(size, bounds, seed, fn=sphere):
@@ -454,6 +453,44 @@ def test_bounds_with_no_dimension_rejected(entry):
             pop = [Individual([], cost=0.0) for _ in range(4)]
             make_optimizer(entry).run(pop, BudgetedObjective(fn, 50), [], SeededRng(1))
     assert calls == []
+
+
+@pytest.mark.parametrize("bounds", [[(1.0, 0.0)], [(0.0, math.inf)], [(math.nan, 1.0)],
+                                    [(0.0, 1.0), (1.0, 0.0)]],
+                         ids=["reversed", "high_inf", "low_nan", "second_reversed"])
+@pytest.mark.parametrize("entry", [*OPTIMIZER_NAMES, "chm_run", "run_method"])
+def test_bounds_reversed_or_not_finite_rejected(entry, bounds):
+    # a reversed box sent every clamped move to one end, and a box with a
+    # non-finite end made the first evaluation fail as if the objective had
+    calls = []
+
+    def fn(x):
+        calls.append(list(x))
+        return 0.0
+
+    index = len(bounds) - 1
+    message = f"bounds[{index}] must be finite with low <= high, got {bounds[index]!r}"
+    with deadline(5), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if entry == "chm_run":
+            chm_run(quiet_config(), fn, bounds, 1)
+        elif entry == "run_method":
+            run_method("de", fn, bounds, 1, quiet_config())
+        else:
+            pop = [Individual([0.5] * len(bounds), cost=0.0) for _ in range(4)]
+            make_optimizer(entry).run(pop, BudgetedObjective(fn, 50), bounds, SeededRng(1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", [*OPTIMIZER_NAMES, "chm_run"])
+def test_zero_width_dimension_accepted(entry):
+    bounds = [(1.0, 1.0), (-1.0, 1.0)]
+    if entry == "chm_run":
+        best, _ = chm_run(quiet_config(), sphere, bounds, 1)
+        assert best.position[0] == 1.0
+    else:
+        out = make_optimizer(entry).run(evaluated_population(6, bounds, 5),
+                                        BudgetedObjective(sphere, 60), bounds, SeededRng(6))
+        assert all(m.position[0] == 1.0 for m in out)
 
 
 def _open_unit(**kw):
