@@ -321,10 +321,12 @@ def list_benchmarks(bucket: str | None = None) -> tuple[str, ...]:
     return tuple(n for n, s in REGISTRY.items() if s.bucket == key)
 
 
-def catalogue_records() -> list[dict]:
-    """Machine-readable registry export, one record per function."""
+def catalogue_records(bucket: str | None = None) -> list[dict]:
+    """Machine-readable registry export, one record per function (optionally
+    of one bucket)."""
     records = []
-    for spec in REGISTRY.values():
+    for name in list_benchmarks(bucket):
+        spec = REGISTRY[name]
         records.append({
             "name": spec.name,
             "dimension": spec.dimension,

@@ -66,7 +66,7 @@ def fe_budget(k: int, maxfe_probing: int, maxfe_fit: int, iterations: int = 1,
     return population_size + iterations * (k * maxfe_probing + maxfe_fit)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChmConfig:
     """The settings of one run, checked on construction: iteration count,
     portfolio, population size, budgets, stopping rule."""
@@ -84,7 +84,7 @@ class ChmConfig:
                      dict.fromkeys(("iterations", "population_size", "maxfe_probing",
                                     "maxfe_fit", "convergence_patience"), 1),
                      reals={"convergence_epsilon": "(-inf, inf)"})
-        self.optimizers = tuple(self.optimizers)
+        object.__setattr__(self, "optimizers", tuple(self.optimizers))
         if not self.optimizers:
             raise ValueError("at least one inner optimizer is required")
         # stack level 3 is the caller of the __init__ that dataclass generates

@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="one seeded run of one method on one function")
     p_run.add_argument("function")
-    p_run.add_argument("method", choices=ALL_METHODS)
+    p_run.add_argument("method", help=f"one of {', '.join(ALL_METHODS)}")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--reps", type=int, default=1, help="repetitions (reported separately)")
     p_run.add_argument("--out", help="output root (default: results or $CHMOPT_RESULTS)")
@@ -117,17 +117,11 @@ def _parse_budgets(text: str) -> tuple[int, int]:
 
 
 def cmd_list(args) -> int:
-    if args.bucket is not None:
-        names = benchmarks.list_benchmarks(args.bucket)
-        bucket = benchmarks.normalize_name(args.bucket)
-    else:
-        names, bucket = benchmarks.BENCHMARK_NAMES, None
     if args.format == "records":
-        for record in benchmarks.catalogue_records():
-            if record["name"] in names:
-                print(json.dumps(record, sort_keys=True))
+        for record in benchmarks.catalogue_records(args.bucket):
+            print(json.dumps(record, sort_keys=True))
     else:
-        print(benchmarks.format_catalogue(bucket))
+        print(benchmarks.format_catalogue(args.bucket))
     return 0
 
 
@@ -137,7 +131,7 @@ def cmd_run(args) -> int:
     out_root = _out_root(args.out)
     os.makedirs(os.path.join(out_root, "traces"), exist_ok=True)
     for rep in range(args.reps):
-        record, trace = run_cell(plan, plan.functions[0], args.method, rep)
+        record, trace = run_cell(plan, plan.functions[0], plan.methods[0], rep)
         trace_path = os.path.join(
             out_root, "traces",
             f"{record.function}__{record.method}__seed{record.seed}.jsonl")

@@ -128,13 +128,8 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-    dropped = 0
-    kept = []
-    for row in data:
-        if len(row) != len(header) or any(cell.strip() == "" for cell in row):
-            dropped += 1
-            continue
-        kept.append([cell.strip() for cell in row])
+    kept = [[cell.strip() for cell in row] for row in data
+            if len(row) == len(header) and all(cell.strip() for cell in row)]
 
     def parses(cell):
         try:
@@ -144,13 +139,8 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
             return False
 
     if strict:
-        survivors = []
-        for row in kept:
-            if all(parses(cell) for i, cell in enumerate(row) if i != label_idx):
-                survivors.append(row)
-            else:
-                dropped += 1
-        kept = survivors
+        kept = [row for row in kept
+                if all(parses(cell) for i, cell in enumerate(row) if i != label_idx)]
 
     if not kept:
         raise DatasetError(f"{path}: all {len(data)} rows were dropped during ingestion")
@@ -160,21 +150,22 @@ def load_csv(path: str, label_column: str, strict: bool = False) -> Dataset:
     for i, column in enumerate(columns):
         if i == label_idx:
             continue
-        if all(parses(cell) for cell in column):
+        try:
             values = [float(cell) for cell in column]
+        except ValueError:
+            values = [float(c) for c in _encode_first_appearance(column)]
+        else:
             if not all(map(math.isfinite, values)):
                 raise DatasetError(f"{path}: feature column {header[i]!r} holds a "
                                    f"non-finite value (nan or inf)")
-            features.append(values)
-        else:
-            features.append([float(c) for c in _encode_first_appearance(column)])
+        features.append(values)
     labels = _encode_first_appearance(columns[label_idx])
     dataset = Dataset(
         features=np.array(features, dtype=float).T,
         labels=np.array(labels, dtype=np.int64),
         feature_names=feature_names,
         label_name=label_column,
-        dropped_rows=dropped,
+        dropped_rows=len(data) - len(kept),
     )
     if dataset.n_rows < 10:
         raise DatasetError(f"{path}: need at least 10 usable rows, got {dataset.n_rows}")

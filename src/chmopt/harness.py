@@ -18,7 +18,7 @@ from .benchmarks import BENCHMARK_NAMES, get_benchmark, normalize_name
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
 from .core import (check_fields, euclidean_distance, fitness, format_table, mix_seed,
                    population_std)
-from .optimizers import OPTIMIZER_NAMES, default_portfolio, make_optimizer
+from .optimizers import OPTIMIZER_NAMES, default_portfolio
 
 CHM_METHOD = "chm"
 ALL_METHODS = (CHM_METHOD,) + OPTIMIZER_NAMES
@@ -85,20 +85,7 @@ class ExperimentPlan:
                 not isinstance(self.budget_override, tuple) or len(self.budget_override) != 2):
             raise ValueError(f"budget_override must be two integers (probing, fit), "
                              f"got {self.budget_override!r}")
-        if not isinstance(self.optimizer_overrides, dict):
-            raise ValueError("optimizer_overrides must map method names to parameters")
-        for name, params in self.optimizer_overrides.items():
-            if name not in OPTIMIZER_NAMES:
-                raise ValueError(f"optimizer_overrides: unknown method {name!r}; "
-                                 f"valid: {', '.join(OPTIMIZER_NAMES)}")
-            if not isinstance(params, dict):
-                raise ValueError(f"optimizer_overrides[{name!r}] must map parameter "
-                                 f"names to values")
-            try:
-                make_optimizer(name, **params)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"optimizer_overrides[{name!r}]: {exc}") from exc
-        self.config(self.functions[0])  # checks the run settings
+        self.config(self.functions[0])  # checks the run settings and the overrides
 
     def config(self, function: str) -> ChmConfig:
         """The run settings of every cell on ``function``."""

@@ -598,7 +598,26 @@ def make_optimizer(kind: str, **overrides) -> InnerOptimizer:
 
 
 def default_portfolio(overrides: dict[str, dict] | None = None) -> tuple[InnerOptimizer, ...]:
-    """The standard five-method portfolio, in fixed order."""
-    overrides = overrides or {}
-    return tuple(make_optimizer(name, **overrides.get(name, {}))
-                 for name in OPTIMIZER_NAMES)
+    """The standard five-method portfolio, in fixed order.
+
+    ``overrides`` is a plan's ``optimizer_overrides``: it maps a method name
+    to the keyword values that replace that method's parameter defaults, and
+    None overrides nothing. An unknown name, a non-mapping or a rejected
+    value raises ValueError, with a message that names ``optimizer_overrides``.
+    """
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValueError("optimizer_overrides must map method names to parameters")
+    built = {}
+    for name, params in overrides.items():
+        if name not in OPTIMIZER_NAMES:
+            raise ValueError(f"optimizer_overrides: unknown method {name!r}; "
+                             f"valid: {', '.join(OPTIMIZER_NAMES)}")
+        if not isinstance(params, dict):
+            raise ValueError(f"optimizer_overrides[{name!r}] must map parameter "
+                             f"names to values")
+        try:
+            built[name] = make_optimizer(name, **params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"optimizer_overrides[{name!r}]: {exc}") from exc
+    return tuple(built.get(name) or make_optimizer(name) for name in OPTIMIZER_NAMES)

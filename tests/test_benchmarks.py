@@ -77,6 +77,14 @@ class TestKnownValues:
         assert spec.reference_value == 0.0
         assert eval_benchmark(spec, spec.optimum) == 0.0
 
+    def test_keane_is_zero_at_the_origin_corner(self):
+        # the formula divides by the distance to the origin, a corner of the box
+        spec = get_benchmark("keane")
+        corner = tuple(lo for lo, _ in spec.bounds)
+        assert corner == (0.0, 0.0)
+        assert eval_benchmark(spec, corner) == 0.0
+        assert 0.0 < eval_benchmark(spec, (1e-6, 0.0)) < 1e-17  # sin(t)**4 / t
+
     def test_brent_reference(self):
         assert get_benchmark("brent").reference_value == math.exp(-200.0)
 
@@ -172,3 +180,12 @@ def test_catalogue_exports():
     text = format_catalogue()
     assert len(text.splitlines()) == 30  # header + rule + 28 rows
     assert "goldstein_price" in text
+
+
+def test_catalogue_records_filter_by_bucket_as_the_table_does():
+    records = catalogue_records(" Highly-Multimodal ")
+    assert [r["name"] for r in records] == list(list_benchmarks(HIGHLY_MULTIMODAL))
+    assert all(r["bucket"] == HIGHLY_MULTIMODAL for r in records)
+    assert len(format_catalogue(" Highly-Multimodal ").splitlines()) == 2 + len(records)
+    with pytest.raises(ValueError, match="^unknown bucket 'nosuch'; valid buckets: "):
+        catalogue_records("nosuch")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -116,6 +117,17 @@ class TestConfig:
         config = quiet_config(iterations=4, population_size=20,
                               maxfe_probing=300, maxfe_fit=600)
         assert config_budget(config) == 20 + 4 * (5 * 300 + 600)
+
+    @pytest.mark.parametrize("field, value", [("convergence_patience", 0),
+                                              ("iterations", 2.5)])
+    def test_settings_are_frozen_and_checked_on_replace(self, field, value):
+        # an assigned field once skipped the checks: a patience of 0 stopped
+        # a run after one iteration, marked converged
+        config = ChmConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
+            dataclasses.replace(config, **{field: value})
 
 
 class TestSelection:

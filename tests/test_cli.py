@@ -46,6 +46,14 @@ class TestList:
         assert len(records) == 28
         assert all("reference_value" in r for r in records)
 
+    def test_bucket_filter_in_records_format(self, capsys):
+        code, out, _ = run_cli(capsys, "list", "--bucket", "highly-multimodal",
+                               "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 13
+        assert {r["bucket"] for r in records} == {"highly_multimodal"}
+
 
 class TestRun:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -86,6 +94,22 @@ class TestRun:
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "run", "matyas", "chm", "--bogus")
         assert code == 1
+
+    def test_method_reads_as_in_bench(self, tmp_path, capsys):
+        # argparse once matched the method by exact case; bench took "CHM"
+        flags = ("--seed", "7", "--out", str(tmp_path), "--format", "records")
+        code1, out1, _ = run_cli(capsys, "run", "matyas", "chm", *flags)
+        code2, out2, _ = run_cli(capsys, "run", "matyas", "CHM", *flags)
+        assert code1 == code2 == 0
+        assert out2 == out1 and json.loads(out1)["method"] == "chm"
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == [
+            f"matyas__chm__seed{json.loads(out1)['seed']}.jsonl"]
+
+    def test_unknown_method_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "run", "matyas", "cma", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == "error: unknown method 'cma'; valid: chm, pso, sa, ga, de, bfo\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
@@ -372,6 +396,19 @@ class TestFselect:
         assert "none" in out
         assert "meta_name" in out
         assert err == ""  # a clean CSV drops no rows
+
+    def test_out_writes_the_report_and_names_it(self, synth_csv, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        code, out, _ = run_cli(capsys, "fselect", synth_csv, "--label", "label",
+                               "--method", "de", "--reps", "1",
+                               "--budgets", "5,10", "--trees", "5", "--depth", "4",
+                               "--population", "5", "--iterations", "1",
+                               "--out", str(out_dir))
+        assert code == 0
+        path = out_dir / "fselect_report.jsonl"
+        assert out.endswith(f"\nreport: {path}\n")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {r["meta_name"] for r in records} == {"de", "none"}
 
     def test_dropped_rows_noted_on_stderr(self, synth_csv, capsys):
         with open(synth_csv, "a") as fh:

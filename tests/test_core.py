@@ -194,6 +194,10 @@ class TestSeededRng:
 
 
 class TestPopulation:
+    def test_individual_repr_shows_position_and_cost(self):
+        assert repr(Individual([1.5, -0.0])) == "Individual([1.5, -0.0], cost=None)"
+        assert repr(Individual((2.0,), 0.25)) == "Individual([2.0], cost=0.25)"
+
     def test_copy_is_bit_exact_and_independent(self):
         rng = SeededRng(2)
         pop = random_population(8, [(-5.0, 5.0)] * 3, rng)

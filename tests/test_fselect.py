@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import re
 import statistics
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,6 +168,62 @@ class TestLoadCsv:
         assert loaded.feature_names == ds.feature_names
         assert np.allclose(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+
+
+def _parses(cell) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+# a column of numbers, some of them padded, with at most one kind of other cell,
+# which it holds now and then; or a column of words and numbers
+NUMBER_CELLS = (st.integers(-9, 9).map(str) | st.floats(-100, 100).map(repr)
+                | st.integers(0, 9).map(" {} ".format))
+COLUMN_CELLS = (st.sampled_from(["", " ", "x", "abc", "nan", "NaN", "inf", "-Infinity"]).map(
+    lambda other: st.one_of(*[NUMBER_CELLS] * 15, st.just(other)))
+    | st.just(NUMBER_CELLS) | st.just(st.sampled_from(["x", "y", " 3 ", "1e2"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_rows=st.integers(10, 40), n_columns=st.integers(1, 3),
+       strict=st.booleans())
+def test_csv_cells_load_as_their_float_or_their_code(tmp_path_factory, data, n_rows,
+                                                     n_columns, strict):
+    """A grid with an ``id`` column of row numbers, so the loaded features
+    show which rows were kept: a row is kept when it has no blank cell and, in
+    strict mode, each feature cell parses as a number."""
+    column_cells = [data.draw(COLUMN_CELLS) for _ in range(n_columns)]
+    labels = st.sampled_from(["a", "b"] * 8 + [""])
+    grid = [[str(r)] + [data.draw(cells) for cells in column_cells] + [data.draw(labels)]
+            for r in range(n_rows)]
+    header = ["id"] + [f"f{j}" for j in range(n_columns)] + ["y"]
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    path.write_text("\n".join(",".join(row) for row in [header] + grid) + "\n")
+    kept = [row for row in grid if all(cell.strip() for cell in row)
+            and (not strict or all(_parses(cell) for cell in row[:-1]))]
+    numeric = [j for j in range(1, n_columns + 1) if all(_parses(row[j]) for row in kept)]
+    refused = (len(kept) < 10 or min(Counter(row[-1] for row in kept).values()) < 3
+               or not all(math.isfinite(float(row[j])) for j in numeric for row in kept))
+    try:
+        ds = load_csv(str(path), "y", strict=strict)
+    except DatasetError:
+        assert refused
+        return
+    assert not refused
+    assert ds.dropped_rows + ds.n_rows == n_rows
+    assert ds.features[:, 0].tolist() == [float(row[0]) for row in kept]
+    for j in range(1, n_columns + 1):
+        cells = [row[j].strip() for row in kept]
+        if j in numeric:
+            assert ds.features[:, j].tolist() == [float(cell) for cell in cells]
+        else:
+            codes = {cell: float(code) for code, cell in enumerate(dict.fromkeys(cells))}
+            assert ds.features[:, j].tolist() == [codes[cell] for cell in cells]
+    codes = {cell: code for code, cell in enumerate(dict.fromkeys(row[-1] for row in kept))}
+    assert ds.labels.tolist() == [codes[row[-1]] for row in kept]
 
 
 class TestSplit:

@@ -454,6 +454,20 @@ class TestOptimizerOverrides:
         with pytest.raises(ValueError, match=message):
             small_plan(optimizer_overrides=overrides)
 
+    def test_override_added_after_construction_fails_before_export(self, tmp_path):
+        # the plan's dict is not frozen: the portfolio reads it when a cell runs
+        plan = small_plan()
+        plan.optimizer_overrides["psox"] = {}
+        with pytest.raises(ValueError, match="^optimizer_overrides: unknown method 'psox'; "):
+            run_experiment(plan, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_changed_after_construction_names_the_override(self):
+        plan = small_plan(optimizer_overrides={"pso": {"inertia": 0.5}})
+        plan.optimizer_overrides["pso"]["inertia"] = 2.0
+        with pytest.raises(ValueError, match=r"^optimizer_overrides\['pso'\]: inertia "):
+            run_cell(plan, "matyas", "chm", 0)
+
 
 class TestErrorPolicy:
     @staticmethod

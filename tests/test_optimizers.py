@@ -30,6 +30,7 @@ from chmopt.optimizers import (
     SimulatedAnnealing,
     _lowest_of_sample,
     bfo_reproduce,
+    default_portfolio,
     make_optimizer,
     sa_accept,
 )
@@ -347,6 +348,25 @@ class TestParamValidation:
         make_optimizer("sa", t0=None)
         make_optimizer("ga", mutation_rate=None, blend_alpha=0.0, elitism=0)
         make_optimizer("pso", v_max_fraction=1)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"psoo": {}}, {"PSO": {}}, {"pso": {"inertia": 2.0}}, {"pso": {"bogus": 1}},
+    {"pso": 0.5}, ["pso"]])
+def test_portfolio_rejects_overrides_as_a_plan_does(overrides):
+    with pytest.raises(ValueError) as from_plan:
+        ExperimentPlan(functions=("matyas",), optimizer_overrides=overrides)
+    with pytest.raises(ValueError) as from_portfolio:
+        default_portfolio(overrides)
+    assert str(from_portfolio.value) == str(from_plan.value)
+    assert str(from_portfolio.value).startswith("optimizer_overrides")
+
+
+def test_portfolio_applies_overrides_in_fixed_order():
+    portfolio = default_portfolio({"de": {"weight": 0.7}})
+    assert [opt.name for opt in portfolio] == list(OPTIMIZER_NAMES)
+    assert portfolio[OPTIMIZER_NAMES.index("de")] == DifferentialEvolution(weight=0.7)
+    assert default_portfolio(None) == default_portfolio({}) == default_portfolio()
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_NAMES)
