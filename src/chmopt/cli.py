@@ -25,7 +25,6 @@ from .fselect import (
 from .harness import (
     ALL_METHODS,
     ExperimentPlan,
-    check_methods,
     format_leaderboard,
     load_plan,
     run_cell,
@@ -175,8 +174,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fselect(args) -> int:
-    methods = (ALL_METHODS if args.method.strip().lower() == "all"
-               else check_methods([args.method], hint=" or 'all'"))
+    methods = ALL_METHODS if args.method.strip().lower() == "all" else (args.method,)
     plan = FselectPlan(methods, repetitions=args.reps, seed=args.seed,
                        population_size=args.population, iterations=args.iterations,
                        maxfe_probing=args.budgets[0], maxfe_fit=args.budgets[1],

@@ -24,15 +24,15 @@ CHM_METHOD = "chm"
 ALL_METHODS = (CHM_METHOD,) + OPTIMIZER_NAMES
 
 
-def check_methods(methods, hint: str = "") -> tuple[str, ...]:
+def check_methods(methods) -> tuple[str, ...]:
     """``methods`` stripped and lower-cased; raises ValueError unless they are
-    non-empty, known and distinct. ``hint`` ends the unknown-method message."""
+    non-empty, known and distinct."""
     names = tuple(m.strip().lower() if isinstance(m, str) else m for m in methods)
     if not names:
         raise ValueError("methods must be non-empty")
     for m in names:
         if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}{hint}")
+            raise ValueError(f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}")
     if len(set(names)) != len(names):
         raise ValueError(f"methods must not repeat, got {list(names)}")
     return names
@@ -314,6 +314,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> Experime
     Groups run in a pool of min(``plan.workers``, groups, CPUs) worker
     processes when that is above 1, in this process otherwise; results are
     collected in sorted (function, method) order."""
+    for f in plan.functions:  # a rejected setting raises before any group runs
+        plan.config(f)
     tasks = [(f, m) for f in plan.functions for m in plan.methods]
     workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -29,8 +29,15 @@ so the generator's state is ``rng.gauss``'s at every point a caller can see.
 The updates are written into the loops too, with no call per particle, child
 or bacterium: the PSO velocity update, the GA's two-pick tournament over at
 most 21 members (``_lowest_of_sample`` draws any other) and its blend
-crossover, and BFO chemotaxis. Their short per-child lists are built by
-append loops, as a comprehension costs a frame on 3.11.
+crossover, and BFO chemotaxis. Each ``_evolve`` tests ``len(bounds) == 2``,
+the shape of all 28 benchmark functions: such a box takes the per-coordinate
+blocks (the PSO update and move, the SA step, the GA blend and mutation, DE's
+trial, the BFO tumble and swims) written out in scalars; any other box takes
+append loops, as a comprehension costs a frame on 3.11. The blocks keep every
+RNG call and float expression in order: two gauss draws take one fresh pair
+(both values, or a held ``spare`` and its first), steps keep ``0.0 + z * s``,
+BFO sums squares left to right, and DE keeps its short circuit.
+
 ``tests/optimizer_reference.py`` keeps the loops that call the helpers,
 ``pso_velocity_update``, ``blend_crossover`` and ``tumble_direction`` among
 them, and a test holds the two to identical populations, counts and RNG
@@ -161,6 +168,10 @@ class ParticleSwarm(InnerOptimizer):
         random = rng.random
         inertia, cognitive, social = self.inertia, self.cognitive, self.social
         v_max = [self.v_max_fraction * w for w in _widths(bounds)]
+        two = len(bounds) == 2
+        if two:
+            (lo0, hi0), (lo1, hi1) = bounds
+            cap0, cap1 = v_max
         x = [list(m.position) for m in pbest]
         velocity = [[0.0] * len(x[0]) for _ in pbest]
         gbest = best_of(pbest)
@@ -170,15 +181,30 @@ class ParticleSwarm(InnerOptimizer):
                 r2 = random()
                 # inertia + cognitive + social pull, clipped per dimension to
                 # +-v_max, then the move, clamped to the box
-                v_new, moved = [], []
-                for xv, vv, p, g, cap, (lo, hi) in zip(x[i], velocity[i], pbest[i].position,
-                                                       gbest.position, v_max, bounds):
-                    vv = inertia * vv + cognitive * r1 * (p - xv) + social * r2 * (g - xv)
-                    vv = -cap if vv < -cap else cap if vv > cap else vv
-                    v_new.append(vv)
-                    xv += vv
-                    moved.append(lo if xv < lo else hi if xv > hi else xv)
-                velocity[i] = v_new
+                if two:
+                    x0, x1 = x[i]
+                    v0, v1 = velocity[i]
+                    p0, p1 = pbest[i].position
+                    g0, g1 = gbest.position
+                    v0 = inertia * v0 + cognitive * r1 * (p0 - x0) + social * r2 * (g0 - x0)
+                    v0 = -cap0 if v0 < -cap0 else cap0 if v0 > cap0 else v0
+                    v1 = inertia * v1 + cognitive * r1 * (p1 - x1) + social * r2 * (g1 - x1)
+                    v1 = -cap1 if v1 < -cap1 else cap1 if v1 > cap1 else v1
+                    velocity[i] = (v0, v1)
+                    x0 += v0
+                    x1 += v1
+                    moved = [lo0 if x0 < lo0 else hi0 if x0 > hi0 else x0,
+                             lo1 if x1 < lo1 else hi1 if x1 > hi1 else x1]
+                else:
+                    v_new, moved = [], []
+                    for xv, vv, p, g, cap, (lo, hi) in zip(x[i], velocity[i], pbest[i].position,
+                                                           gbest.position, v_max, bounds):
+                        vv = inertia * vv + cognitive * r1 * (p - xv) + social * r2 * (g - xv)
+                        vv = -cap if vv < -cap else cap if vv > cap else vv
+                        v_new.append(vv)
+                        xv += vv
+                        moved.append(lo if xv < lo else hi if xv > hi else xv)
+                    velocity[i] = v_new
                 c = evaluate(moved)
                 x[i] = moved
                 if c < pbest[i].cost:
@@ -210,6 +236,10 @@ class SimulatedAnnealing(InnerOptimizer):
         evaluate_many = obj.evaluate_many
         random = rng.random
         sigma = [self.step_fraction * w for w in _widths(bounds)]
+        two = len(bounds) == 2
+        if two:
+            (lo0, hi0), (lo1, hi1) = bounds
+            s0, s1 = sigma
         current = list(chain_best)
         if self.t0 is not None:
             temperature = self.t0
@@ -224,19 +254,36 @@ class SimulatedAnnealing(InnerOptimizer):
             candidates, draws = [], []
             spare = rng.gauss_next
             for cur in current:
-                candidate = []
-                for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
-                    if spare is None:  # rng.gauss(0.0, s), inline
-                        x2pi = random() * tau
-                        g2rad = sqrt(-2.0 * log(1.0 - random()))
-                        z = cos(x2pi) * g2rad
-                        spare = sin(x2pi) * g2rad
+                if two:
+                    v0, v1 = cur.position
+                    # rng.gauss(0.0, s) twice, inline: one fresh pair
+                    x2pi = random() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    if spare is None:
+                        z0 = cos(x2pi) * g2rad
+                        z1 = sin(x2pi) * g2rad
                     else:
-                        z = spare
-                        spare = None
-                    v += 0.0 + z * s
-                    candidate.append(lo if v < lo else hi if v > hi else v)
-                candidates.append(candidate)
+                        z0 = spare
+                        z1 = cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    v0 += 0.0 + z0 * s0
+                    v1 += 0.0 + z1 * s1
+                    candidates.append([lo0 if v0 < lo0 else hi0 if v0 > hi0 else v0,
+                                       lo1 if v1 < lo1 else hi1 if v1 > hi1 else v1])
+                else:
+                    candidate = []
+                    for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
+                        if spare is None:  # rng.gauss(0.0, s), inline
+                            x2pi = random() * tau
+                            g2rad = sqrt(-2.0 * log(1.0 - random()))
+                            z = cos(x2pi) * g2rad
+                            spare = sin(x2pi) * g2rad
+                        else:
+                            z = spare
+                            spare = None
+                        v += 0.0 + z * s
+                        candidate.append(lo if v < lo else hi if v > hi else v)
+                    candidates.append(candidate)
                 draws.append(random())
             rng.gauss_next = spare
             costs = evaluate_many(candidates)
@@ -312,6 +359,10 @@ class GeneticAlgorithm(InnerOptimizer):
         size = len(members)
         mutation_rate = self.mutation_rate if self.mutation_rate is not None else 1.0 / len(bounds)
         sigma = [self.mutation_sigma_fraction * w for w in _widths(bounds)]
+        two = len(bounds) == 2
+        if two:
+            (lo0, hi0), (lo1, hi1) = bounds
+            s0, s1 = sigma
         n_pick = min(self.tournament_size, size)
         # the default tournament over a pool-sized population draws inline
         pair_pool = n_pick == 2 and size <= _SAMPLE_POOL
@@ -357,18 +408,19 @@ class GeneticAlgorithm(InnerOptimizer):
                         parent2 = ranked[first if first < second else second]
                     else:
                         parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
-                    # blend: one draw u ~ U(-blend_alpha, 1 + blend_alpha) per
-                    # dimension, the child p1 + u * (p2 - p1)
-                    genes = []
-                    for a, b in zip(parent1.position, parent2.position):
-                        genes.append(a + (draw_low + draw_span * random()) * (b - a))
                 else:
-                    genes = parent1.position
-                child = []
+                    parent2 = None
+                # blend: one draw u ~ U(-blend_alpha, 1 + blend_alpha) per
+                # dimension, the child p1 + u * (p2 - p1); then mutation
                 mutated = False
-                for v, s, (lo, hi) in zip(genes, sigma, bounds):
+                if two:
+                    v0, v1 = parent1.position
+                    if parent2 is not None:
+                        b0, b1 = parent2.position
+                        v0 = v0 + (draw_low + draw_span * random()) * (b0 - v0)
+                        v1 = v1 + (draw_low + draw_span * random()) * (b1 - v1)
                     if random() < mutation_rate:
-                        if spare is None:  # rng.gauss(0.0, s), inline
+                        if spare is None:
                             x2pi = random() * tau
                             g2rad = sqrt(-2.0 * log(1.0 - random()))
                             z = cos(x2pi) * g2rad
@@ -376,9 +428,41 @@ class GeneticAlgorithm(InnerOptimizer):
                         else:
                             z = spare
                             spare = None
-                        v += 0.0 + z * s
+                        v0 += 0.0 + z * s0
                         mutated = True
-                    child.append(lo if v < lo else hi if v > hi else v)
+                    if random() < mutation_rate:
+                        if spare is None:
+                            x2pi = random() * tau
+                            g2rad = sqrt(-2.0 * log(1.0 - random()))
+                            z = cos(x2pi) * g2rad
+                            spare = sin(x2pi) * g2rad
+                        else:
+                            z = spare
+                            spare = None
+                        v1 += 0.0 + z * s1
+                        mutated = True
+                    child = [lo0 if v0 < lo0 else hi0 if v0 > hi0 else v0,
+                             lo1 if v1 < lo1 else hi1 if v1 > hi1 else v1]
+                else:
+                    genes = parent1.position
+                    if parent2 is not None:
+                        genes = []
+                        for a, b in zip(parent1.position, parent2.position):
+                            genes.append(a + (draw_low + draw_span * random()) * (b - a))
+                    child = []
+                    for v, s, (lo, hi) in zip(genes, sigma, bounds):
+                        if random() < mutation_rate:
+                            if spare is None:
+                                x2pi = random() * tau
+                                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                                z = cos(x2pi) * g2rad
+                                spare = sin(x2pi) * g2rad
+                            else:
+                                z = spare
+                                spare = None
+                            v += 0.0 + z * s
+                            mutated = True
+                        child.append(lo if v < lo else hi if v > hi else v)
                 if not mutated and child == parent1.position:
                     children.append((child, parent1.cost))  # no budget spent
                 else:
@@ -451,6 +535,9 @@ class DifferentialEvolution(InnerOptimizer):
         crossover_rate = self.crossover_rate
         size = len(members)
         dim = len(members[0].position)
+        two = len(bounds) == 2
+        if two:
+            (lo0, hi0), (lo1, hi1) = bounds
         size_bits = size.bit_length()
         dim_bits = dim.bit_length()
         while obj.remaining > 0:
@@ -477,12 +564,22 @@ class DifferentialEvolution(InnerOptimizer):
                 j_rand = getrandbits(dim_bits)
                 while j_rand >= dim:
                     j_rand = getrandbits(dim_bits)
-                trial = list(members[i].position)
-                for d in range(dim):
-                    if d == j_rand or random() < crossover_rate:
-                        lo, hi = bounds[d]
-                        v = base[d] + weight * (va[d] - vb[d])
-                        trial[d] = lo if v < lo else hi if v > hi else v
+                if two:
+                    t0, t1 = members[i].position
+                    if j_rand == 0 or random() < crossover_rate:
+                        v = base[0] + weight * (va[0] - vb[0])
+                        t0 = lo0 if v < lo0 else hi0 if v > hi0 else v
+                    if j_rand == 1 or random() < crossover_rate:
+                        v = base[1] + weight * (va[1] - vb[1])
+                        t1 = lo1 if v < lo1 else hi1 if v > hi1 else v
+                    trial = [t0, t1]
+                else:
+                    trial = list(members[i].position)
+                    for d in range(dim):
+                        if d == j_rand or random() < crossover_rate:
+                            lo, hi = bounds[d]
+                            v = base[d] + weight * (va[d] - vb[d])
+                            trial[d] = lo if v < lo else hi if v > hi else v
                 c = evaluate(trial)
                 if c <= members[i].cost:
                     members[i] = Individual(trial, c)
@@ -512,6 +609,10 @@ class BacterialForaging(InnerOptimizer):
         evaluate = obj.evaluate
         random = rng.random
         step = [self.step_fraction * w for w in _widths(bounds)]
+        two = len(bounds) == 2
+        if two:
+            (lo0, hi0), (lo1, hi1) = bounds
+            s0, s1 = step
         swims = range(self.swim_length + 1)
         # chemotaxis_steps passes over the bacteria, in order
         chemotaxis = [*range(len(members))] * self.chemotaxis_steps
@@ -524,35 +625,57 @@ class BacterialForaging(InnerOptimizer):
                         # is always kept; a swim only when it improves
                         spare = rng.gauss_next
                         while True:  # tumble: a uniform random unit vector
-                            direction = []
-                            squares = 0.0  # accumulated left to right: the pins fix this order
-                            for _ in step:
-                                if spare is None:  # rng.gauss(0.0, 1.0), inline
-                                    x2pi = random() * tau
-                                    g2rad = sqrt(-2.0 * log(1.0 - random()))
-                                    z = cos(x2pi) * g2rad
-                                    spare = sin(x2pi) * g2rad
+                            if two:  # rng.gauss(0.0, 1.0) twice, as in SA's block
+                                x2pi = random() * tau
+                                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                                if spare is None:
+                                    g0 = 0.0 + cos(x2pi) * g2rad
+                                    g1 = 0.0 + sin(x2pi) * g2rad
                                 else:
-                                    z = spare
-                                    spare = None
-                                g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
-                                direction.append(g)
-                                squares += g * g
-                            norm = sqrt(squares)
+                                    g0 = 0.0 + spare
+                                    g1 = 0.0 + cos(x2pi) * g2rad
+                                    spare = sin(x2pi) * g2rad
+                                norm = sqrt(g0 * g0 + g1 * g1)  # 0.0 + g0 * g0 is g0 * g0
+                            else:
+                                direction = []
+                                squares = 0.0  # accumulated left to right: the pins fix this order
+                                for _ in step:
+                                    if spare is None:
+                                        x2pi = random() * tau
+                                        g2rad = sqrt(-2.0 * log(1.0 - random()))
+                                        z = cos(x2pi) * g2rad
+                                        spare = sin(x2pi) * g2rad
+                                    else:
+                                        z = spare
+                                        spare = None
+                                    g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
+                                    direction.append(g)
+                                    squares += g * g
+                                norm = sqrt(squares)
                             if norm > 0.0:
                                 break
                         rng.gauss_next = spare
-                        delta = []
-                        for s, g in zip(step, direction):
-                            delta.append(s * (g / norm))
+                        if two:
+                            d0 = s0 * (g0 / norm)
+                            d1 = s1 * (g1 / norm)
+                        else:
+                            delta = []
+                            for s, g in zip(step, direction):
+                                delta.append(s * (g / norm))
                         bacterium = members[i]
                         position = bacterium.position
                         last_cost = bacterium.cost
                         for swim in swims:
-                            moved = []
-                            for v, dv, (lo, hi) in zip(position, delta, bounds):
-                                v += dv
-                                moved.append(lo if v < lo else hi if v > hi else v)
+                            if two:
+                                x0 = position[0] + d0
+                                x1 = position[1] + d1
+                                moved = [lo0 if x0 < lo0 else hi0 if x0 > hi0 else x0,
+                                         lo1 if x1 < lo1 else hi1 if x1 > hi1 else x1]
+                            else:
+                                moved = []
+                                for v, dv, (lo, hi) in zip(position, delta, bounds):
+                                    v += dv
+                                    moved.append(lo if v < lo else hi if v > hi else v)
                             cost = evaluate(moved)
                             if swim == 0 or cost < last_cost:
                                 bacterium = Individual(moved, cost)

@@ -459,6 +459,13 @@ class TestFselect:
                                "--method", "cma")
         assert code == 1
 
+    def test_unknown_method_line_as_in_run_and_bench(self, tmp_path, capsys):
+        # the plan reads the method before the CSV is opened
+        code, out, err = run_cli(capsys, "fselect", str(tmp_path / "missing.csv"),
+                                 "--label", "y", "--method", "cma")
+        assert code == 1 and out == ""
+        assert err == "error: unknown method 'cma'; valid: chm, pso, sa, ga, de, bfo\n"
+
     @pytest.mark.parametrize("bad_row, message", [
         # The id names the bad input: a label class with a single member.
         pytest.param("0.5,0.5,rare", "label 'rare' has only 1 row",

@@ -462,6 +462,20 @@ class TestOptimizerOverrides:
             run_experiment(plan, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("psox", {}, r"^optimizer_overrides: unknown method 'psox'; "),
+        ("pso", {"inertia": 2.0}, r"^optimizer_overrides\['pso'\]: inertia "),
+    ], ids=["unknown-method", "rejected-value"])
+    def test_override_changed_after_construction_is_not_skipped(self, tmp_path, name, params,
+                                                                 message):
+        # skip_on_error covers a cell's run, not the plan's settings: they are
+        # read before any group starts, so no cell records the error
+        plan = small_plan(skip_on_error=True)
+        plan.optimizer_overrides[name] = params
+        with pytest.raises(ValueError, match=message):
+            run_experiment(plan, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_value_changed_after_construction_names_the_override(self):
         plan = small_plan(optimizer_overrides={"pso": {"inertia": 0.5}})
         plan.optimizer_overrides["pso"]["inertia"] = 2.0

@@ -682,6 +682,26 @@ class _ProbeObjective:
         return round(value, 1) if self.coarse else value
 
 
+def _library_and_reference(kind, params, pop, bounds, budget, make_rng, gauss_next, objective):
+    """The returned population (or the non-finite point that ended the run),
+    the evaluations used and the RNG state after the library's loop and after
+    the reference loop, each run on a fresh ``make_rng()`` with ``gauss_next``
+    set and on a fresh ``objective()``."""
+    outcomes = []
+    for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
+        run_rng = make_rng()
+        run_rng.gauss_next = gauss_next
+        obj = BudgetedObjective(objective(), budget)
+        try:
+            with deadline(20):
+                out = cls(**params).run(pop, obj, bounds, run_rng)
+            result = repr([(m.position, m.cost) for m in out])
+        except NonFiniteValue as exc:
+            result = ("non-finite", repr(exc.position))
+        outcomes.append((result, obj.used, repr(run_rng.getstate())))
+    return outcomes
+
+
 @pytest.mark.parametrize("kind", sorted(REFERENCE_CLASSES))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), size=st.integers(1, 40), dim=st.integers(1, 8),
@@ -702,18 +722,9 @@ def test_inline_draws_match_reference_loops(kind, data, size, dim, budget, seed,
     pop = evaluated_population(size, bounds, seed + 1, _ProbeObjective(coarse))
     if collapsed:
         pop = [best_of(pop).copy() for _ in range(size)]
-    outcomes = []
-    for cls in (OPTIMIZER_CLASSES[kind], REFERENCE_CLASSES[kind]):
-        rng = SeededRng(seed + 2)
-        rng.gauss_next = gauss_next
-        obj = BudgetedObjective(_ProbeObjective(coarse, poison), budget)
-        try:
-            with deadline(20):
-                out = cls(**params).run(pop, obj, bounds, rng)
-            result = repr([(m.position, m.cost) for m in out])
-        except NonFiniteValue as exc:
-            result = ("non-finite", repr(exc.position))
-        outcomes.append((result, obj.used, repr(rng.getstate())))
+    outcomes = _library_and_reference(kind, params, pop, bounds, budget,
+                                      lambda: SeededRng(seed + 2), gauss_next,
+                                      lambda: _ProbeObjective(coarse, poison))
     assert outcomes[0] == outcomes[1]
 
 
@@ -730,3 +741,73 @@ def test_inline_gauss_keeps_signed_zero(kind, overrides):
             pop, BudgetedObjective(sphere, 1), [(-1.0, 1.0)], rng)
         outcomes.append(repr([(m.position, m.cost) for m in out]))
     assert outcomes[0] == outcomes[1] == "[([0.0], 0.0)]"
+
+
+# Two-coordinate boxes take the written-out blocks of each loop; the reference
+# loops are the general ones. The bounds differ per coordinate, so a block
+# that swaps its coordinates' draws, widths or bounds gives other points.
+TWO_BOUNDS = [(-5.0, 3.0), (-2.0, 7.5)]
+
+
+@pytest.mark.parametrize("kind, params, size, budget, gauss_next, collapsed", [
+    pytest.param("pso", {}, 20, 300, None, False, id="pso"),
+    pytest.param("pso", {}, 10, 120, 0.5, True, id="pso-collapsed-preset"),
+    pytest.param("sa", {}, 20, 250, None, False, id="sa-mid-sweep"),
+    pytest.param("sa", {}, 20, 300, 0.7, False, id="sa-preset"),
+    pytest.param("sa", {}, 7, 100, None, True, id="sa-collapsed"),
+    pytest.param("ga", {}, 20, 288, None, False, id="ga-mid-generation"),
+    pytest.param("ga", dict(mutation_rate=1.0, crossover_rate=0.0), 20, 300, -1.3, False,
+                 id="ga-mutate-all-no-crossover-preset"),
+    pytest.param("ga", dict(mutation_rate=1.0, crossover_rate=1.0), 20, 300, None, False,
+                 id="ga-mutate-all-crossover-all"),
+    pytest.param("ga", dict(crossover_rate=1.0), 10, 200, 0.4, True,
+                 id="ga-collapsed-preset"),
+    pytest.param("de", {}, 3, 60, None, False, id="de-3"),
+    pytest.param("de", {}, 20, 300, 0.9, False, id="de-20-preset"),
+    pytest.param("de", dict(crossover_rate=0.0), 8, 100, None, True, id="de-collapsed"),
+    pytest.param("bfo", {}, 20, 300, None, False, id="bfo"),
+    pytest.param("bfo", {}, 20, 300, 2.1, False, id="bfo-preset"),
+    pytest.param("bfo", {}, 6, 97, None, True, id="bfo-collapsed-mid-dispersal"),
+])
+def test_two_coordinate_blocks_match_reference_loops(kind, params, size, budget, gauss_next,
+                                                     collapsed):
+    pop = evaluated_population(size, TWO_BOUNDS, 11, _ProbeObjective(False))
+    if collapsed:
+        pop = [best_of(pop).copy() for _ in range(size)]
+    outcomes = _library_and_reference(kind, params, pop, TWO_BOUNDS, budget,
+                                      lambda: SeededRng(12), gauss_next,
+                                      lambda: _ProbeObjective(False))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == budget
+
+
+class _ZeroStream(SeededRng):
+    """Every ``random()`` is 0.0, so a fresh inline gauss pair is (-0.0, -0.0):
+    ``sqrt(-2.0 * log(1.0))`` is -0.0. ``getrandbits`` is defined again only so
+    that ``random.Random`` keeps drawing bounded integers from it."""
+
+    def random(self):
+        return 0.0
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("kind, overrides, rng_class, gauss_next", [
+    ("sa", {}, _ZeroStream, None),
+    ("sa", {}, _ZeroStream, -0.0),
+    ("ga", dict(elitism=0, mutation_rate=1.0), _ZeroStream, None),
+    ("ga", dict(elitism=0, mutation_rate=1.0), _ZeroStream, -0.0),
+    ("bfo", {}, SeededRng, -0.0),  # the held -0.0 is coordinate 0's draw
+    ("bfo", {}, _ZeroStream, 0.5),  # the fresh pair's -0.0 is coordinate 1's
+])
+def test_two_coordinate_gauss_keeps_signed_zero(kind, overrides, rng_class, gauss_next):
+    # mu + z * sigma with mu = 0.0 moves -0.0 by a z = -0.0 step to 0.0 in
+    # either coordinate; a bare z * sigma would leave -0.0
+    pop = [Individual([-0.0, -0.0], cost=1.0)]
+    outcomes = _library_and_reference(kind, overrides, pop, [(-1.0, 1.0)] * 2, 1,
+                                      lambda: rng_class(0), gauss_next, lambda: sphere)
+    assert outcomes[0] == outcomes[1]
+    assert "-0.0" not in outcomes[0][0]
+    if kind != "bfo":
+        assert outcomes[0][0] == "[([0.0, 0.0], 0.0)]"
