@@ -311,13 +311,15 @@ def _run_group(plan: ExperimentPlan, function: str, method: str):
 def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> ExperimentResult:
     """Execute every cell of the plan; optionally export results to ``out_dir``.
 
-    Groups run in a pool of min(``plan.workers``, groups, CPUs) worker
-    processes when that is above 1, in this process otherwise; results are
-    collected in sorted (function, method) order."""
+    Groups run in a pool of min(``plan.workers``, groups, CPUs the process
+    may run on) worker processes when that is above 1, in this process
+    otherwise; results are collected in sorted (function, method) order."""
     for f in plan.functions:  # a rejected setting raises before any group runs
         plan.config(f)
     tasks = [(f, m) for f in plan.functions for m in plan.methods]
-    workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(plan.workers, len(tasks), cpus)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         groups = list((pool.map if pool else map)(

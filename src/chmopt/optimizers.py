@@ -9,34 +9,33 @@ list of the same size. The objective keeps the best point it evaluates; the
 base ``run`` owns the shape checks and budget guard, starts that best at the
 incoming population's and does the elitist finalize. A method only writes
 ``_evolve(members, obj, bounds, rng)``, which leaves in ``members`` the
-population to return (PSO its personal bests, SA its chain bests). The hot
-loops inline the clamp to the box, and bind the RNG and objective methods
-they call to locals. Where a method draws a whole batch of points
+population to return (PSO its personal bests, SA its chain bests). The
+loops inline the clamp to the box, and bind ``rng.random`` and the
+objective's methods to locals. Where a method draws a whole batch of points
 before it reads any of their costs (an SA sweep, a GA generation, BFO
 dispersal), it draws the batch first and evaluates it with one
 ``evaluate_many``; PSO, DE and BFO chemotaxis read each cost before the next
 draw and evaluate point by point. Trajectories are pinned bit-exactly by the
 tests, so any rewrite must keep every RNG call and its order.
 
-The Gaussian and bounded-integer draws of the hot loops (SA steps, GA
-mutation, the BFO tumble, DE's picks and the GA tournament) are inline
-copies of CPython's ``Random.gauss`` and ``Random._randbelow_with_getrandbits``
-(the same source for n > 0 on 3.10 to 3.13): they make the same ``random()``
-and ``getrandbits(n.bit_length())`` calls in the same order without a Python
-frame per draw. A loop holding ``gauss``'s cached second value in a local
+Each ``_evolve`` tests ``len(bounds) == 2``, the shape of all 28 benchmark
+functions: such a box takes per-coordinate blocks written out in scalars (the
+PSO update and move, the SA step, the GA blend and mutation, DE's trial, the
+BFO tumble and swims); any other box takes append loops, as a comprehension
+costs a frame on 3.11. The PSO update, the GA blend and BFO chemotaxis are
+written into the loops on either side, with no call per particle, child or
+bacterium. Only what the sweep runs copies CPython's draws inline, without a
+Python frame per draw: the blocks copy ``Random.gauss``; DE's picks and the
+GA's two-pick tournament over at most 21 members copy
+``Random._randbelow_with_getrandbits`` (the same source for n > 0 on 3.10 to
+3.13). Each makes the same ``random()`` and ``getrandbits(n.bit_length())``
+calls in the same order. Two gauss draws take one fresh pair (both values, or
+a held ``spare`` and its first); a block holding the cached second value in
 ``spare`` writes it back to ``rng.gauss_next`` before it evaluates or raises,
 so the generator's state is ``rng.gauss``'s at every point a caller can see.
-The updates are written into the loops too, with no call per particle, child
-or bacterium: the PSO velocity update, the GA's two-pick tournament over at
-most 21 members (``_lowest_of_sample`` draws any other) and its blend
-crossover, and BFO chemotaxis. Each ``_evolve`` tests ``len(bounds) == 2``,
-the shape of all 28 benchmark functions: such a box takes the per-coordinate
-blocks (the PSO update and move, the SA step, the GA blend and mutation, DE's
-trial, the BFO tumble and swims) written out in scalars; any other box takes
-append loops, as a comprehension costs a frame on 3.11. The blocks keep every
-RNG call and float expression in order: two gauss draws take one fresh pair
-(both values, or a held ``spare`` and its first), steps keep ``0.0 + z * s``,
-BFO sums squares left to right, and DE keeps its short circuit.
+Steps keep ``0.0 + z * s``, BFO sums squares left to right, and DE keeps its
+short circuit. The other loops call ``rng.gauss``, and ``rng.sample`` for any
+other tournament.
 
 ``tests/optimizer_reference.py`` keeps the loops that call the helpers,
 ``pso_velocity_update``, ``blend_crossover`` and ``tumble_direction`` among
@@ -244,10 +243,14 @@ class SimulatedAnnealing(InnerOptimizer):
         if self.t0 is not None:
             temperature = self.t0
         else:
-            costs = [m.cost for m in chain_best]
-            mean = sum(costs) / len(costs)
-            spread = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
-            temperature = max(spread, self.t0_floor)
+            # left to right, as sum() added floats before 3.12 compensated them
+            total = squares = 0.0
+            for m in chain_best:
+                total += m.cost
+            mean = total / len(chain_best)
+            for m in chain_best:
+                squares += (m.cost - mean) ** 2
+            temperature = max(math.sqrt(squares / len(chain_best)), self.t0_floor)
         while obj.remaining > 0:
             # a sweep's steps and accept draws do not depend on its costs:
             # draw them all, in the order a chain-by-chain loop would
@@ -273,19 +276,12 @@ class SimulatedAnnealing(InnerOptimizer):
                 else:
                     candidate = []
                     for v, s, (lo, hi) in zip(cur.position, sigma, bounds):
-                        if spare is None:  # rng.gauss(0.0, s), inline
-                            x2pi = random() * tau
-                            g2rad = sqrt(-2.0 * log(1.0 - random()))
-                            z = cos(x2pi) * g2rad
-                            spare = sin(x2pi) * g2rad
-                        else:
-                            z = spare
-                            spare = None
-                        v += 0.0 + z * s
+                        v += rng.gauss(0.0, s)
                         candidate.append(lo if v < lo else hi if v > hi else v)
                     candidates.append(candidate)
                 draws.append(random())
-            rng.gauss_next = spare
+            if two:
+                rng.gauss_next = spare
             costs = evaluate_many(candidates)
             for i, c in enumerate(costs):
                 candidate = candidates[i]
@@ -299,39 +295,6 @@ class SimulatedAnnealing(InnerOptimizer):
 
 
 _SAMPLE_POOL = 21  # random.sample's set size for up to 5 picks
-
-
-def _lowest_of_sample(getrandbits, n: int, k: int) -> int:
-    """``min(random.sample(range(n), k))``, drawn with exactly the ``getrandbits``
-    calls ``random.sample`` makes: each ``randbelow(m)`` draws
-    ``m.bit_length()`` bits until the value is below ``m``."""
-    setsize = _SAMPLE_POOL
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n > setsize:
-        # rejection path: redraw any index already picked
-        bits = n.bit_length()
-        selected = set()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            selected.add(j)
-        return min(selected)
-    # pool path: draw i picks slot j of the n - i unpicked indices, and the
-    # index in the last unpicked slot moves into slot j
-    pool = list(range(n))
-    lowest = n
-    for i in range(k):
-        unpicked = n - i
-        bits = unpicked.bit_length()
-        j = getrandbits(bits)
-        while j >= unpicked:
-            j = getrandbits(bits)
-        if pool[j] < lowest:
-            lowest = pool[j]
-        pool[j] = pool[unpicked - 1]
-    return lowest
 
 
 @dataclass(frozen=True)
@@ -387,7 +350,7 @@ class GeneticAlgorithm(InnerOptimizer):
                 # Two picks from the pool: the second is slot j1, or size - 1
                 # when j1 is the first pick's slot; either way the lower draw
                 # is the lowest pick
-                if pair_pool:  # _lowest_of_sample(getrandbits, size, 2), inline
+                if pair_pool:  # min(rng.sample(range(size), 2)), inline
                     first = getrandbits(first_bits)
                     while first >= size:
                         first = getrandbits(first_bits)
@@ -396,7 +359,7 @@ class GeneticAlgorithm(InnerOptimizer):
                         second = getrandbits(second_bits)
                     parent1 = ranked[first if first < second else second]
                 else:
-                    parent1 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
+                    parent1 = ranked[min(rng.sample(range(size), n_pick))]
                 if random() < crossover_rate:
                     if pair_pool:
                         first = getrandbits(first_bits)
@@ -407,7 +370,7 @@ class GeneticAlgorithm(InnerOptimizer):
                             second = getrandbits(second_bits)
                         parent2 = ranked[first if first < second else second]
                     else:
-                        parent2 = ranked[_lowest_of_sample(getrandbits, size, n_pick)]
+                        parent2 = ranked[min(rng.sample(range(size), n_pick))]
                 else:
                     parent2 = None
                 # blend: one draw u ~ U(-blend_alpha, 1 + blend_alpha) per
@@ -452,15 +415,7 @@ class GeneticAlgorithm(InnerOptimizer):
                     child = []
                     for v, s, (lo, hi) in zip(genes, sigma, bounds):
                         if random() < mutation_rate:
-                            if spare is None:
-                                x2pi = random() * tau
-                                g2rad = sqrt(-2.0 * log(1.0 - random()))
-                                z = cos(x2pi) * g2rad
-                                spare = sin(x2pi) * g2rad
-                            else:
-                                z = spare
-                                spare = None
-                            v += 0.0 + z * s
+                            v += rng.gauss(0.0, s)
                             mutated = True
                         child.append(lo if v < lo else hi if v > hi else v)
                 if not mutated and child == parent1.position:
@@ -468,7 +423,8 @@ class GeneticAlgorithm(InnerOptimizer):
                 else:
                     children.append((child, None))
                     points.append(child)
-            rng.gauss_next = spare
+            if two:
+                rng.gauss_next = spare
             costs = evaluate_many(points)
             paid = iter(costs)
             for child, c in children:
@@ -638,24 +594,18 @@ class BacterialForaging(InnerOptimizer):
                                 norm = sqrt(g0 * g0 + g1 * g1)  # 0.0 + g0 * g0 is g0 * g0
                             else:
                                 direction = []
-                                squares = 0.0  # accumulated left to right: the pins fix this order
+                                # summed left to right, not by sum(), which
+                                # compensates floats from 3.12: the pins fix this order
+                                squares = 0.0
                                 for _ in step:
-                                    if spare is None:
-                                        x2pi = random() * tau
-                                        g2rad = sqrt(-2.0 * log(1.0 - random()))
-                                        z = cos(x2pi) * g2rad
-                                        spare = sin(x2pi) * g2rad
-                                    else:
-                                        z = spare
-                                        spare = None
-                                    g = 0.0 + z  # mu + z * sigma with mu 0.0 and sigma 1.0
+                                    g = rng.gauss(0.0, 1.0)
                                     direction.append(g)
                                     squares += g * g
                                 norm = sqrt(squares)
                             if norm > 0.0:
                                 break
-                        rng.gauss_next = spare
                         if two:
+                            rng.gauss_next = spare
                             d0 = s0 * (g0 / norm)
                             d1 = s1 * (g1 / norm)
                         else:

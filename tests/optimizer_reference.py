@@ -2,11 +2,14 @@
 
 These are the straightforward forms of the PSO, SA, GA, DE and BFO loops in
 ``chmopt.optimizers``, kept as the oracle their tests compare against. They
-call ``rng.gauss``, ``rng.sample``, ``rng._randbelow`` and ``rng.choice``
-where the library inlines the interpreter's ``gauss`` and
-``_randbelow_with_getrandbits``, and ``pso_velocity_update``,
-``blend_crossover`` and ``tumble_direction`` where the library writes the
-update into its loop. Each class subclasses the library's, so it takes the
+draw through ``rng.gauss``, ``rng.sample``, ``rng._randbelow`` and
+``rng.choice`` throughout. The library copies the interpreter's ``gauss`` and
+``_randbelow_with_getrandbits`` inline only where the benchmark sweep runs:
+in its two-coordinate blocks, the GA's two-pick tournament over at most 21
+members and DE's picks. Its loops for any other dimension call ``rng.gauss``
+and ``rng.sample`` as these do. Where the library writes an update into its
+loop, these call ``pso_velocity_update``, ``blend_crossover`` and
+``tumble_direction``. Each class subclasses the library's, so it takes the
 same parameter fields and reads them as ``self.<field>``; it only replaces
 the loop, so the budget guard, the best point the objective keeps and the
 elitist finalize are the library's. The inlined loops must reproduce every

@@ -257,11 +257,28 @@ class TestRunExperiment:
                 return list(map(fn, *iterables))
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # a platform without an affinity mask: the CPU count is the cap
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         result = run_experiment(small_plan(functions=functions, repetitions=1,
                                            workers=workers))
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(result.records) == 2 * len(functions)
+
+    def test_pool_is_capped_by_cpu_affinity(self, monkeypatch):
+        """A process allowed on one CPU runs its groups without a pool,
+        however many CPUs the machine has; no process is started here."""
+        import chmopt.harness as harness
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        result = run_experiment(small_plan(functions=("matyas", "beale"), repetitions=1,
+                                           workers=2))
+        assert len(result.records) == 4
 
     def test_replay_is_bit_exact(self):
         plan = small_plan()

@@ -20,6 +20,7 @@ from chmopt.core import (
 )
 from chmopt.chm import chm_run
 from chmopt.harness import ExperimentPlan, run_cell, run_method
+from chmopt import optimizers
 from chmopt.optimizers import (
     OPTIMIZER_CLASSES,
     OPTIMIZER_NAMES,
@@ -28,7 +29,6 @@ from chmopt.optimizers import (
     GeneticAlgorithm,
     ParticleSwarm,
     SimulatedAnnealing,
-    _lowest_of_sample,
     bfo_reproduce,
     default_portfolio,
     make_optimizer,
@@ -634,29 +634,6 @@ def test_large_population_bit_exact_pin():
     assert digest.hexdigest() == "49b8a52742c9a6ef3a7626a347039fd217234ab747da9d12b3601757cb014d1d"
 
 
-@st.composite
-def sample_shapes(draw):
-    """(n, k): k of n indices, as many as a tournament over n members picks."""
-    n = draw(st.integers(1, 64))
-    return n, draw(st.integers(1, min(n, 10)))
-
-
-@settings(max_examples=400, deadline=None)
-@given(shape=sample_shapes(), seed=st.integers(0, 2 ** 64))
-@example(shape=(20, 2), seed=0)  # the default tournament, from the pool
-@example(shape=(21, 5), seed=1)  # the largest pool for up to 5 picks
-@example(shape=(22, 2), seed=2)  # the smallest rejection path
-@example(shape=(64, 10), seed=3)  # more than 5 picks: the pool again
-def test_tournament_draws_match_random_sample(shape, seed):
-    # the GA tournament must make the randbelow calls random.sample makes;
-    # a CPython release that changes sample fails here
-    n, k = shape
-    expected_rng, rng = SeededRng(seed), SeededRng(seed)
-    expected = min(expected_rng.sample(range(n), k))
-    assert _lowest_of_sample(rng.getrandbits, n, k) == expected
-    assert rng.getstate() == expected_rng.getstate()
-
-
 GA_PARAMS = st.fixed_dictionaries(dict(
     tournament_size=st.integers(2, 10), crossover_rate=st.floats(0.0, 1.0),
     blend_alpha=st.floats(0.0, 1.0),
@@ -762,6 +739,14 @@ TWO_BOUNDS = [(-5.0, 3.0), (-2.0, 7.5)]
                  id="ga-mutate-all-crossover-all"),
     pytest.param("ga", dict(crossover_rate=1.0), 10, 200, 0.4, True,
                  id="ga-collapsed-preset"),
+    # the pair tournament is drawn inline for populations of at most 21;
+    # every other one calls random.sample, whose pool and rejection paths
+    # part at these sizes
+    pytest.param("ga", {}, 21, 84, None, False, id="ga-tournament-21-of-2"),
+    pytest.param("ga", {}, 22, 88, None, False, id="ga-tournament-22-of-2"),
+    pytest.param("ga", dict(tournament_size=5), 21, 84, None, False, id="ga-tournament-21-of-5"),
+    pytest.param("ga", dict(tournament_size=10), 64, 256, None, False,
+                 id="ga-tournament-64-of-10"),
     pytest.param("de", {}, 3, 60, None, False, id="de-3"),
     pytest.param("de", {}, 20, 300, 0.9, False, id="de-20-preset"),
     pytest.param("de", dict(crossover_rate=0.0), 8, 100, None, True, id="de-collapsed"),
@@ -779,6 +764,23 @@ def test_two_coordinate_blocks_match_reference_loops(kind, params, size, budget,
                                       lambda: _ProbeObjective(False))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == budget
+
+
+@pytest.mark.parametrize("costs, temperature", [
+    # compensated, the mean is 0.1 and the spread 0.0, so t0 would be the floor
+    pytest.param([0.1] * 10, 1.3877787807814457e-17, id="mean"),
+    # compensated, the squared deviations sum to 0.24999999000000012
+    pytest.param([0.5, 1e-8, 1e-8, 0.5, 0.25], 0.22360679327784305, id="spread"),
+])
+def test_sa_automatic_t0_sums_left_to_right(monkeypatch, costs, temperature):
+    # sum() compensates floats from Python 3.12; the automatic t0 adds the
+    # costs and their squared deviations left to right, as 3.11 did
+    seen = []
+    monkeypatch.setattr(optimizers, "sa_accept", lambda delta, t, u: seen.append(t))
+    pop = [Individual([0.0], cost=c) for c in costs]
+    SimulatedAnnealing(t0_floor=1e-300).run(pop, BudgetedObjective(sphere, 1), [(-1.0, 1.0)],
+                                            SeededRng(0))
+    assert seen == [temperature]
 
 
 class _ZeroStream(SeededRng):
