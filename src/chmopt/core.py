@@ -4,6 +4,8 @@ aligned text-table formatter.
 Positions are plain lists of floats, populations plain lists of individuals.
 Keeping the evaluation path free of array machinery matters here: a full
 benchmark sweep makes tens of millions of two-dimensional objective calls.
+A budget counts every evaluation in one loop of calls; an objective that
+must see a batch first defines ``prefetch``. Reported sums add left to right.
 """
 from __future__ import annotations
 
@@ -160,39 +162,28 @@ class BudgetedObjective:
         Counts as a loop of ``evaluate`` over that prefix would: on a
         non-finite value, ``used`` stops at that point and NonFiniteValue names
         it. The best point is recorded as that loop would record it. An
-        objective with an ``evaluate_many`` method gets the prefix in one call;
-        a plain callable is called point by point.
+        objective's ``prefetch(points)``, if it has one, gets a non-empty
+        prefix once, before any point of it is evaluated or counted.
         """
         points = points[:self.cap - self.used]
-        batch = getattr(self.fn, "evaluate_many", None)
-        if batch is None:  # the body of evaluate, without a call per point
-            fn = self.fn
-            used = self.used
-            best = self.best_cost
-            values = []
-            try:  # used counts every call made, one that raises included
-                for x in points:
-                    used += 1
-                    value = fn(x)
-                    if not isfinite(value):
-                        raise NonFiniteValue(x, value)
-                    if value < best:
-                        self.best_cost = best = value
-                        self.best_position = list(x)
-                    values.append(value)
-            finally:
-                self.used = used
-            return values
-        start = self.used
-        self.used += len(points)
-        values = batch(points) if points else []
-        for i, value in enumerate(values):
-            if not math.isfinite(value):
-                self.used = start + i + 1
-                raise NonFiniteValue(points[i], value)
-            if value < self.best_cost:
-                self.best_cost = value
-                self.best_position = list(points[i])
+        fn = self.fn
+        if points and hasattr(fn, "prefetch"):
+            fn.prefetch(points)
+        used = self.used
+        best = self.best_cost
+        values = []
+        try:  # used counts every call made, one that raises included
+            for x in points:
+                used += 1
+                value = fn(x)
+                if not isfinite(value):
+                    raise NonFiniteValue(x, value)
+                if value < best:
+                    self.best_cost = best = value
+                    self.best_position = list(x)
+                values.append(value)
+        finally:
+            self.used = used
         return values
 
 
@@ -210,11 +201,20 @@ def euclidean_distance(x: Vector, x0: Vector) -> float:
     return math.sqrt(sum((a - b) * (a - b) for a, b in zip(x, x0)))
 
 
+def plain_sum(values) -> float:
+    """``values`` added left to right from 0.0, as ``sum()`` adds floats up to
+    Python 3.11; from 3.12 ``sum()`` compensates, which can move the last bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def population_std(values) -> float:
     """Standard deviation of a non-empty sequence, divided by its length."""
     n = len(values)
-    mean = sum(values) / n
-    return (sum((v - mean) ** 2 for v in values) / n) ** 0.5
+    mean = plain_sum(values) / n
+    return (plain_sum((v - mean) ** 2 for v in values) / n) ** 0.5
 
 
 def format_table(rows) -> str:

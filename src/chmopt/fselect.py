@@ -7,8 +7,9 @@ random forest trained on the selected features, measured on an inner
 validation split; reported errors come from a held-out test split.
 
 The searches of every method and repetition run in lockstep: each runs in
-its own thread, used only to suspend it, and the new masks they all ask for
-in one round grow their forests together, in passes of at most
+its own thread, used only to suspend it. The new masks they all ask for in
+one round, the reported test errors and the baseline are each fitted by
+``_cache_fits``: a lone forest by ``fs_cost``, more in passes of at most
 ``_PASS_TREES`` trees, each on its repetition's training rows. A mask's cost
 does not depend on which masks share its pass, so every search is what it
 would be alone.
@@ -31,7 +32,7 @@ import numpy as np
 from .chm import ChmConfig
 # unused here, kept importable: span tracers patch these two module attributes
 from .chm import chm_run, run_segmented  # noqa: F401
-from .core import SeededRng, check_fields, format_table, mix_seed, population_std
+from .core import SeededRng, check_fields, format_table, mix_seed, plain_sum, population_std
 from .forest import ForestParams, RandomForest, fit_forests
 from .harness import ALL_METHODS, check_methods, run_method
 
@@ -270,7 +271,7 @@ class _CachedMaskObjective:
     without retraining, while the optimizer's budget accounting (which wraps
     each method's ``_Search``) still counts every call. ``new_masks`` caches
     the masks that train no forest and returns the ones that need one, which
-    `_fit_round` fits.
+    `_cache_fits` fits.
     """
 
     def __init__(self, train, rows, validation, params, seed):
@@ -296,16 +297,23 @@ class _CachedMaskObjective:
 
 
 def _cache_fits(jobs):
-    """Cache in each ``(objective, mask, seed)`` of ``jobs`` the cost of the
-    forest ``fs_cost`` fits for the mask on the objective's rows at that seed.
+    """Cache in each distinct ``(objective, mask, seed)`` of ``jobs`` the cost
+    of the forest ``fs_cost`` fits for the mask on the objective's rows at that seed.
 
-    The objectives share their ``train`` and forest parameters. The forests
-    grow in ``fit_forests`` passes of at most ``_PASS_TREES`` trees (at least
-    one forest), and a pass's forests are dropped once its costs are read.
+    The objectives share their ``train`` and forest parameters. A lone job is
+    fitted by ``fs_cost`` (by position: span tracers read its fifth argument,
+    the seed); more grow in ``fit_forests`` passes of at most ``_PASS_TREES``
+    trees (at least one forest), and a pass's forests are dropped once read.
     """
+    jobs = list(dict.fromkeys(jobs))
     if not jobs:
         return
     first = jobs[0][0]
+    if len(jobs) == 1:
+        _, mask, seed = jobs[0]
+        first.cache[mask] = fs_cost(mask, first.train.subset(first.rows), first.validation,
+                                    first.params, seed)
+        return
     chunk = max(1, _PASS_TREES // first.params.n_trees)
     for i in range(0, len(jobs), chunk):
         part = jobs[i:i + chunk]
@@ -314,25 +322,6 @@ def _cache_fits(jobs):
                               [seed for _, _, seed in part], [o.rows for o, _, _ in part])
         for (objective, mask, _), forest in zip(part, forests):
             objective.cache[mask] = _forest_cost(forest, _columns(mask), objective.validation)
-
-
-def _fit_round(posted):
-    """Cache the cost of each distinct (objective, mask) pair of ``posted``.
-
-    Every forest is exactly the one ``fs_cost`` fits for its mask on its
-    objective's rows, at the seed its mask mixes into the objective's. They
-    grow together (`_cache_fits`); a lone one is fitted by ``fs_cost``,
-    which perfbench's tracer wraps.
-    """
-    posted = list(dict.fromkeys(posted))
-    if len(posted) == 1:
-        objective, mask = posted[0]
-        objective.cache[mask] = fs_cost(mask, objective.train.subset(objective.rows),
-                                        objective.validation, objective.params,
-                                        mix_seed(objective.seed, *mask))
-    else:
-        _cache_fits([(objective, mask, mix_seed(objective.seed, *mask))
-                     for objective, mask in posted])
 
 
 def _test_errors(masks, train: Dataset, test: Dataset, params: ForestParams, seed: int) -> dict:
@@ -351,10 +340,10 @@ class _Search:
     """One method's search in its own thread, suspended while it waits for forests.
 
     The thread runs only between ``resume`` being called and returning, so the
-    searches of a lockstep run take turns and never run at the same time.
-    To the optimizer it is the mask objective: an evaluation whose masks are
-    all cached, or train no forest, returns at once; otherwise the search
-    posts its new masks and waits for the coordinator to fit them.
+    searches of a lockstep run take turns and never run at the same time. To
+    the optimizer's budget it is the mask objective: ``prefetch`` posts a
+    batch's new masks and waits for the coordinator to fit them; a call reads
+    the cache, posting its mask only on a miss.
     """
 
     def __init__(self, objective: _CachedMaskObjective, name: str, run):
@@ -364,38 +353,42 @@ class _Search:
         self._posts = queue.SimpleQueue()  # from it: new masks, then (result,) or an error
         self.thread = threading.Thread(target=self._main, name=f"fselect-{name}",
                                        daemon=True)
+        self.thread.start()
 
     def __call__(self, position) -> float:
-        return self.evaluate_many([position])[0]
+        mask = decode_mask(position)
+        if mask not in self.objective.cache:
+            self.prefetch([position])
+        return self.objective.cache[mask]
 
-    def evaluate_many(self, positions) -> list[float]:
-        masks = [decode_mask(p) for p in positions]
-        posted = self.objective.new_masks(masks)
+    def prefetch(self, positions):
+        """Post the new masks of ``positions``, if any, and wait until they are fitted."""
+        posted = self.objective.new_masks([decode_mask(p) for p in positions])
         if posted:
             self._posts.put(posted)
             if not self._turns.get():
                 raise _Cancelled
-        return [self.objective.cache[m] for m in masks]
 
-    def resume(self, go: bool = True):
+    def resume(self):
         """Let the search run until it posts new masks (returned as a list) or
-        ends (its result in a 1-tuple; its error is raised here). With ``go``
-        false, make a suspended search unwind at once instead."""
-        if go and self.thread.ident is None:
-            self.thread.start()
-        else:
-            self._turns.put(go)
-        if go:
-            post = self._posts.get()
-            if not isinstance(post, list):  # the thread has ended, or is about to
-                self.thread.join()
-            if isinstance(post, BaseException):
-                raise post
-            return post
+        ends (its result in a 1-tuple; its error is raised here)."""
+        self._turns.put(True)
+        post = self._posts.get()
+        if not isinstance(post, list):  # the thread has ended, or is about to
+            self.thread.join()
+        if isinstance(post, BaseException):
+            raise post
+        return post
+
+    def cancel(self):
+        """Make the suspended search unwind, and wait until its thread has ended."""
+        self._turns.put(False)
+        self.thread.join()
 
     def _main(self):
         try:
-            self._posts.put((self.run(self),))
+            if self._turns.get():  # False: cancelled before its first turn
+                self._posts.put((self.run(self),))
         except _Cancelled:
             pass
         except BaseException as exc:  # handed to the coordinator, which raises it
@@ -410,7 +403,7 @@ def _search_in_lockstep(searches) -> dict:
     ``_IN_FLIGHT`` are in flight, so ``searches`` may be a generator that
     sets each one up when it starts. Then it resumes every search in flight,
     in order, until it posts new masks or ends, and fits every posted mask in
-    one pass (`_fit_round`). Only this coordinator fits, and only between
+    one pass (`_cache_fits`). Only this coordinator fits, and only between
     rounds, so the rounds do not depend on thread timing. The first error, in
     order, propagates; every thread has ended when this returns or raises.
     """
@@ -429,14 +422,12 @@ def _search_in_lockstep(searches) -> dict:
                     results[key] = post[0]
                     del flight[key]
                 else:
-                    posted += [(search.objective, mask) for mask in post]
-            _fit_round(posted)
+                    posted += [(search.objective, mask, mix_seed(search.objective.seed, *mask))
+                               for mask in post]
+            _cache_fits(posted)
     finally:
         for search in flight.values():
-            search.resume(go=False)
-        for search in flight.values():
-            if search.thread.ident is not None:
-                search.thread.join()
+            search.cancel()
 
 
 @dataclass(frozen=True)
@@ -564,14 +555,14 @@ def run_feature_selection(dataset: Dataset, plan: FselectPlan) -> FsReport:
         feature_counts = [r["n_features"] for r in details]
         report.rows.append(FsRow(
             method=method,
-            avg_cost=sum(errors) / len(errors),
+            avg_cost=plain_sum(errors) / len(errors),
             std_cost=population_std(errors),
             avg_features=sum(feature_counts) / len(feature_counts),
             median_features=float(statistics.median(feature_counts)),
             std_features=population_std(feature_counts),
         ))
-    baseline_error = fs_cost((True,) * d, train_all, test, plan.report_forest_params,
-                             mix_seed(plan.seed, "baseline"))
+    (baseline_error,) = _test_errors([(True,) * d], train_all, test, plan.report_forest_params,
+                                     mix_seed(plan.seed, "baseline")).values()
     report.rows.append(FsRow(
         method=BASELINE_METHOD,
         avg_cost=baseline_error,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 from .benchmarks import BENCHMARK_NAMES, get_benchmark, normalize_name
 from .chm import ChmConfig, chm_run, fe_budget, run_segmented
 from .core import (check_fields, euclidean_distance, fitness, format_table, mix_seed,
-                   population_std)
+                   plain_sum, population_std)
 from .optimizers import OPTIMIZER_NAMES, default_portfolio
 
 CHM_METHOD = "chm"
@@ -232,11 +232,11 @@ def aggregate_records(records) -> dict[tuple[str, str], RunStats]:
             function=key[0],
             method=key[1],
             repetitions=len(runs),
-            mean_fitness=sum(fitnesses) / len(fitnesses),
+            mean_fitness=plain_sum(fitnesses) / len(fitnesses),
             std_fitness=population_std(fitnesses),
             min_fitness=min(fitnesses),
-            sum_fitness=sum(fitnesses),
-            mean_distance=sum(r.distance for r in runs) / len(runs),
+            sum_fitness=plain_sum(fitnesses),
+            mean_distance=plain_sum(r.distance for r in runs) / len(runs),
             mean_fe=sum(r.fe_used for r in runs) / len(runs),
             selection_counts=tuple(sorted(counts.items())),
         )
@@ -272,8 +272,8 @@ def build_leaderboard(plan: ExperimentPlan,
     return LeaderBoard(
         lowest_fitness_counts=lowest["mean_fitness"],
         lowest_distance_counts=lowest["mean_distance"],
-        suite_avg_fitness={m: sum(v) / len(v) for m, v in means.items() if v},
-        suite_sum_fitness={m: sum(v) for m, v in means.items() if v})
+        suite_avg_fitness={m: plain_sum(v) / len(v) for m, v in means.items() if v},
+        suite_sum_fitness={m: plain_sum(v) for m, v in means.items() if v})
 
 
 @dataclass

@@ -66,6 +66,7 @@ from .core import (
     check_bounds,
     check_fields,
     clamp_to_bounds,
+    plain_sum,
     random_position,
 )
 
@@ -243,14 +244,10 @@ class SimulatedAnnealing(InnerOptimizer):
         if self.t0 is not None:
             temperature = self.t0
         else:
-            # left to right, as sum() added floats before 3.12 compensated them
-            total = squares = 0.0
-            for m in chain_best:
-                total += m.cost
-            mean = total / len(chain_best)
-            for m in chain_best:
-                squares += (m.cost - mean) ** 2
-            temperature = max(math.sqrt(squares / len(chain_best)), self.t0_floor)
+            chain_costs = [m.cost for m in chain_best]
+            mean = plain_sum(chain_costs) / len(chain_costs)
+            spread = math.sqrt(plain_sum((c - mean) ** 2 for c in chain_costs) / len(chain_costs))
+            temperature = max(spread, self.t0_floor)
         while obj.remaining > 0:
             # a sweep's steps and accept draws do not depend on its costs:
             # draw them all, in the order a chain-by-chain loop would

@@ -81,7 +81,8 @@ def run_segmented_mirror(optimizer, objective_fn, bounds, seed, *, iterations,
 
 
 class TableObjective:
-    """Value ``values[i]`` at the point ``[i]``; records every batch it gets."""
+    """Value ``values[i]`` at the point ``[i]``; records every batch it is
+    handed through ``prefetch``."""
 
     def __init__(self, values):
         self.values = values
@@ -90,9 +91,8 @@ class TableObjective:
     def __call__(self, x):
         return self.values[x[0]]
 
-    def evaluate_many(self, points):
+    def prefetch(self, points):
         self.batches.append([x[0] for x in points])
-        return [self.values[x[0]] for x in points]
 
 
 @st.composite

@@ -1,7 +1,10 @@
-"""Mutation gate for the pinned optimizer loops.
+"""Mutation gate for the pinned loops: the optimizers, the budget, the forest
+and feature selection's lockstep.
 
-The optimizer loops must reproduce the reference loops bit for bit, and the
-tests that say so are only as good as the faults they catch. Each entry below
+The optimizer loops must reproduce the reference loops bit for bit, the
+budget must count as a loop of calls, the forest's class sums must add as
+numpy does, and the lockstep must run its searches in order; the tests
+that say so are only as good as the faults they catch. Each entry below
 is one such fault: a file, the exact text to replace (found exactly once), the
 text to put in its place and the tests that must fail. For each entry this
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -26,6 +29,9 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPTIMIZERS = "src/chmopt/optimizers.py"
+CORE = "src/chmopt/core.py"
+FOREST = "src/chmopt/forest.py"
+FSELECT = "src/chmopt/fselect.py"
 
 
 class Mutant(NamedTuple):
@@ -78,12 +84,11 @@ MUTANTS = [
            "            rng.gauss_next = spare\n            costs = evaluate_many(candidates)",
            _ids("test_inline_draws_match_reference_loops", "sa")),
     Mutant("sa-t0-mean-compensated", OPTIMIZERS,
-           "mean = total / len(chain_best)",
-           "mean = math.fsum(m.cost for m in chain_best) / len(chain_best)",
+           "mean = plain_sum(chain_costs)", "mean = math.fsum(chain_costs)",
            _ids("test_sa_automatic_t0_sums_left_to_right", "mean")),
     Mutant("sa-t0-spread-compensated", OPTIMIZERS,
-           "math.sqrt(squares / len(chain_best))",
-           "math.sqrt(math.fsum((m.cost - mean) ** 2 for m in chain_best) / len(chain_best))",
+           "math.sqrt(plain_sum((c - mean) ** 2 for c in chain_costs)",
+           "math.sqrt(math.fsum((c - mean) ** 2 for c in chain_costs)",
            _ids("test_sa_automatic_t0_sums_left_to_right", "spread")),
     Mutant("ga-blend-draws-in-reverse-order", OPTIMIZERS,
            "v0 = v0 + (draw_low + draw_span * random()) * (b0 - v0)\n"
@@ -150,6 +155,32 @@ MUTANTS = [
            "                                    squares += g * g\n"
            "                                norm = sqrt(squares)",
            _ids("test_inline_draws_match_reference_loops", "bfo")),
+    Mutant("plain-sum-compensated", CORE,
+           "    total = 0.0\n    for v in values:\n        total += v\n    return total",
+           "    return math.fsum(values)",
+           ("tests/test_harness.py::TestRunExperiment::test_sums_add_left_to_right",)),
+    Mutant("budget-not-counted-when-a-call-raises", CORE,
+           "        finally:\n            self.used = used\n        return values",
+           "        finally:\n            pass\n        self.used = used\n        return values",
+           ("tests/test_core.py::test_evaluate_many_counts_a_call_that_raises",)),
+    Mutant("prefetch-gets-the-whole-batch", CORE,
+           "        points = points[:self.cap - self.used]\n        fn = self.fn\n"
+           "        if points and hasattr(fn, \"prefetch\"):\n            fn.prefetch(points)",
+           "        batch, points = points, points[:self.cap - self.used]\n        fn = self.fn\n"
+           "        if points and hasattr(fn, \"prefetch\"):\n            fn.prefetch(batch)",
+           ("tests/test_core.py::test_evaluate_many_matches_sequential_loop",)),
+    Mutant("bounds-not-checked-finite", CORE,
+           "if not (isfinite(lo) and isfinite(hi) and lo <= hi):", "if not lo <= hi:",
+           _ids("test_bounds_reversed_or_not_finite_rejected", "pso-high_inf", "de-high_inf")),
+    Mutant("class-sum-running-sums-left-to-right", FOREST,
+           "total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
+           "total = r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7]",
+           ("tests/test_forest.py::test_class_sum_matches_numpy_row_sum",)),
+    Mutant("lockstep-resumes-in-reverse-order", FSELECT,
+           "for key, search in list(flight.items()):",
+           "for key, search in reversed(list(flight.items())):",
+           ("tests/test_fselect.py::"
+            "test_optimizer_error_mid_search_propagates_and_ends_every_thread[methods0]",)),
 ]
 
 # Mutants no test can kill because they do not change behaviour. Their old
@@ -158,6 +189,13 @@ EQUIVALENT = [
     # two floats add the same either way round (IEEE 754 addition commutes)
     Mutant("bfo-squares-right-to-left-at-two-coordinates", OPTIMIZERS,
            "norm = sqrt(g0 * g0 + g1 * g1)", "norm = sqrt(g1 * g1 + g0 * g0)", ()),
+    # a node's rows are only counted: the split search sorts each segment's
+    # keys by (segment, rank, class) itself, and a leaf predicts from its
+    # counts, so the order of rows inside a child's segment moves no split or
+    # prediction (the whole test suite passes with it); the stable kind is
+    # kept because numpy radix-sorts narrow integers with it
+    Mutant("partition-sort-not-stable", FOREST,
+           ".argsort(kind=\"stable\"))", ".argsort())", ()),
 ]
 
 

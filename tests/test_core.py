@@ -132,7 +132,7 @@ def test_evaluate_many_matches_sequential_loop(case):
         else:
             assert failure is None and got == expected
         assert obj.used == expected_obj.used
-        if batched:  # one call with the affordable prefix, none when it is empty
+        if batched:  # one prefetch of the affordable prefix, none when it is empty
             prefix = list(range(min(len(values), cap - spent)))
             assert table.batches == ([prefix] if prefix else [])
 
@@ -149,6 +149,19 @@ def test_evaluate_many_counts_a_call_that_raises():
     with pytest.raises(ZeroDivisionError):
         obj.evaluate_many([[3.0], [1.0], [2.0], [0.0]])
     assert (obj.used, obj.best_cost, obj.best_position) == (3, 1.0, [1.0])
+
+
+def test_evaluate_many_counts_nothing_when_prefetch_raises():
+    # prefetch sees the batch before any point of it is evaluated or counted
+    class Failing(TableObjective):
+        def prefetch(self, points):
+            raise ZeroDivisionError
+
+    obj = BudgetedObjective(Failing([1.0, 2.0]), 5)
+    obj.used = 1
+    with pytest.raises(ZeroDivisionError):
+        obj.evaluate_many([[0], [1]])
+    assert (obj.used, obj.best_cost, obj.best_position) == (1, math.inf, None)
 
 
 class TestClamp:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chmopt.core import SeededRng, mix_seed
+from chmopt.core import BudgetedObjective, SeededRng, mix_seed
 from chmopt.forest import ForestParams
 from chmopt.fselect import (
     Dataset,
@@ -338,6 +338,11 @@ class TestFsCost:
 
 
 
+def _batch(search, positions):
+    """The costs of ``positions``, evaluated as one batch by a budget around ``search``."""
+    return BudgetedObjective(search, len(positions)).evaluate_many(positions)
+
+
 @pytest.mark.parametrize("single_class", [False, True])
 def test_mask_objective_costs_match_fs_cost(single_class):
     """Alone, in a batch with empty, repeated and cached masks, in a round
@@ -356,9 +361,9 @@ def test_mask_objective_costs_match_fs_cost(single_class):
                 for p in positions]
     objective = _CachedMaskObjective(ds, rows, val, FAST_FOREST, 23)
     costs = _search_in_lockstep([
-        ("batch", objective, lambda search: [search.evaluate_many(positions[:1]),
-                                             search.evaluate_many(positions)]),
-        ("reversed", objective, lambda search: search.evaluate_many(positions[::-1]))])
+        ("batch", objective, lambda search: [_batch(search, positions[:1]),
+                                             _batch(search, positions)]),
+        ("reversed", objective, lambda search: _batch(search, positions[::-1]))])
     assert costs == {"batch": [expected[:1], expected], "reversed": expected[::-1]}
     fresh = _CachedMaskObjective(ds, rows, val, FAST_FOREST, 23)
     costs = _search_in_lockstep([("each", fresh, lambda search: [search(p) for p in positions])])
@@ -526,8 +531,7 @@ def test_lone_new_mask_of_a_round_goes_through_fs_cost(monkeypatch, pass_trees):
     monkeypatch.setattr(fselect, "fs_cost", counting_cost)
     monkeypatch.setattr(fselect, "fit_forests", counting_fit_forests)
     costs = _search_in_lockstep([
-        (0, objectives[0], lambda search: [search.evaluate_many([first, second]),
-                                           search(third)]),
+        (0, objectives[0], lambda search: [_batch(search, [first, second]), search(third)]),
         (1, objectives[1], lambda search: search(first))])
     sizes = [len(objectives[0].rows)] * 2 + [len(objectives[1].rows)]
     assert passes == ([sizes] if pass_trees == 1024 else [sizes[:2], sizes[2:]])
@@ -575,10 +579,10 @@ def test_search_threads_in_flight_stay_within_the_bound(monkeypatch, failing):
     def live_threads():
         return sum(t.name.startswith("fselect-") for t in threading.enumerate())
 
-    def resume(search, go=True):
+    def resume(search):
         alive.append(live_threads())
         try:
-            return real_resume(search, go)
+            return real_resume(search)
         finally:
             alive.append(live_threads())
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chmopt.benchmarks import BENCHMARK_NAMES
 from chmopt.cli import main as cli_main
+from chmopt.core import population_std
 from chmopt.fselect import make_synthetic_dataset
 from chmopt.harness import (
     ALL_METHODS,
@@ -208,6 +210,24 @@ class TestRunExperiment:
         assert stats.min_fitness == 1.0
         assert stats.sum_fitness == 6.0
         assert stats.std_fitness == pytest.approx(math.sqrt(2.0 / 3.0))
+
+    def test_sums_add_left_to_right(self):
+        # from Python 3.12 sum() compensates floats (1.0 here); reported sums
+        # add left to right, as 3.11's sum() did, on every interpreter
+        def record(function, repetition):
+            return RunRecord(function, "de", repetition, 0, best_fitness=0.1, best_cost=0.1,
+                             best_position=(0.0,), distance=0.1, fe_used=10, phases=1,
+                             converged=True)
+
+        stats = aggregate_records([record("matyas", i) for i in range(10)])["matyas", "de"]
+        assert stats.sum_fitness == 0.9999999999999999
+        assert stats.mean_fitness == stats.mean_distance == 0.09999999999999999
+        functions = BENCHMARK_NAMES[:10]
+        board = build_leaderboard(small_plan(functions=functions, methods=("de",)),
+                                  aggregate_records([record(f, 0) for f in functions]))
+        assert board.suite_sum_fitness == {"de": 0.9999999999999999}
+        assert board.suite_avg_fitness == {"de": 0.09999999999999999}
+        assert population_std([0.1] * 10) == 1.3877787807814457e-17
 
     def test_fairness_cap_respected(self):
         plan = small_plan(methods=("chm", "de", "sa", "bfo"))

@@ -145,7 +145,7 @@ def deadline(seconds):
 
 
 class PlainTable:
-    """A TableObjective without ``evaluate_many``: called point by point."""
+    """A TableObjective without ``prefetch``: sees each point only when called."""
 
     def __init__(self, values):
         self.values = values
